@@ -16,6 +16,7 @@ from math import ceil, comb
 from .core import Design, PartStructure
 from .errors import (
     BudgetExhausted,
+    CertificateInvalid,
     ParameterOrderViolated,
     SinglePart,
     StrengthExceedsParts,
@@ -155,17 +156,17 @@ def upper_minimax(s: PartStructure, max_nodes: int = 10_000_000,
     provably tight at the base); strict=True raises in that case, with
     the fallback certificate attached to the exception.
     """
-    from .construct import construct_minimax
+    from .construct import construct_minimax, minimax_base_size
     from .search import certify_classical
 
     if s.k_min < 2:
         raise UnitProfilePart(f"minimax bound needs every k_i >= 2, got {s.k}")
-    w = max(vj - (kj - s.k_min) for vj, kj in zip(s.v, s.k))
+    w = minimax_base_size(s)
     base_result = certify_classical(w, s.k_min, 2, max_nodes=max_nodes, timeout=timeout)
     design = construct_minimax(s, base_result.design)
     report = verify(design)
     if not report.valid:
-        raise AssertionError(
+        raise CertificateInvalid(
             f"minimax certificate failed verification: {report.first_uncovered}"
         )
     if strict and base_result.status != "proven":
@@ -187,7 +188,7 @@ def _exhaustive_upper(s: PartStructure, t: int) -> tuple[int, Design] | None:
     d = Design(s, t, blocks)
     report = verify(d)
     if not report.valid:
-        raise AssertionError(
+        raise CertificateInvalid(
             f"exhaustive certificate failed verification: {report.first_uncovered}"
         )
     return len(blocks), d
@@ -211,7 +212,7 @@ def bound_report(s: PartStructure, t: int,
 
         cert = cover_t1(s)
         if not verify(cert).valid:
-            raise AssertionError("strength-1 certificate failed verification")
+            raise CertificateInvalid("strength-1 certificate failed verification")
         upper["t1_formula"] = (len(cert.blocks), cert)
     if t == 2 and s.k_min >= 2:
         upper["minimax"] = upper_minimax(s, max_nodes=max_nodes, timeout=timeout)

@@ -12,9 +12,9 @@ import sys
 from . import bounds as bounds_mod
 from . import construct as construct_mod
 from . import graphview, product, search
-from .core import Design, PartStructure, from_covering_array, to_covering_array
+from .core import PartStructure, from_covering_array, to_covering_array
 from .errors import GencovError, PlaceholdersPresent
-from .io import DesignDocument, emit_design, parse_design, parse_document  # noqa: F401
+from .io import emit_design, parse_design
 from .verify import verify
 
 
@@ -82,7 +82,7 @@ def _cmd_construct(args) -> int:
     else:
         if s.k_min < 2:
             raise GencovError("construction needs every k_i >= 2; supply --base otherwise")
-        w = max(vj - (kj - s.k_min) for vj, kj in zip(s.v, s.k))
+        w = construct_mod.minimax_base_size(s)
         base = search.certify_classical(w, s.k_min, 2, max_nodes=args.max_nodes,
                                         timeout=args.timeout).design
     d = construct_mod.construct_minimax(s, base, keep_placeholders=args.keep_placeholders)

@@ -134,6 +134,12 @@ def greedy_classical_cover(v: int, k: int, t: int) -> Design:
     return greedy_cover(PartStructure((v,), (k,)), t)
 
 
+def minimax_base_size(s: PartStructure) -> int:
+    """Points the classical base cover of construct_minimax needs:
+    max_j (v_j - (k_j - k_min))."""
+    return max(vj - (kj - s.k_min) for vj, kj in zip(s.v, s.k))
+
+
 def construct_minimax(s: PartStructure, base: Design,
                       keep_placeholders: bool = False) -> Design | PlaceholderDesign:
     """Lift a single-part (w, k_min, 2) cover to a GC(v, k, 2).
@@ -155,7 +161,7 @@ def construct_minimax(s: PartStructure, base: Design,
     if base.t != 2:
         raise StrengthNotTwo(f"base must have strength 2, got {base.t}")
     w = base.structure.v[0]
-    need = max(vj - (kj - s.k_min) for vj, kj in zip(s.v, s.k))
+    need = minimax_base_size(s)
     if w < need:
         raise BasePartTooSmall(f"base on {w} points, need at least {need}")
 

@@ -152,22 +152,19 @@ def admissible_patterns(s: PartStructure, t: int) -> list[Pattern]:
     """
     if t < 0 or t > s.k_sum:
         raise StrengthTooLarge(f"strength {t} not in 0..{s.k_sum}")
+    # Room left in the parts after position i; pushing the choices for part
+    # i in ascending order pops them in descending order.
+    room = [sum(s.k[i + 1:]) for i in range(s.m)]
     out: list[Pattern] = []
-    cur: list[int] = []
-
-    def rec(i: int, rem: int) -> None:
+    stack: list[Pattern] = [()]
+    while stack:
+        head = stack.pop()
+        i = len(head)
         if i == s.m:
-            if rem == 0:
-                out.append(tuple(cur))
-            return
-        hi = min(s.k[i], rem)
-        lo = max(0, rem - sum(s.k[i + 1:]))
-        for x in range(hi, lo - 1, -1):
-            cur.append(x)
-            rec(i + 1, rem - x)
-            cur.pop()
-
-    rec(0, t)
+            out.append(head)
+            continue
+        rem = t - sum(head)
+        stack.extend(head + (x,) for x in range(max(0, rem - room[i]), min(s.k[i], rem) + 1))
     return out
 
 

@@ -63,6 +63,10 @@ class UnitProfilePart(GencovError):
     """The minimax upper bound needs every k_i >= 2."""
 
 
+class CertificateInvalid(GencovError):
+    """A design built to certify an upper bound failed verification."""
+
+
 class BudgetExhausted(GencovError):
     """An exact search ran out of budget before proving optimality.
 

@@ -271,7 +271,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     n_branches = len(tb.coverers[0])
     node_budget = max(1, max_nodes // n_branches)
     if jobs is None:
-        jobs = default_jobs() or 1
+        jobs = default_jobs()
 
     outcomes: list[_BranchOutcome] = []
     if jobs > 1:

@@ -1,9 +1,12 @@
 """Decide whether a design covers everything it must, with witnesses.
 
-The verifier enumerates admissible patterns, then all set tuples per
-pattern, and counts containing blocks with the kernel backends.  The
-whole universe is always scanned so the report carries a total deficit
-count, not just the first failure.
+For each admissible pattern the verifier ranks every sub-tuple each block
+holds and counts the ranks with np.bincount; the tuple universe itself is
+never enumerated.  A tuple's rank mixes the lex ranks of its parts'
+subsets in mixed radix, last part fastest, so rank order is the order of
+core.admissible_tuples.  Ranking follows Kreher & Stinson, Combinatorial
+Algorithms (1999), ch. 2.  The whole universe is always scanned so the
+report carries a total deficit count, not just the first failure.
 """
 
 from __future__ import annotations
@@ -12,13 +15,24 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb, prod
 
 import numpy as np
 
-from . import _kernels
-from .core import Design, Pattern, PartStructure, SetTuple, admissible_patterns
+from .core import (
+    Design,
+    Pattern,
+    PartStructure,
+    SetTuple,
+    admissible_patterns,
+    pattern_tuple_count,
+)
+from .errors import InvalidInput
 
 DEFICIT_CAP = 1000
+
+# Sub-tuple ranks counted per np.bincount call; bounds the transient memory.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -33,64 +47,88 @@ class VerificationReport:
         return self.valid
 
 
-def _membership_matrix(d: Design) -> np.ndarray:
-    s = d.structure
-    offsets = np.cumsum([0] + list(s.v))
-    mem = np.zeros((len(d.blocks), s.v_sum), dtype=np.uint8)
-    for bi, block in enumerate(d.blocks):
-        for pi, part in enumerate(block):
-            for x in part:
-                mem[bi, offsets[pi] + x - 1] = 1
-    return mem
+def default_jobs() -> int:
+    """Worker count from GENCOV_JOBS, 1 when it is unset."""
+    raw = os.environ.get("GENCOV_JOBS", "").strip()
+    if not raw:
+        return 1
+    if not raw.isdigit() or int(raw) < 1:
+        raise InvalidInput(f"GENCOV_JOBS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
-def _tuple_index_matrix(s: PartStructure, p: Pattern) -> np.ndarray:
-    """Global point indices of every tuple matching p, in enumeration order."""
-    offsets = [0]
-    for vi in s.v[:-1]:
-        offsets.append(offsets[-1] + vi)
-    per_part = []
-    for pi, (vi, ti) in enumerate(zip(s.v, p)):
-        if ti == 0:
-            continue
-        combos = np.array(list(combinations(range(vi), ti)), dtype=np.int64)
-        per_part.append(combos + offsets[pi])
-    if not per_part:
-        return np.zeros((1, 0), dtype=np.int64)
-    out = per_part[0]
-    for nxt in per_part[1:]:
-        a = np.repeat(out, len(nxt), axis=0)
-        b = np.tile(nxt, (len(out), 1))
-        out = np.concatenate([a, b], axis=1)
+def _part_labels(d: Design) -> list[np.ndarray]:
+    """Zero-based labels of every block, one (n_blocks, k_i) array per part."""
+    n = len(d.blocks)
+    return [np.array([b[i] for b in d.blocks], dtype=np.int64).reshape(n, ki) - 1
+            for i, ki in enumerate(d.structure.k)]
+
+
+def _binom(x: np.ndarray, j: int) -> np.ndarray:
+    """C(x, j) elementwise for x >= 0; each step is an exact division."""
+    out = np.ones_like(x)
+    for i in range(j):
+        out = out * (x - i) // (i + 1)
     return out
 
 
-def _tuple_from_row(s: PartStructure, p: Pattern, row: np.ndarray) -> SetTuple:
-    offsets = [0]
-    for vi in s.v[:-1]:
-        offsets.append(offsets[-1] + vi)
+def _subset_ranks(labels: np.ndarray, pos: np.ndarray, v: int) -> np.ndarray:
+    """Lex ranks among the t-subsets of range(v) of the subsets of each row
+    of labels that the t-column position rows of pos pick.
+
+    A sorted subset a_0 < ... < a_{t-1} has rank
+    C(v, t) - 1 - sum_j C(v - 1 - a_j, t - j).
+    """
+    t = pos.shape[1]
+    out = np.full((len(labels), len(pos)), comb(v, t) - 1, dtype=np.int64)
+    for j in range(t):
+        out -= _binom(v - 1 - labels, t - j)[:, pos[:, j]]
+    return out
+
+
+def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern) -> np.ndarray:
+    """How many blocks hold each tuple of pattern p, indexed by tuple rank."""
+    used = [(lab, vi, np.array(list(combinations(range(lab.shape[1]), ti)), dtype=np.intp))
+            for lab, vi, ti in zip(labels, s.v, p) if ti]
+    counts = np.zeros(pattern_tuple_count(s, p), dtype=np.int64)
+    n_blocks = len(labels[0])
+    step = max(1, _CHUNK // prod(len(pos) for *_, pos in used))
+    for lo in range(0, n_blocks, step):
+        ranks = np.zeros((min(step, n_blocks - lo), 1), dtype=np.int64)
+        for lab, vi, pos in used:
+            r = _subset_ranks(lab[lo:lo + step], pos, vi)
+            radix = comb(vi, pos.shape[1])
+            ranks = (ranks[:, :, None] * radix + r[:, None, :]).reshape(len(r), -1)
+        counts += np.bincount(ranks.ravel(), minlength=len(counts))
+    return counts
+
+
+def _unrank_subset(r: int, v: int, t: int) -> tuple[int, ...]:
+    """The 1-based t-subset of 1..v at lex rank r."""
+    out = []
+    x = 1
+    for left in range(t, 0, -1):
+        while comb(v - x, left - 1) <= r:
+            r -= comb(v - x, left - 1)
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def _unrank(s: PartStructure, p: Pattern, rank: int) -> SetTuple:
+    """The tuple of pattern p at the given rank, decoded last part first."""
     parts = []
-    pos = 0
-    for pi, ti in enumerate(p):
-        labels = tuple(int(row[pos + j]) - offsets[pi] + 1 for j in range(ti))
-        parts.append(labels)
-        pos += ti
-    return tuple(parts)
+    for vi, ti in zip(reversed(s.v), reversed(p)):
+        rank, r = divmod(rank, comb(vi, ti))
+        parts.append(_unrank_subset(r, vi, ti))
+    return tuple(reversed(parts))
 
 
-def default_jobs() -> int:
-    raw = os.environ.get("GENCOV_JOBS", "").strip()
-    if raw.isdigit() and int(raw) >= 1:
-        return int(raw)
-    return 1
-
-
-def _scan_pattern(mem: np.ndarray, s: PartStructure, p: Pattern, lam: int):
-    idx = _tuple_index_matrix(s, p)
-    counts = _kernels.coverage_counts(mem, idx, lam)
-    deficient = np.flatnonzero(counts < lam)
-    first_row = idx[deficient[0]] if len(deficient) else None
-    return len(idx), len(deficient), first_row
+def _scan_pattern(labels: list[np.ndarray], s: PartStructure, p: Pattern, lam: int):
+    bad = _pattern_counts(labels, s, p) < lam
+    n_bad = int(np.count_nonzero(bad))
+    return len(bad), n_bad, int(bad.argmax()) if n_bad else None
 
 
 def verify(d: Design, jobs: int | None = None) -> VerificationReport:
@@ -104,21 +142,21 @@ def verify(d: Design, jobs: int | None = None) -> VerificationReport:
     if d.t == 0:
         return VerificationReport(True, 0, 0, None, 0)
     patterns = admissible_patterns(s, d.t)
-    mem = _membership_matrix(d)
+    labels = _part_labels(d)
     jobs = default_jobs() if jobs is None else max(1, jobs)
 
     if jobs == 1 or len(patterns) == 1:
-        results = [_scan_pattern(mem, s, p, d.lam) for p in patterns]
+        results = [_scan_pattern(labels, s, p, d.lam) for p in patterns]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: _scan_pattern(mem, s, p, d.lam), patterns))
+            results = list(pool.map(lambda p: _scan_pattern(labels, s, p, d.lam), patterns))
 
     checked = sum(r[0] for r in results)
     deficit = sum(r[1] for r in results)
     first: SetTuple | None = None
-    for p, (_, bad, row) in zip(patterns, results):
+    for p, (_, bad, rank) in zip(patterns, results):
         if bad:
-            first = _tuple_from_row(s, p, row)
+            first = _unrank(s, p, rank)
             break
     return VerificationReport(
         valid=deficit == 0,
@@ -137,15 +175,12 @@ def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, 
     if d.t == 0:
         return []
     s = d.structure
-    mem = _membership_matrix(d)
+    labels = _part_labels(d)
     out: list[tuple[SetTuple, int]] = []
     for p in admissible_patterns(s, d.t):
         if len(out) >= cap:
             break
-        idx = _tuple_index_matrix(s, p)
-        counts = _kernels.coverage_counts(mem, idx, d.lam)
-        for row_i in np.flatnonzero(counts < d.lam):
-            out.append((_tuple_from_row(s, p, idx[row_i]), int(counts[row_i])))
-            if len(out) >= cap:
-                break
+        counts = _pattern_counts(labels, s, p)
+        for rank in np.flatnonzero(counts < d.lam)[:cap - len(out)]:
+            out.append((_unrank(s, p, int(rank)), int(counts[rank])))
     return out

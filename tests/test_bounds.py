@@ -6,9 +6,12 @@ from math import ceil, comb
 import pytest
 
 import naive_oracle as oracle
+import gencov.bounds
 from gencov import (
     BudgetExhausted,
+    GencovError,
     PartStructure,
+    VerificationReport,
     bound_report,
     lower_best,
     lower_edges_clique,
@@ -20,6 +23,7 @@ from gencov import (
     upper_minimax,
     verify,
 )
+from gencov.cli import main
 from util_random import random_structure
 
 
@@ -190,3 +194,19 @@ def test_certificates_sized_consistently():
             assert verify(d).valid, name
         if rep.best_upper is not None:
             assert rep.best_lower <= rep.best_upper
+
+
+@pytest.mark.parametrize("v, k, t, which", [
+    ((4, 4), (2, 2), 2, "minimax"),
+    ((3, 2), (2, 1), 2, "exhaustive"),
+    ((3, 2), (2, 1), 1, "strength-1"),
+])
+def test_failed_certificate_is_gencov_error(v, k, t, which, monkeypatch, capsys):
+    monkeypatch.setattr(gencov.bounds, "verify",
+                        lambda d: VerificationReport(False, 1, 1, None, 1))
+    with pytest.raises(GencovError, match=which):
+        bound_report(PartStructure(v, k), t)
+    argv = ["bounds", "--v", ",".join(map(str, v)), "--k", ",".join(map(str, k)),
+            "--t", str(t)]
+    assert main(argv) == 2
+    assert which in capsys.readouterr().err

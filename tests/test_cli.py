@@ -13,7 +13,7 @@ from fixture_designs import (
     prod_b,
     prod_c,
 )
-from gencov import Design, emit_design, parse_design
+from gencov import Design, InvalidInput, emit_design, parse_design, verify
 from gencov.cli import main
 
 
@@ -36,11 +36,14 @@ def test_verify_valid(mixed_file, capsys):
     assert "valid: yes" in out
 
 
-def test_verify_bad_backend_is_usage_error(mixed_file, capsys, monkeypatch):
-    monkeypatch.setenv("GENCOV_BACKEND", "bogus")
+@pytest.mark.parametrize("raw", ["0", "-1", "x"])
+def test_verify_bad_jobs_variable_is_usage_error(raw, mixed_file, capsys, monkeypatch):
+    monkeypatch.setenv("GENCOV_JOBS", raw)
+    with pytest.raises(InvalidInput, match="GENCOV_JOBS"):
+        verify(mixed_422())
     code, _, err = run(capsys, "verify", mixed_file)
     assert code == 2
-    assert "GENCOV_BACKEND" in err
+    assert "GENCOV_JOBS" in err
 
 
 def test_verify_invalid(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Domain types, admissibility enumeration, covering-array conversion."""
 
+import gc
 import random
 
 import pytest
@@ -189,3 +190,15 @@ def test_to_covering_array_requires_unit_profile():
         to_covering_array(fano())
     with pytest.raises(NotUnitProfile):
         to_covering_array(mixed_422())
+
+
+def test_admissible_patterns_leaves_no_garbage():
+    s = PartStructure((4, 3, 5, 2), (2, 1, 3, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        for t in range(100):
+            admissible_patterns(s, t % (s.k_sum + 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,13 +1,14 @@
-"""Coverage verification against the naive oracle, both backends."""
+"""Coverage verification against the naive oracle."""
 
 import random
+import sys
 
 import pytest
 
 import naive_oracle as oracle
 from fixture_designs import cover_852, fano, mixed_422, strength2_fixtures
-from gencov import Design, InvalidInput, PartStructure, coverage_deficit, verify
-from gencov._kernels import HAS_NUMBA
+from gencov import Design, PartStructure, coverage_deficit, verify
+from gencov.verify import default_jobs
 from util_random import mutate_design, random_valid_design
 
 
@@ -74,37 +75,37 @@ def test_jobs_equivalent():
 
 def test_matches_oracle_randomized():
     rng = random.Random(23)
-    for _ in range(60):
+    for _ in range(90):
         d = random_valid_design(rng, v_sum_max=8)
+        lam = rng.choice((1, 2, 3))
+        d = Design(d.structure, d.t, d.blocks * rng.randint(1, lam), lam)
         if rng.random() < 0.5:
             d = mutate_design(rng, d)
         v, k, t, blocks, lam = oracle.as_raw(d)
         rep = verify(d)
+        missed = oracle.naive_uncovered(v, k, t, blocks, lam)
         assert rep.valid == oracle.naive_valid(v, k, t, blocks, lam)
-        assert rep.deficient_count == len(oracle.naive_uncovered(v, k, t, blocks, lam))
+        assert rep.deficient_count == len(missed)
+        # gencov's order: patterns with larger leading entries first, then
+        # tuples ascending within a pattern.
+        missed.sort(key=lambda pT: (tuple(-x for x in pT[0]), pT[1]))
+        assert rep.first_uncovered == (missed[0][1] if missed else None)
+        hits = [sum(oracle.tuple_covered(T, B) for B in blocks) for _, T in missed]
+        assert coverage_deficit(d) == [(T, h) for (_, T), h in zip(missed, hits)]
 
 
-def test_unknown_backend_rejected(monkeypatch):
-    monkeypatch.setenv("GENCOV_BACKEND", "bogus")
-    with pytest.raises(InvalidInput):
-        verify(fano())
+def test_jobs_variable_default(monkeypatch):
+    monkeypatch.delenv("GENCOV_JOBS", raising=False)
+    assert default_jobs() == 1
+    monkeypatch.setenv("GENCOV_JOBS", "2")
+    assert default_jobs() == 2
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_backends_agree(backend, monkeypatch):
-    if backend == "numba" and not HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setenv("GENCOV_BACKEND", backend)
-    rng = random.Random(29)
-    for _ in range(20):
-        d = random_valid_design(rng, v_sum_max=8)
-        if rng.random() < 0.5:
-            d = mutate_design(rng, d)
-        v, k, t, blocks, lam = oracle.as_raw(d)
-        rep = verify(d)
-        assert rep.valid == oracle.naive_valid(v, k, t, blocks, lam)
-        if rep.valid:
-            assert rep.first_uncovered is None
-        else:
-            missed = {T for _, T in oracle.naive_uncovered(v, k, t, blocks, lam)}
-            assert rep.first_uncovered in missed
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunking_does_not_change_counts(chunk, monkeypatch):
+    d = drop_block(cover_852(), 2)
+    d = Design(d.structure, d.t, d.blocks, lam=2)
+    want = (verify(d), coverage_deficit(d))
+    # the package's `verify` attribute is the function, not the module
+    monkeypatch.setattr(sys.modules["gencov.verify"], "_CHUNK", chunk)
+    assert (verify(d), coverage_deficit(d)) == want
