@@ -92,8 +92,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_search(args) -> int:
     s = PartStructure(args.v, args.k)
-    result = search.exact_min(s, args.t, max_nodes=args.max_nodes,
-                              timeout=args.timeout, jobs=args.jobs)
+    result = search.exact_min(s, args.t, max_nodes=args.max_nodes, timeout=args.timeout)
     print(f"optimum={result.optimum}", file=sys.stderr)
     print(f"nodes={result.nodes}", file=sys.stderr)
     print(f"status={result.status}", file=sys.stderr)
@@ -203,7 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=10_000_000)
     p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--jobs", type=int, default=None)
+    # Goes once perfbench/workloads.py stops passing it (ROADMAP item 5).
+    p.add_argument("--jobs", type=int, default=None,
+                   help="accepted for compatibility; no effect on search")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_search)
 

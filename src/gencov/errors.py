@@ -127,6 +127,12 @@ class StrengthNotTwo(GencovError):
     """Operation is defined for strength-2 designs only."""
 
 
+# ---- verification ----
+
+class UniverseTooLarge(GencovError):
+    """A pattern has more admissible tuples than the verifier will count."""
+
+
 # ---- search ----
 
 class CandidateSpaceTooLarge(GencovError):

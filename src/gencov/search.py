@@ -6,17 +6,18 @@ candidates tried before it so every block subset is visited at most
 once.  Only lambda = 1 is supported: a repeated block never helps a
 minimum cover, so plain subsets suffice.
 
-Determinism: top-level branches are explored independently, each seeded
-with the greedy incumbent, and merged in branch order; the optimum, the
-certificate, and the node count are therefore identical for any worker
-count.  The wall-clock timeout is a safety valve and the one source of
-nondeterminism when it fires.
+Symmetry: permuting the points inside each part maps any block onto the
+first candidate ((1..k_1), ..., (1..k_m)), so some minimum cover holds
+it.  The search therefore takes that block first and explores only its
+subtree, depth first in one process, under one node count and one
+deadline taken when exact_min is entered.  The optimum, the certificate
+and the node count are deterministic; the wall-clock timeout is a safety
+valve and the one source of nondeterminism when it fires.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -24,7 +25,6 @@ from math import comb
 from . import bounds
 from .core import Block, Design, PartStructure, admissible_patterns, admissible_tuples
 from .errors import CandidateSpaceTooLarge, StrengthTooLarge
-from .verify import default_jobs
 
 CANDIDATE_CAP = 10 ** 6
 _TIME_CHECK_MASK = 0x3FF
@@ -167,12 +167,8 @@ class _Tables:
         return lb
 
 
-def greedy_cover(s: PartStructure, t: int) -> Design:
-    """Repeatedly add the candidate covering the most uncovered tuples,
-    breaking ties toward the lexicographically least block."""
-    if t == 0:
-        return Design(s, 0)
-    tb = _Tables(s, t)
+def _greedy(tb: _Tables) -> list[int]:
+    """greedy_cover's picks, as candidate indices of tb in pick order."""
     uncovered = (1 << tb.n_tuples) - 1
     chosen: list[int] = []
     while uncovered:
@@ -184,75 +180,26 @@ def greedy_cover(s: PartStructure, t: int) -> Design:
                 best_ci, best_gain = ci, gain
         chosen.append(best_ci)
         uncovered &= ~tb.covers[best_ci]
-    return tb.design_from(chosen)
+    return chosen
 
 
-@dataclass
-class _BranchOutcome:
-    best_n: int
-    best_blocks: tuple[Block, ...] | None
-    nodes: int
-    exhausted: bool
-
-
-def _run_branch(tb: _Tables, branch_pos: int, lower: int, ub: int,
-                node_budget: int, deadline: float) -> _BranchOutcome:
-    """Depth-first search of one top-level branch.
-
-    The branch takes coverer branch_pos of the first tuple and bans all
-    earlier coverers throughout its subtree.
-    """
-    first = tb.coverers[0]
-    root = first[branch_pos]
-    banned = set(first[:branch_pos])
-    state = _BranchOutcome(ub, None, 0, True)
-
-    def dfs(chosen: list[int], uncovered: int) -> None:
-        state.nodes += 1
-        if state.nodes > node_budget:
-            state.exhausted = False
-            return
-        if state.nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
-            state.exhausted = False
-            return
-        if not uncovered:
-            if len(chosen) < state.best_n:
-                state.best_n = len(chosen)
-                state.best_blocks = tuple(tb.cands[c] for c in chosen)
-            return
-        if state.best_n == lower:
-            return
-        count = uncovered.bit_count()
-        if len(chosen) + tb.remaining_lb(uncovered, count) >= state.best_n:
-            return
-        tau = (uncovered & -uncovered).bit_length() - 1
-        opts = [c for c in tb.coverers[tau] if c not in banned]
-        for pos, c in enumerate(opts):
-            chosen.append(c)
-            banned.update(opts[:pos])
-            dfs(chosen, uncovered & ~tb.covers[c])
-            banned.difference_update(opts[:pos])
-            chosen.pop()
-            if state.best_n == lower or not state.exhausted:
-                return
-
-    dfs([root], ((1 << tb.n_tuples) - 1) & ~tb.covers[root])
-    return state
-
-
-def _spawn_branch(args) -> tuple[int, tuple[Block, ...] | None, int, bool]:
-    v, k, t, branch_pos, lower, ub, node_budget, time_left = args
-    tb = _Tables(PartStructure(v, k), t)
-    out = _run_branch(tb, branch_pos, lower, ub, node_budget,
-                      time.monotonic() + time_left)
-    return out.best_n, out.best_blocks, out.nodes, out.exhausted
+def greedy_cover(s: PartStructure, t: int) -> Design:
+    """Repeatedly add the candidate covering the most uncovered tuples,
+    breaking ties toward the lexicographically least block."""
+    if t == 0:
+        return Design(s, 0)
+    tb = _Tables(s, t)
+    return tb.design_from(_greedy(tb))
 
 
 def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
-              timeout: float = 60.0, jobs: int | None = None) -> SearchResult:
+              timeout: float = 60.0) -> SearchResult:
     """Minimum block count of a GC(s, t), with certificate when one
     exists.  Strength above the profile sum is infeasible and reported
-    as optimum 0; status is proven unless a budget cut the search off."""
+    as optimum 0; status is proven unless a budget cut the search off.
+    The timeout covers every phase, and at most max_nodes nodes are
+    searched."""
+    deadline = time.monotonic() + timeout
     if t < 0:
         raise StrengthTooLarge(f"strength must be nonnegative, got {t}")
     if t > s.k_sum:
@@ -262,52 +209,50 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
 
     tb = _Tables(s, t)
     lower = bounds.lower_best(s, t).best_lower
-    greedy = greedy_cover(s, t)
-    if len(greedy.blocks) == lower:
-        return SearchResult(lower, greedy, 0, "proven")
+    best = _greedy(tb)
+    if len(best) == lower:
+        return SearchResult(lower, tb.design_from(best), 0, "proven")
 
-    deadline = time.monotonic() + timeout
-    ub = len(greedy.blocks)
-    n_branches = len(tb.coverers[0])
-    node_budget = max(1, max_nodes // n_branches)
-    if jobs is None:
-        jobs = default_jobs()
-
-    outcomes: list[_BranchOutcome] = []
-    if jobs > 1:
-        args = [(s.v, s.k, t, pos, lower, ub, node_budget,
-                 max(0.0, deadline - time.monotonic()))
-                for pos in range(n_branches)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for best_n, blocks, nodes, exhausted in pool.map(_spawn_branch, args):
-                outcomes.append(_BranchOutcome(best_n, blocks, nodes, exhausted))
-    else:
-        for pos in range(n_branches):
-            outcomes.append(_run_branch(tb, pos, lower, ub, node_budget, deadline))
-            if outcomes[-1].best_n == lower:
-                break
-
-    best_n = ub
-    best_blocks: tuple[Block, ...] | None = None
     nodes = 0
-    counted = 0
-    for out in outcomes:
-        counted += 1
-        nodes += out.nodes
-        if out.best_n < best_n:
-            best_n = out.best_n
-            best_blocks = out.best_blocks
-        if out.best_n == lower:
-            break
-    all_exhausted = counted == n_branches and all(o.exhausted for o in outcomes[:counted])
+    stopped = False
+    banned: set[int] = set()
 
-    design = _design(s, t, best_blocks) if best_blocks is not None else greedy
-    status = "proven" if best_n == lower or all_exhausted else "budget-exhausted"
-    return SearchResult(best_n, design, nodes, status)
+    def dfs(chosen: list[int], uncovered: int) -> None:
+        nonlocal best, nodes, stopped
+        # The clock is read at the root too, so a deadline spent before
+        # the search starts stops it at once.
+        if nodes >= max_nodes or (nodes & _TIME_CHECK_MASK == 0
+                                  and time.monotonic() > deadline):
+            stopped = True
+            return
+        nodes += 1
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = chosen[:]
+            return
+        if len(best) == lower:
+            return
+        count = uncovered.bit_count()
+        if len(chosen) + tb.remaining_lb(uncovered, count) >= len(best):
+            return
+        tau = (uncovered & -uncovered).bit_length() - 1
+        opts = [c for c in tb.coverers[tau] if c not in banned]
+        for pos, c in enumerate(opts):
+            chosen.append(c)
+            banned.update(opts[:pos])
+            dfs(chosen, uncovered & ~tb.covers[c])
+            banned.difference_update(opts[:pos])
+            chosen.pop()
+            if len(best) == lower or stopped:
+                return
+
+    # Candidate 0 is the first block ((1..k_1), ..., (1..k_m)).
+    dfs([0], ((1 << tb.n_tuples) - 1) & ~tb.covers[0])
+    status = "proven" if len(best) == lower or not stopped else "budget-exhausted"
+    return SearchResult(len(best), tb.design_from(best), nodes, status)
 
 
 def certify_classical(v: int, k: int, t: int, *, max_nodes: int = 10_000_000,
-                      timeout: float = 60.0, jobs: int | None = None) -> SearchResult:
+                      timeout: float = 60.0) -> SearchResult:
     """exact_min on the single-part structure ((v,), (k,))."""
-    return exact_min(PartStructure((v,), (k,)), t,
-                     max_nodes=max_nodes, timeout=timeout, jobs=jobs)
+    return exact_min(PartStructure((v,), (k,)), t, max_nodes=max_nodes, timeout=timeout)

@@ -27,9 +27,13 @@ from .core import (
     admissible_patterns,
     pattern_tuple_count,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, UniverseTooLarge
 
 DEFICIT_CAP = 1000
+
+# Most tuples one pattern may have: counting them holds 16 bytes a tuple
+# (the counts and one bincount result), 1 GiB at the cap.
+PATTERN_TUPLE_CAP = 1 << 26
 
 # Sub-tuple ranks counted per np.bincount call; bounds the transient memory.
 _CHUNK = 1 << 16
@@ -88,9 +92,12 @@ def _subset_ranks(labels: np.ndarray, pos: np.ndarray, v: int) -> np.ndarray:
 
 def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern) -> np.ndarray:
     """How many blocks hold each tuple of pattern p, indexed by tuple rank."""
+    n_tuples = pattern_tuple_count(s, p)
+    if n_tuples > PATTERN_TUPLE_CAP:
+        raise UniverseTooLarge(f"pattern {p} has {n_tuples} tuples, above cap {PATTERN_TUPLE_CAP}")
     used = [(lab, vi, np.array(list(combinations(range(lab.shape[1]), ti)), dtype=np.intp))
             for lab, vi, ti in zip(labels, s.v, p) if ti]
-    counts = np.zeros(pattern_tuple_count(s, p), dtype=np.int64)
+    counts = np.zeros(n_tuples, dtype=np.int64)
     n_blocks = len(labels[0])
     step = max(1, _CHUNK // prod(len(pos) for *_, pos in used))
     for lo in range(0, n_blocks, step):

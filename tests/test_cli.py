@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -55,6 +56,16 @@ def test_verify_invalid(tmp_path, capsys):
     assert code == 1
     assert "valid: no" in out
     assert "first uncovered: 3 4 |  |" in out
+
+
+def test_verify_universe_too_large(tmp_path, capsys):
+    p = tmp_path / "huge.gcd"
+    p.write_text("gcd 1\nt: 5\nlambda: 1\nv: 10000\nk: 5\nblocks:\n1 2 3 4 5\n")
+    code, out, err = run(capsys, "verify", str(p))
+    assert code == 2
+    assert err.startswith("error:") and "above cap" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_verify_missing_file(capsys):
@@ -130,6 +141,21 @@ def test_search_budget_exhausted(capsys):
     assert code == 3
     assert "status=budget-exhausted" in err
     assert parse_design(out).structure.v == (11,)
+
+
+def test_search_jobs_flag_has_no_effect(capsys):
+    argv = ["search", "--v", "5,5", "--k", "2,2", "--t", "2"]
+    assert run(capsys, *argv, "--jobs", "2") == run(capsys, *argv, "--jobs", "1")
+
+
+def test_search_timeout_covers_the_whole_call(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "search", "--v", "6,6,6", "--k", "3,3,3", "--t", "3",
+                         "--timeout", "1", "--jobs", "2")
+    assert time.monotonic() - start < 3.0
+    assert code == 3
+    assert "status=budget-exhausted" in err
+    assert verify(parse_design(out)).valid
 
 
 def test_product_improved_and_prune(tmp_path, capsys):
@@ -237,3 +263,10 @@ def test_console_script_entry_point(mixed_file):
     )
     assert proc.returncode == 0
     assert "valid: yes" in proc.stdout
+
+
+def test_import_does_not_load_multiprocessing():
+    code = "import sys, gencov, gencov.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

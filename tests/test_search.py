@@ -1,6 +1,7 @@
 """Exact branch-and-bound minima and the greedy incumbent."""
 
 import random
+import time
 
 import pytest
 
@@ -81,6 +82,23 @@ def test_matches_brute_force():
         assert verify(r.design).valid
         done += 1
 
+    # Draws where greedy misses the lower bound, so the optimum rests on
+    # the search below the first candidate block alone.
+    rng = random.Random(67)
+    searched = 0
+    while searched < 10:
+        s = random_structure(rng, v_sum_max=7, m_max=3)
+        t = rng.randint(1, min(3, s.k_sum))
+        if s.block_count_possible() > 24:
+            continue
+        r = exact_min(s, t)
+        if r.nodes == 0 or r.optimum > 6:
+            continue
+        assert r.status == "proven"
+        assert oracle.brute_force_min(s.v, s.k, t, max_blocks=6) == r.optimum, (s, t)
+        assert verify(r.design).valid
+        searched += 1
+
 
 def test_t1_equals_formula_sampled():
     rng = random.Random(47)
@@ -107,20 +125,26 @@ def test_optimum_within_bounds():
         assert lower_best(s, t).best_lower <= r.optimum
 
 
-def test_worker_count_does_not_change_result():
-    s = PartStructure((5, 5), (2, 2))
-    seq = exact_min(s, 2, jobs=1)
-    par = exact_min(s, 2, jobs=3)
-    assert seq.optimum == par.optimum
-    assert seq.nodes == par.nodes
-    assert seq.design.blocks == par.design.blocks
-    assert seq.status == par.status == "proven"
-
-
 def test_budget_exhaustion_keeps_incumbent():
     r = certify_classical(11, 3, 2, max_nodes=5)
     assert r.status == "budget-exhausted"
     assert r.optimum >= 19
+    assert verify(r.design).valid
+    assert len(r.design) == r.optimum
+
+
+@pytest.mark.parametrize("budget", [5, 1000])
+def test_node_budget_is_never_exceeded(budget):
+    r = certify_classical(11, 3, 2, max_nodes=budget)
+    assert r.status == "budget-exhausted"
+    assert 0 < r.nodes <= budget
+
+
+def test_timeout_covers_the_whole_call():
+    start = time.monotonic()
+    r = exact_min(PartStructure((6, 6, 6), (3, 3, 3)), 3, timeout=1.0)
+    assert time.monotonic() - start < 3.0
+    assert r.status == "budget-exhausted"
     assert verify(r.design).valid
     assert len(r.design) == r.optimum
 
@@ -160,7 +184,7 @@ def test_search_designs_share_blocks():
     a, b = greedy_cover(s, 2), greedy_cover(s, 2)
     assert a.blocks == b.blocks
     assert all(x is y for x, y in zip(a.blocks, b.blocks))
-    r1, r2 = exact_min(s, 2, jobs=1), exact_min(s, 2, jobs=1)
+    r1, r2 = exact_min(s, 2), exact_min(s, 2)
     assert r1.nodes > 0  # the design comes from the search, not from greedy
     assert all(x is y for x, y in zip(r1.design.blocks, r2.design.blocks))
 

@@ -7,7 +7,7 @@ import pytest
 
 import naive_oracle as oracle
 from fixture_designs import cover_852, fano, mixed_422, strength2_fixtures
-from gencov import Design, PartStructure, coverage_deficit, verify
+from gencov import Design, GencovError, PartStructure, coverage_deficit, make_block, verify
 from gencov.verify import default_jobs
 from util_random import mutate_design, random_valid_design
 
@@ -109,3 +109,14 @@ def test_chunking_does_not_change_counts(chunk, monkeypatch):
     # the package's `verify` attribute is the function, not the module
     monkeypatch.setattr(sys.modules["gencov.verify"], "_CHUNK", chunk)
     assert (verify(d), coverage_deficit(d)) == want
+
+
+def test_universe_guard_raises_before_allocating():
+    """C(10000, 5) tuples would need exabytes of counts; the pattern's
+    size is checked before any array is made."""
+    s = PartStructure((10000,), (5,))
+    d = Design(s, 5, (make_block(s, [[1, 2, 3, 4, 5]]),))
+    with pytest.raises(GencovError, match="above cap"):
+        verify(d)
+    with pytest.raises(GencovError, match="above cap"):
+        coverage_deficit(d)
