@@ -102,6 +102,36 @@ def lower_restriction_single(s: PartStructure) -> int:
     return max(vals, default=0)
 
 
+def lower_schonheim(s: PartStructure, t: int) -> int:
+    """Generalized Schönheim bound (Schönheim, Pacific J. Math. 14, 1964).
+
+    The blocks through a point x of part i, with x removed, form a GC of
+    strength t-1 on (v - e_i, k - e_i), where a part whose profile drops
+    to 0 disappears.  Each block holds k_i points of part i, so
+    L(v,k,t) = max_i ceil(v_i/k_i L(v-e_i, k-e_i, t-1)), with
+    L(v,k,1) = max_i ceil(v_i/k_i).  For m = 1 this is schonheim().
+    """
+    if not 1 <= t <= s.k_sum:
+        raise ParameterOrderViolated(f"need 1 <= t <= k_sum = {s.k_sum}, got t={t}")
+    return _schonheim_rec(tuple(sorted(zip(s.v, s.k))), t, {})
+
+
+def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> int:
+    """lower_schonheim on sorted (v_i, k_i) pairs, so that identical parts
+    share memo entries.  The memo lives for one lower_schonheim call."""
+    if t == 1:
+        return max(-(vi // -ki) for vi, ki in parts)
+    if (parts, t) not in memo:
+        best = 0
+        for i, (vi, ki) in enumerate(parts):
+            rest = parts[:i] + parts[i + 1:]
+            if ki > 1:
+                rest = tuple(sorted(rest + ((vi - 1, ki - 1),)))
+            best = max(best, -(vi * _schonheim_rec(rest, t - 1, memo) // -ki))
+        memo[parts, t] = best
+    return memo[parts, t]
+
+
 def _restriction_subset_rule(s: PartStructure, max_subset: int) -> int:
     """Best base-rule lower bound over restrictions to small part subsets."""
     best = 0
@@ -128,7 +158,7 @@ def lower_best(s: PartStructure, t: int,
         return BoundReport(lower={}, infeasible=True)
     if t == 0:
         return BoundReport(lower={})
-    rules: dict[str, int] = {"t1": lower_t1(s)}
+    rules: dict[str, int] = {"t1": lower_t1(s), "schonheim": lower_schonheim(s, t)}
     if t >= 2:
         rules["monotone"] = lower_best(s, t - 1,
                                        all_restrictions=all_restrictions,

@@ -167,11 +167,22 @@ class _Tables:
         return lb
 
 
-def _greedy(tb: _Tables) -> list[int]:
-    """greedy_cover's picks, as candidate indices of tb in pick order."""
+def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
+    """greedy_cover's picks, as candidate indices of tb in pick order.
+
+    The clock is read once per pick.  Past the deadline the cover is
+    finished cheaply instead: the first coverer of the lowest uncovered
+    tuple, until none is left, so the result is always a valid design.
+    """
     uncovered = (1 << tb.n_tuples) - 1
     chosen: list[int] = []
     while uncovered:
+        if deadline is not None and time.monotonic() > deadline:
+            while uncovered:
+                ci = tb.coverers[(uncovered & -uncovered).bit_length() - 1][0]
+                chosen.append(ci)
+                uncovered &= ~tb.covers[ci]
+            break
         best_ci = -1
         best_gain = 0
         for ci, mask in enumerate(tb.covers):
@@ -209,7 +220,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
 
     tb = _Tables(s, t)
     lower = bounds.lower_best(s, t).best_lower
-    best = _greedy(tb)
+    best = _greedy(tb, deadline)
     if len(best) == lower:
         return SearchResult(lower, tb.design_from(best), 0, "proven")
 

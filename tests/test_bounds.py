@@ -1,5 +1,6 @@
 """Lower-bound rules, the classical recursive bound, and upper certificates."""
 
+import gc
 import random
 from math import ceil, comb
 
@@ -13,11 +14,13 @@ from gencov import (
     PartStructure,
     VerificationReport,
     bound_report,
+    exact_min,
     lower_best,
     lower_edges_clique,
     lower_edges_multipartite,
     lower_nested_ceiling,
     lower_restriction_single,
+    lower_schonheim,
     lower_t1,
     schonheim,
     upper_minimax,
@@ -43,6 +46,76 @@ def test_schonheim_matches_recursion():
             for t in range(2, k + 1):
                 inner = schonheim(v - 1, k - 1, t - 1)
                 assert schonheim(v, k, t) == -(-v * inner // k)
+
+
+def test_lower_schonheim_single_part_is_schonheim():
+    for v in range(1, 15):
+        for k in range(1, v + 1):
+            for t in range(1, k + 1):
+                assert lower_schonheim(PartStructure((v,), (k,)), t) == schonheim(v, k, t)
+
+
+def test_lower_schonheim_frozen_values():
+    assert lower_schonheim(PartStructure((9,), (4,)), 3) == 25
+    assert lower_schonheim(PartStructure((5, 4), (3, 2)), 3) == 12
+    assert lower_schonheim(PartStructure((6, 6, 6), (3, 3, 3)), 3) == 20
+    assert lower_schonheim(PartStructure((8, 6), (4, 3)), 4) == 70
+    assert lower_schonheim(PartStructure((5, 5, 5, 5), (2, 2, 2, 2)), 4) == 100
+    # a unit-profile part drops out after one step: 4/2 * L((3,2,2)/(1,1,1), 1)
+    assert lower_schonheim(PartStructure((4, 2, 2), (2, 1, 1)), 2) == 6
+    with pytest.raises(GencovError):
+        lower_schonheim(PartStructure((4, 2), (2, 1)), 4)
+
+
+def test_lower_schonheim_ignores_part_order():
+    from itertools import permutations
+    rng = random.Random(29)
+    for _ in range(30):
+        s = random_structure(rng, v_sum_max=12, m_max=4)
+        t = rng.randint(1, min(4, s.k_sum))
+        want = lower_schonheim(s, t)
+        for order in permutations(range(s.m)):
+            perm = PartStructure(tuple(s.v[i] for i in order), tuple(s.k[i] for i in order))
+            assert lower_schonheim(perm, t) == want, (s, t, order)
+
+
+def test_lower_schonheim_leaves_no_garbage():
+    # the memo is freed when the call returns, not kept in a cycle
+    s = PartStructure((5, 5, 5, 5), (2, 2, 2, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        for t in range(1, 101):
+            lower_schonheim(s, t % s.k_sum + 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_lower_schonheim_sound(monkeypatch):
+    # Optima are proven with this rule switched off, so a bound that
+    # overshoots cannot certify itself by meeting greedy.
+    rng = random.Random(31)
+    proven = []
+    with monkeypatch.context() as mp:
+        mp.setattr(gencov.bounds, "lower_schonheim", lambda s, t: 0)
+        while len(proven) < 40:
+            s = random_structure(rng, v_sum_max=9, m_max=4)
+            t = rng.randint(1, min(3, s.k_sum))
+            if not 10 <= s.block_count_possible() <= 2000:
+                continue
+            r = exact_min(s, t, max_nodes=20_000)
+            if r.status == "proven":
+                proven.append((s, t, r.optimum, lower_best(s, t).best_lower))
+    stronger = tiny = 0
+    for s, t, opt, others in proven:
+        bound = lower_schonheim(s, t)
+        assert bound <= opt, (s, t)
+        stronger += bound > others
+        if s.block_count_possible() <= 18 and opt <= 6:
+            assert bound <= oracle.brute_force_min(s.v, s.k, t, max_blocks=6), (s, t)
+            tiny += 1
+    assert stronger >= 5 and tiny >= 5
 
 
 def test_lower_t1():
@@ -87,6 +160,7 @@ def test_lower_best_rule_map():
     got = lower_best(PartStructure((4, 2, 2), (2, 1, 1)), 2).lower
     assert got == {
         "t1": 2,
+        "schonheim": 6,
         "monotone": 2,
         "edges_clique": 5,
         "edges_multipartite": 4,

@@ -83,6 +83,13 @@ def test_bounds_report(capsys):
     assert "infeasible=false" in out
 
 
+def test_bounds_generalized_schonheim(capsys):
+    code, out, _ = run(capsys, "bounds", "--v", "9", "--k", "4", "--t", "3")
+    assert code == 0
+    assert "lower.schonheim=25" in out.splitlines()
+    assert "best_lower=25" in out.splitlines()
+
+
 def test_bounds_infeasible(capsys):
     code, out, _ = run(capsys, "bounds", "--v", "3", "--k", "2", "--t", "4")
     assert code == 0

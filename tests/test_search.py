@@ -149,6 +149,27 @@ def test_timeout_covers_the_whole_call():
     assert len(r.design) == r.optimum
 
 
+def test_root_bound_proves_at_zero_nodes():
+    # greedy meets the generalized Schönheim bound, so no node is searched
+    for r, want in ((exact_min(PartStructure((5, 4), (3, 2)), 3), 12),
+                    (certify_classical(9, 4, 3, max_nodes=100_000), 25)):
+        assert (r.optimum, r.nodes, r.status) == (want, 0, "proven")
+        assert oracle.naive_valid(*oracle.as_raw(r.design))
+
+
+def test_timeout_covers_greedy():
+    s = PartStructure((5, 5, 5, 5), (2, 2, 2, 2))
+    r = exact_min(s, 4, timeout=0)
+    assert (r.nodes, r.status) == (0, "budget-exhausted")
+    assert verify(r.design).valid
+    assert len(r.design) == r.optimum
+    # about 0.15 s of table build; greedy to the end took about 0.85 s more
+    start = time.monotonic()
+    r = exact_min(s, 4, timeout=0.1)
+    assert time.monotonic() - start < 0.5
+    assert r.status == "budget-exhausted" and verify(r.design).valid
+
+
 @pytest.mark.parametrize("v, k", [
     ((6,), (3,)),              # one part
     ((3, 2, 3), (1, 1, 1)),    # unit profile
