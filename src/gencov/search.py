@@ -171,15 +171,17 @@ def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
     """greedy_cover's picks, as candidate indices of tb in pick order.
 
     The clock is read once per pick.  Past the deadline the cover is
-    finished cheaply instead: the first coverer of the lowest uncovered
-    tuple, until none is left, so the result is always a valid design.
+    finished cheaply instead: of the coverers of the lowest uncovered
+    tuple, the one covering the most uncovered tuples (ties to the lowest
+    index), until none is left, so the result is always a valid design.
     """
     uncovered = (1 << tb.n_tuples) - 1
     chosen: list[int] = []
     while uncovered:
         if deadline is not None and time.monotonic() > deadline:
             while uncovered:
-                ci = tb.coverers[(uncovered & -uncovered).bit_length() - 1][0]
+                ci = max(tb.coverers[(uncovered & -uncovered).bit_length() - 1],
+                         key=lambda c: (tb.covers[c] & uncovered).bit_count())
                 chosen.append(ci)
                 uncovered &= ~tb.covers[ci]
             break

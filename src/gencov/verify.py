@@ -1,23 +1,21 @@
 """Decide whether a design covers everything it must, with witnesses.
 
 For each admissible pattern the verifier ranks every sub-tuple each block
-holds and counts the ranks with np.bincount; the tuple universe itself is
-never enumerated.  A tuple's rank mixes the lex ranks of its parts'
-subsets in mixed radix, last part fastest, so rank order is the order of
-core.admissible_tuples.  Ranking follows Kreher & Stinson, Combinatorial
-Algorithms (1999), ch. 2.  The whole universe is always scanned so the
-report carries a total deficit count, not just the first failure.
+holds and adds the ranks into one count array with np.add.at; the tuple
+universe itself is never enumerated.  A tuple's rank mixes the lex ranks
+of its parts' subsets in mixed radix, last part fastest, so rank order is
+the order of core.admissible_tuples.  Ranking follows Kreher & Stinson,
+Combinatorial Algorithms (1999), ch. 2.  The whole universe is always
+scanned so the report carries a total deficit count, not just the first
+failure.  numpy is imported by the first count, not with the module.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, prod
-
-import numpy as np
 
 from .core import (
     Design,
@@ -31,12 +29,15 @@ from .errors import InvalidInput, UniverseTooLarge
 
 DEFICIT_CAP = 1000
 
-# Most tuples one pattern may have: counting them holds 16 bytes a tuple
-# (the counts and one bincount result), 1 GiB at the cap.
+# Most tuples one pattern may have: counting them holds 9 bytes a tuple
+# (the counts and the deficit mask), 576 MiB at the cap.
 PATTERN_TUPLE_CAP = 1 << 26
 
-# Sub-tuple ranks counted per np.bincount call; bounds the transient memory.
+# Sub-tuple ranks added per np.add.at call; bounds the transient memory.
 _CHUNK = 1 << 16
+
+# Bound by the first call of verify or coverage_deficit.
+np = None
 
 
 @dataclass(frozen=True)
@@ -76,18 +77,26 @@ def _binom(x: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-def _subset_ranks(labels: np.ndarray, pos: np.ndarray, v: int) -> np.ndarray:
+def _subset_ranks(labels: np.ndarray, cols: list[np.ndarray], v: int) -> np.ndarray:
     """Lex ranks among the t-subsets of range(v) of the subsets of each row
-    of labels that the t-column position rows of pos pick.
+    of labels whose slot j is column cols[j] of labels, for t = len(cols).
 
     A sorted subset a_0 < ... < a_{t-1} has rank
     C(v, t) - 1 - sum_j C(v - 1 - a_j, t - j).
     """
-    t = pos.shape[1]
-    out = np.full((len(labels), len(pos)), comb(v, t) - 1, dtype=np.int64)
-    for j in range(t):
-        out -= _binom(v - 1 - labels, t - j)[:, pos[:, j]]
+    t = len(cols)
+    out = comb(v, t) - 1 - np.take(_binom(v - 1 - labels, t), cols[0], axis=1)
+    for j in range(1, t):
+        out -= np.take(_binom(v - 1 - labels, t - j), cols[j], axis=1)
     return out
+
+
+def _slot_columns(k: int, t: int) -> list[np.ndarray]:
+    """Slot j of every t-subset of range(k) in lex order, one contiguous
+    array per slot."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(k), t)),
+                       dtype=np.intp, count=comb(k, t) * t)
+    return list(flat.reshape(-1, t).T.copy())
 
 
 def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern) -> np.ndarray:
@@ -95,18 +104,18 @@ def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern) -> n
     n_tuples = pattern_tuple_count(s, p)
     if n_tuples > PATTERN_TUPLE_CAP:
         raise UniverseTooLarge(f"pattern {p} has {n_tuples} tuples, above cap {PATTERN_TUPLE_CAP}")
-    used = [(lab, vi, np.array(list(combinations(range(lab.shape[1]), ti)), dtype=np.intp))
+    used = [(lab, vi, _slot_columns(lab.shape[1], ti))
             for lab, vi, ti in zip(labels, s.v, p) if ti]
     counts = np.zeros(n_tuples, dtype=np.int64)
     n_blocks = len(labels[0])
-    step = max(1, _CHUNK // prod(len(pos) for *_, pos in used))
+    step = max(1, _CHUNK // prod(len(cols[0]) for *_, cols in used))
+    (lab0, v0, cols0), *rest = used
     for lo in range(0, n_blocks, step):
-        ranks = np.zeros((min(step, n_blocks - lo), 1), dtype=np.int64)
-        for lab, vi, pos in used:
-            r = _subset_ranks(lab[lo:lo + step], pos, vi)
-            radix = comb(vi, pos.shape[1])
-            ranks = (ranks[:, :, None] * radix + r[:, None, :]).reshape(len(r), -1)
-        counts += np.bincount(ranks.ravel(), minlength=len(counts))
+        ranks = _subset_ranks(lab0[lo:lo + step], cols0, v0)
+        for lab, vi, cols in rest:
+            r = _subset_ranks(lab[lo:lo + step], cols, vi)
+            ranks = (ranks[:, :, None] * comb(vi, len(cols)) + r[:, None, :]).reshape(len(r), -1)
+        np.add.at(counts, ranks.ravel(), 1)
     return counts
 
 
@@ -145,6 +154,9 @@ def verify(d: Design, jobs: int | None = None) -> VerificationReport:
     (pattern, tuple) enumeration order, independent of worker count.
     Strength 0 carries no obligations and is always valid.
     """
+    global np
+    import numpy as np
+
     s = d.structure
     if d.t == 0:
         return VerificationReport(True, 0, 0, None, 0)
@@ -155,6 +167,7 @@ def verify(d: Design, jobs: int | None = None) -> VerificationReport:
     if jobs == 1 or len(patterns) == 1:
         results = [_scan_pattern(labels, s, p, d.lam) for p in patterns]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda p: _scan_pattern(labels, s, p, d.lam), patterns))
 
@@ -177,6 +190,9 @@ def verify(d: Design, jobs: int | None = None) -> VerificationReport:
 def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, int]]:
     """Up to cap under-covered tuples with their actual multiplicities,
     in the global enumeration order."""
+    global np
+    import numpy as np
+
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     if d.t == 0:

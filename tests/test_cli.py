@@ -272,8 +272,19 @@ def test_console_script_entry_point(mixed_file):
     assert "valid: yes" in proc.stdout
 
 
-def test_import_does_not_load_multiprocessing():
-    code = "import sys, gencov, gencov.cli; print('multiprocessing' in sys.modules)"
+def loaded_by_import(module):
+    """Whether `import gencov, gencov.cli` loads module in a fresh interpreter."""
+    code = f"import sys, gencov, gencov.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_does_not_load_multiprocessing():
+    assert not loaded_by_import("multiprocessing")
+
+
+def test_import_does_not_load_numpy():
+    """numpy is imported by the first count, not by the package."""
+    assert not loaded_by_import("numpy")
+    assert not loaded_by_import("concurrent.futures")

@@ -2,14 +2,23 @@
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 import naive_oracle as oracle
-from fixture_designs import cover_852, fano, mixed_422, strength2_fixtures
-from gencov import Design, GencovError, PartStructure, coverage_deficit, make_block, verify
+from fixture_designs import cover_852, fano, hadamard_base, mixed_422, strength2_fixtures
+from gencov import (
+    Design,
+    GencovError,
+    PartStructure,
+    coverage_deficit,
+    make_block,
+    product_hadamard,
+    verify,
+)
 from gencov.verify import default_jobs
-from util_random import mutate_design, random_valid_design
+from util_random import mutate_design, random_block, random_valid_design
 
 
 def drop_block(d, r):
@@ -73,6 +82,20 @@ def test_jobs_equivalent():
     assert verify(bad, jobs=3).first_uncovered == verify(bad, jobs=1).first_uncovered
 
 
+def assert_matches_oracle(d):
+    v, k, t, blocks, lam = oracle.as_raw(d)
+    rep = verify(d)
+    missed = oracle.naive_uncovered(v, k, t, blocks, lam)
+    assert rep.valid == oracle.naive_valid(v, k, t, blocks, lam)
+    assert rep.deficient_count == len(missed)
+    # gencov's order: patterns with larger leading entries first, then
+    # tuples ascending within a pattern.
+    missed.sort(key=lambda pT: (tuple(-x for x in pT[0]), pT[1]))
+    assert rep.first_uncovered == (missed[0][1] if missed else None)
+    hits = [sum(oracle.tuple_covered(T, B) for B in blocks) for _, T in missed]
+    assert coverage_deficit(d) == [(T, h) for (_, T), h in zip(missed, hits)]
+
+
 def test_matches_oracle_randomized():
     rng = random.Random(23)
     for _ in range(90):
@@ -81,17 +104,21 @@ def test_matches_oracle_randomized():
         d = Design(d.structure, d.t, d.blocks * rng.randint(1, lam), lam)
         if rng.random() < 0.5:
             d = mutate_design(rng, d)
-        v, k, t, blocks, lam = oracle.as_raw(d)
-        rep = verify(d)
-        missed = oracle.naive_uncovered(v, k, t, blocks, lam)
-        assert rep.valid == oracle.naive_valid(v, k, t, blocks, lam)
-        assert rep.deficient_count == len(missed)
-        # gencov's order: patterns with larger leading entries first, then
-        # tuples ascending within a pattern.
-        missed.sort(key=lambda pT: (tuple(-x for x in pT[0]), pT[1]))
-        assert rep.first_uncovered == (missed[0][1] if missed else None)
-        hits = [sum(oracle.tuple_covered(T, B) for B in blocks) for _, T in missed]
-        assert coverage_deficit(d) == [(T, h) for (_, T), h in zip(missed, hits)]
+        assert_matches_oracle(d)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_wide_gathers_match_oracle(chunk, monkeypatch):
+    """Shapes the randomized corpus (t <= 2) never draws: pattern (4, 0)
+    gathers four columns of one part, and pattern (0, 1, 1, 1) mixes three
+    parts of which the first is part 2."""
+    if chunk:
+        monkeypatch.setattr(sys.modules["gencov.verify"], "_CHUNK", chunk)
+    rng = random.Random(29)
+    for v, k, t in [((6, 3), (4, 1), 4), ((4, 3, 3, 3), (2, 1, 1, 1), 3)]:
+        s = PartStructure(v, k)
+        d = Design(s, t, tuple(random_block(rng, s) for _ in range(24)), lam=2)
+        assert_matches_oracle(d)
 
 
 def test_jobs_variable_default(monkeypatch):
@@ -120,3 +147,20 @@ def test_universe_guard_raises_before_allocating():
         verify(d)
     with pytest.raises(GencovError, match="above cap"):
         coverage_deficit(d)
+
+
+def test_counter_memory_is_bounded():
+    """The Hadamard 5th power's largest pattern, (0, 2), has C(1024, 2) =
+    523,776 tuples; one verify holds at most twice its count array."""
+    d = hadamard_base()
+    for _ in range(4):
+        d = product_hadamard(d, hadamard_base())
+    verify(fano())  # imports numpy outside the traced region
+    tracemalloc.start()
+    try:
+        rep = verify(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.valid and rep.checked_tuples == 802_011
+    assert peak < 2 * 8 * 523_776
