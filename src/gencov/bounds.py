@@ -226,13 +226,10 @@ def _exhaustive_upper(s: PartStructure, t: int) -> tuple[int, Design] | None:
 
 def bound_report(s: PartStructure, t: int,
                  all_restrictions: bool = False,
-                 max_subset: int = RESTRICTION_SUBSET_CAP,
-                 with_upper: bool = True,
-                 max_nodes: int = 10_000_000,
-                 timeout: float = 60.0) -> BoundReport:
+                 max_subset: int = RESTRICTION_SUBSET_CAP) -> BoundReport:
     """Lower rules plus whatever certified uppers apply at this strength."""
     base = lower_best(s, t, all_restrictions=all_restrictions, max_subset=max_subset)
-    if base.infeasible or not with_upper:
+    if base.infeasible:
         return base
     upper: dict[str, tuple[int, Design]] = {}
     if t == 0:
@@ -245,7 +242,7 @@ def bound_report(s: PartStructure, t: int,
             raise CertificateInvalid("strength-1 certificate failed verification")
         upper["t1_formula"] = (len(cert.blocks), cert)
     if t == 2 and s.k_min >= 2:
-        upper["minimax"] = upper_minimax(s, max_nodes=max_nodes, timeout=timeout)
+        upper["minimax"] = upper_minimax(s)
     exhaustive = _exhaustive_upper(s, t)
     if exhaustive is not None:
         upper["exhaustive"] = exhaustive

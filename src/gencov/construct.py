@@ -33,6 +33,17 @@ from .verify import verify
 STAR = 0
 
 
+def _pad(labels, k: int) -> tuple[int, ...]:
+    """labels followed by the least labels not among them, k in all."""
+    out = list(labels)
+    fill = 1
+    while len(out) < k:
+        if fill not in out:
+            out.append(fill)
+        fill += 1
+    return tuple(out)
+
+
 def _canon_placeholder_parts(s: PartStructure,
                              parts: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     if len(parts) != s.m:
@@ -58,19 +69,8 @@ class PlaceholderBlock:
     parts: tuple[tuple[int, ...], ...]
 
     def filled(self, s: PartStructure) -> Block:
-        out = []
-        for i, part in enumerate(self.parts):
-            labels = [x for x in part if x != STAR]
-            stars = len(part) - len(labels)
-            have = set(labels)
-            fill = 1
-            for _ in range(stars):
-                while fill in have:
-                    fill += 1
-                labels.append(fill)
-                have.add(fill)
-            out.append(tuple(labels))
-        return make_block(s, out)
+        return make_block(s, [_pad([x for x in part if x != STAR], len(part))
+                              for part in self.parts])
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,9 @@ def cover_t1(s: PartStructure) -> Design:
     up.
     """
     n = max(-(vi // -ki) for vi, ki in zip(s.v, s.k))
-    blocks = []
-    for r in range(n):
-        parts = []
-        for vi, ki in zip(s.v, s.k):
-            chunk = [x for x in range(r * ki + 1, (r + 1) * ki + 1) if x <= vi]
-            have = set(chunk)
-            fill = 1
-            while len(chunk) < ki:
-                while fill in have:
-                    fill += 1
-                chunk.append(fill)
-                have.add(fill)
-            parts.append(tuple(chunk))
-        blocks.append(tuple(parts))
-    return Design(s, 1, tuple(blocks))
+    return Design(s, 1, tuple(
+        tuple(_pad(range(r * ki + 1, min((r + 1) * ki, vi) + 1), ki) for vi, ki in zip(s.v, s.k))
+        for r in range(n)))
 
 
 def greedy_classical_cover(v: int, k: int, t: int) -> Design:
@@ -282,17 +270,8 @@ def delete_points(d: Design, v_hat) -> Design:
     s = PartStructure(v_hat, d.structure.k)
     out: dict[Block, None] = {}
     for b in d.blocks:
-        parts = []
-        for i, part in enumerate(b):
-            have = set(x for x in part if x <= v_hat[i])
-            for x in sorted(part):
-                if x <= v_hat[i]:
-                    continue
-                sub = 1
-                while sub in have:
-                    sub += 1
-                have.add(sub)
-            parts.append(tuple(sorted(have)))
+        parts = [_pad([x for x in part if x <= vh], ki)
+                 for part, vh, ki in zip(b, v_hat, s.k)]
         out.setdefault(make_block(s, parts), None)
     return Design(s, d.t, tuple(out), d.lam)
 
@@ -314,15 +293,7 @@ def expand_blocks(d: Design, k_hat) -> Design:
     s = PartStructure(d.structure.v, k_hat)
     out: dict[Block, None] = {}
     for b in d.blocks:
-        parts = []
-        for i, part in enumerate(b):
-            have = set(part)
-            fill = 1
-            while len(have) < k_hat[i]:
-                while fill in have:
-                    fill += 1
-                have.add(fill)
-            parts.append(tuple(sorted(have)))
+        parts = [_pad(part, kh) for part, kh in zip(b, k_hat)]
         out.setdefault(make_block(s, parts), None)
     return Design(s, d.t, tuple(out), d.lam)
 

@@ -12,7 +12,6 @@ failure.  numpy is imported by the first count, not with the module.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb, prod
@@ -25,7 +24,7 @@ from .core import (
     admissible_patterns,
     pattern_tuple_count,
 )
-from .errors import InvalidInput, UniverseTooLarge
+from .errors import UniverseTooLarge
 
 DEFICIT_CAP = 1000
 
@@ -50,16 +49,6 @@ class VerificationReport:
 
     def __bool__(self) -> bool:
         return self.valid
-
-
-def default_jobs() -> int:
-    """Worker count from GENCOV_JOBS, 1 when it is unset."""
-    raw = os.environ.get("GENCOV_JOBS", "").strip()
-    if not raw:
-        return 1
-    if not raw.isdigit() or int(raw) < 1:
-        raise InvalidInput(f"GENCOV_JOBS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def _part_labels(d: Design) -> list[np.ndarray]:
@@ -141,46 +130,41 @@ def _unrank(s: PartStructure, p: Pattern, rank: int) -> SetTuple:
     return tuple(reversed(parts))
 
 
-def _scan_pattern(labels: list[np.ndarray], s: PartStructure, p: Pattern, lam: int):
-    bad = _pattern_counts(labels, s, p) < lam
-    n_bad = int(np.count_nonzero(bad))
-    return len(bad), n_bad, int(bad.argmax()) if n_bad else None
-
-
-def verify(d: Design, jobs: int | None = None) -> VerificationReport:
-    """Full-universe check that every admissible tuple lies in >= lambda blocks.
-
-    first_uncovered is the first failing tuple in the global
-    (pattern, tuple) enumeration order, independent of worker count.
-    Strength 0 carries no obligations and is always valid.
-    """
+def _pattern_scan(d: Design):
+    """(pattern, counts) for every admissible pattern in the global order;
+    none at strength 0, which carries no obligations.  The caller drops
+    each count array before asking for the next, so one is alive at a
+    time."""
+    if d.t == 0:
+        return
     global np
     import numpy as np
 
-    s = d.structure
-    if d.t == 0:
-        return VerificationReport(True, 0, 0, None, 0)
-    patterns = admissible_patterns(s, d.t)
     labels = _part_labels(d)
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+    for p in admissible_patterns(d.structure, d.t):
+        yield p, _pattern_counts(labels, d.structure, p)
 
-    if jobs == 1 or len(patterns) == 1:
-        results = [_scan_pattern(labels, s, p, d.lam) for p in patterns]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: _scan_pattern(labels, s, p, d.lam), patterns))
 
-    checked = sum(r[0] for r in results)
-    deficit = sum(r[1] for r in results)
+def verify(d: Design) -> VerificationReport:
+    """Full-universe check that every admissible tuple lies in >= lambda blocks.
+
+    first_uncovered is the first failing tuple in the global
+    (pattern, tuple) enumeration order.  Strength 0 is always valid.
+    """
+    patterns = checked = deficit = 0
     first: SetTuple | None = None
-    for p, (_, bad, rank) in zip(patterns, results):
-        if bad:
-            first = _unrank(s, p, rank)
-            break
+    for p, counts in _pattern_scan(d):
+        bad = counts < d.lam
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad and first is None:
+            first = _unrank(d.structure, p, int(bad.argmax()))
+        patterns += 1
+        checked += len(counts)
+        deficit += n_bad
+        del counts, bad
     return VerificationReport(
         valid=deficit == 0,
-        checked_patterns=len(patterns),
+        checked_patterns=patterns,
         checked_tuples=checked,
         first_uncovered=first,
         deficient_count=min(deficit, DEFICIT_CAP),
@@ -190,20 +174,13 @@ def verify(d: Design, jobs: int | None = None) -> VerificationReport:
 def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, int]]:
     """Up to cap under-covered tuples with their actual multiplicities,
     in the global enumeration order."""
-    global np
-    import numpy as np
-
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if d.t == 0:
-        return []
-    s = d.structure
-    labels = _part_labels(d)
     out: list[tuple[SetTuple, int]] = []
-    for p in admissible_patterns(s, d.t):
+    for p, counts in _pattern_scan(d):
+        for rank in np.flatnonzero(counts < d.lam)[:cap - len(out)]:
+            out.append((_unrank(d.structure, p, int(rank)), int(counts[rank])))
         if len(out) >= cap:
             break
-        counts = _pattern_counts(labels, s, p)
-        for rank in np.flatnonzero(counts < d.lam)[:cap - len(out)]:
-            out.append((_unrank(s, p, int(rank)), int(counts[rank])))
+        del counts
     return out

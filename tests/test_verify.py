@@ -17,7 +17,6 @@ from gencov import (
     product_hadamard,
     verify,
 )
-from gencov.verify import default_jobs
 from util_random import mutate_design, random_block, random_valid_design
 
 
@@ -72,16 +71,6 @@ def test_coverage_deficit():
     assert coverage_deficit(mixed_422()) == []
 
 
-def test_jobs_equivalent():
-    d = cover_852()
-    seq = verify(d, jobs=1)
-    par = verify(d, jobs=3)
-    assert (seq.valid, seq.checked_tuples, seq.deficient_count) == \
-           (par.valid, par.checked_tuples, par.deficient_count)
-    bad = drop_block(d, 1)
-    assert verify(bad, jobs=3).first_uncovered == verify(bad, jobs=1).first_uncovered
-
-
 def assert_matches_oracle(d):
     v, k, t, blocks, lam = oracle.as_raw(d)
     rep = verify(d)
@@ -119,13 +108,6 @@ def test_wide_gathers_match_oracle(chunk, monkeypatch):
         s = PartStructure(v, k)
         d = Design(s, t, tuple(random_block(rng, s) for _ in range(24)), lam=2)
         assert_matches_oracle(d)
-
-
-def test_jobs_variable_default(monkeypatch):
-    monkeypatch.delenv("GENCOV_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("GENCOV_JOBS", "2")
-    assert default_jobs() == 2
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
