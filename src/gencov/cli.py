@@ -30,9 +30,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_design(path: str, allow_placeholders: bool = False):
+def _load_design(path: str):
     d = parse_design(_read(path))
-    if isinstance(d, construct_mod.PlaceholderDesign) and not allow_placeholders:
+    if isinstance(d, construct_mod.PlaceholderDesign):
         raise PlaceholdersPresent(f"{path} contains placeholder entries; fill them first")
     return d
 

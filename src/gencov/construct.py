@@ -92,11 +92,8 @@ class PlaceholderDesign:
     def fill(self) -> Design:
         """Replace each placeholder with the least unused label of its
         part, then drop exact duplicate blocks."""
-        filled = [b.filled(self.structure) for b in self.blocks]
-        seen: dict[Block, None] = {}
-        for b in filled:
-            seen.setdefault(b, None)
-        return Design(self.structure, self.t, tuple(seen), self.lam)
+        filled = dict.fromkeys(b.filled(self.structure) for b in self.blocks)
+        return Design(self.structure, self.t, tuple(filled), self.lam)
 
 
 def cover_t1(s: PartStructure) -> Design:
@@ -166,10 +163,7 @@ def construct_minimax(s: PartStructure, base: Design,
             parts.append(tuple(kept + tail) + (STAR,) * stars)
         pblocks.append(PlaceholderBlock(tuple(parts)))
     if keep_placeholders:
-        seen: dict[PlaceholderBlock, None] = {}
-        for b in pblocks:
-            seen.setdefault(b, None)
-        return PlaceholderDesign(s, 2, tuple(seen))
+        return PlaceholderDesign(s, 2, tuple(dict.fromkeys(pblocks)))
     return PlaceholderDesign(s, 2, tuple(pblocks)).fill()
 
 
@@ -254,25 +248,30 @@ def reduce_equivalence(s: PartStructure) -> tuple[PartStructure, dict[tuple[int,
     return PartStructure(tuple(v_out), tuple(k_out)), mult
 
 
+def _target(d: Design, target, what: str) -> tuple[int, ...]:
+    """target as integers, one per part, with k_i <= target_i <= v_i."""
+    target = tuple(int(x) for x in target)
+    if len(target) != d.structure.m:
+        raise LengthMismatch(f"expected {d.structure.m} entries, got {len(target)}")
+    for x, vi, ki in zip(target, d.structure.v, d.structure.k):
+        if x < ki:
+            raise TargetBelowProfile(f"{what} {x} below profile {ki}")
+        if x > vi:
+            raise TargetExceedsPart(f"{what} {x} above part size {vi}")
+    return target
+
+
 def delete_points(d: Design, v_hat) -> Design:
     """Shrink part i to its first v_hat_i labels.  A deleted label in a
     block is replaced by the least surviving label of that part not
     already present (deleted labels processed in ascending order), then
     duplicate blocks are dropped."""
-    v_hat = tuple(int(x) for x in v_hat)
-    if len(v_hat) != d.structure.m:
-        raise LengthMismatch(f"expected {d.structure.m} entries, got {len(v_hat)}")
-    for vh, vi, ki in zip(v_hat, d.structure.v, d.structure.k):
-        if vh < ki:
-            raise TargetBelowProfile(f"target size {vh} below profile {ki}")
-        if vh > vi:
-            raise TargetExceedsPart(f"target size {vh} above part size {vi}")
+    v_hat = _target(d, v_hat, "target size")
     s = PartStructure(v_hat, d.structure.k)
-    out: dict[Block, None] = {}
-    for b in d.blocks:
-        parts = [_pad([x for x in part if x <= vh], ki)
-                 for part, vh, ki in zip(b, v_hat, s.k)]
-        out.setdefault(make_block(s, parts), None)
+    out = dict.fromkeys(
+        make_block(s, [_pad([x for x in part if x <= vh], ki)
+                       for part, vh, ki in zip(b, v_hat, s.k)])
+        for b in d.blocks)
     return Design(s, d.t, tuple(out), d.lam)
 
 
@@ -282,19 +281,10 @@ def expand_blocks(d: Design, k_hat) -> Design:
     profile >= 2 so the coverage obligations do not change shape."""
     if any(ki < 2 for ki in d.structure.k):
         raise ProfileBelowTwo(f"expansion needs every k_i >= 2, got {d.structure.k}")
-    k_hat = tuple(int(x) for x in k_hat)
-    if len(k_hat) != d.structure.m:
-        raise LengthMismatch(f"expected {d.structure.m} entries, got {len(k_hat)}")
-    for kh, vi, ki in zip(k_hat, d.structure.v, d.structure.k):
-        if kh < ki:
-            raise TargetBelowProfile(f"target profile {kh} below profile {ki}")
-        if kh > vi:
-            raise TargetExceedsPart(f"target profile {kh} above part size {vi}")
+    k_hat = _target(d, k_hat, "target profile")
     s = PartStructure(d.structure.v, k_hat)
-    out: dict[Block, None] = {}
-    for b in d.blocks:
-        parts = [_pad(part, kh) for part, kh in zip(b, k_hat)]
-        out.setdefault(make_block(s, parts), None)
+    out = dict.fromkeys(make_block(s, [_pad(part, kh) for part, kh in zip(b, k_hat)])
+                        for b in d.blocks)
     return Design(s, d.t, tuple(out), d.lam)
 
 
@@ -344,10 +334,7 @@ def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:
         raise InvalidInput("input design fails verification")
     blocks = list(d.blocks)
     if d.lam == 1:
-        seen: dict[Block, None] = {}
-        for b in blocks:
-            seen.setdefault(b, None)
-        blocks = list(seen)
+        blocks = list(dict.fromkeys(blocks))
     if greedy_drop:
         kept = set(range(len(blocks)))
         for r in sorted(kept, key=lambda q: blocks[q], reverse=True):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
+from operator import index
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -44,8 +45,12 @@ class PartStructure:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
-        object.__setattr__(self, "k", tuple(int(x) for x in self.k))
+        try:
+            object.__setattr__(self, "v", tuple(map(index, self.v)))
+            object.__setattr__(self, "k", tuple(map(index, self.k)))
+        except TypeError:
+            raise NonPositiveEntry(
+                f"entries must be integers, got v={self.v} k={self.k}") from None
         if len(self.v) == 0 or len(self.v) != len(self.k):
             raise LengthMismatch(f"v has length {len(self.v)}, k has length {len(self.k)}")
         for vi, ki in zip(self.v, self.k):
@@ -92,7 +97,8 @@ def make_structure(v: Sequence[int], k: Sequence[int]) -> PartStructure:
 
 
 def make_block(structure: PartStructure, parts: Sequence[Sequence[int]]) -> Block:
-    """Canonicalize one block against a structure: sort labels, check sizes and ranges.
+    """Canonicalize one block against a structure: sort labels and check
+    that part i holds k_i distinct integers in 1..v_i.
 
     A block that is already canonical (a tuple of sorted int tuples) is
     returned as the same object, so designs built from shared blocks
@@ -102,7 +108,10 @@ def make_block(structure: PartStructure, parts: Sequence[Sequence[int]]) -> Bloc
     out = []
     canonical = type(parts) is tuple
     for i, (vi, ki, raw) in enumerate(zip(structure.v, structure.k, parts), start=1):
-        labels = tuple(sorted(int(x) for x in raw))
+        try:
+            labels = tuple(sorted(map(index, raw)))
+        except TypeError:
+            raise LabelOutOfRange(f"part {i} labels must be integers, got {raw!r}") from None
         if len(labels) != ki or len(set(labels)) != ki:
             raise ProfileExceedsPart(
                 f"part {i} holds {len(raw)} labels, profile requires {ki} distinct"

@@ -16,7 +16,7 @@ class LengthMismatch(GencovError):
 
 
 class NonPositiveEntry(GencovError):
-    """A part size or profile entry is < 1."""
+    """A part size, profile entry, lambda or count is not a positive integer."""
 
 
 class ProfileExceedsPart(GencovError):

@@ -9,67 +9,19 @@
     1 2 | 1 | 1
 
 `#` starts a comment anywhere on a line; blank lines are ignored; CRLF
-input is accepted.  A literal `*` in a block denotes a retained
-placeholder.  Emission is canonical: labels ascending, placeholders
-last, parts joined by ` | `, headers in the order shown.
+input is accepted.  Labels start at 1; a literal `*` in a block denotes a
+retained placeholder.  Emission is canonical: labels ascending,
+placeholders last, parts joined by ` | `, headers in the order shown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .construct import STAR, PlaceholderBlock, PlaceholderDesign
-from .core import Design, PartStructure
-from .errors import DesignSemanticError, DesignSyntaxError, GencovError
+from .construct import STAR, PlaceholderBlock, PlaceholderDesign, _canon_placeholder_parts
+from .core import Design, PartStructure, make_block
+from .errors import DesignSemanticError, DesignSyntaxError, GencovError, LabelOutOfRange
 
 _HEADER = "gcd 1"
 _KEYS = ("t", "lambda", "v", "k")
-
-
-@dataclass(frozen=True)
-class DesignDocument:
-    """Parsed file content; blocks may contain STAR entries."""
-
-    version: int
-    t: int
-    lam: int
-    v: tuple[int, ...]
-    k: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
-
-    @classmethod
-    def from_design(cls, d: Design | PlaceholderDesign) -> "DesignDocument":
-        if isinstance(d, PlaceholderDesign):
-            blocks = tuple(b.parts for b in d.blocks)
-        else:
-            blocks = d.blocks
-        return cls(1, d.t, d.lam, d.structure.v, d.structure.k, blocks)
-
-    def to_design(self) -> Design | PlaceholderDesign:
-        try:
-            s = PartStructure(self.v, self.k)
-        except GencovError as e:
-            raise DesignSemanticError(str(e)) from e
-        has_stars = any(STAR in part for b in self.blocks for part in b)
-        try:
-            if has_stars:
-                pblocks = tuple(PlaceholderBlock(b) for b in self.blocks)
-                return PlaceholderDesign(s, self.t, pblocks, self.lam)
-            return Design(s, self.t, self.blocks, self.lam)
-        except GencovError as e:
-            raise DesignSemanticError(str(e)) from e
-
-    def to_text(self) -> str:
-        lines = [_HEADER, f"t: {self.t}", f"lambda: {self.lam}",
-                 "v: " + " ".join(str(x) for x in self.v),
-                 "k: " + " ".join(str(x) for x in self.k),
-                 "blocks:"]
-        for b in self.blocks:
-            lines.append(" | ".join(
-                " ".join("*" if x == STAR else str(x) for x in part)
-                for part in b
-            ))
-        return "\n".join(lines) + "\n"
 
 
 def _parse_int(token: str, lineno: int, line: str) -> int:
@@ -81,7 +33,8 @@ def _parse_int(token: str, lineno: int, line: str) -> int:
                                 line=lineno, column=col) from None
 
 
-def parse_document(text: str) -> DesignDocument:
+def parse_design(text: str) -> Design | PlaceholderDesign:
+    """Parse document text; placeholder entries yield a PlaceholderDesign."""
     # (lineno, significant content) with comments and blanks removed
     rows = []
     for n, raw in enumerate(text.splitlines(), start=1):
@@ -127,41 +80,47 @@ def parse_document(text: str) -> DesignDocument:
     if len(v) != len(k):
         raise DesignSemanticError(f"{len(v)} part sizes but {len(k)} profile entries",
                                   line=fields["k"][0])
+    try:
+        s = PartStructure(v, k)
+    except GencovError as e:
+        raise DesignSemanticError(str(e)) from e
 
     blocks = []
+    has_stars = False
     for lineno, body in rows[pos:]:
-        parts = []
-        for chunk in body.split("|"):
-            entries = []
-            for token in chunk.split():
-                if token == "*":
-                    entries.append(STAR)
-                else:
-                    entries.append(_parse_int(token, lineno, body))
-            parts.append(tuple(entries))
-        if len(parts) != len(v):
-            raise DesignSemanticError(
-                f"block has {len(parts)} parts, structure has {len(v)}", line=lineno)
-        for i, part in enumerate(parts):
-            if len(part) != k[i]:
-                raise DesignSemanticError(
-                    f"part {i + 1} has {len(part)} entries, profile is {k[i]}",
-                    line=lineno)
-            labels = [x for x in part if x != STAR]
-            if len(set(labels)) != len(labels):
-                raise DesignSemanticError(f"repeated label in part {i + 1}", line=lineno)
-            if any(not 1 <= x <= v[i] for x in labels):
-                raise DesignSemanticError(
-                    f"label outside 1..{v[i]} in part {i + 1}", line=lineno)
-        blocks.append(tuple(parts))
-    return DesignDocument(1, t, lam, v, k, tuple(blocks))
-
-
-def parse_design(text: str) -> Design | PlaceholderDesign:
-    """Parse document text; placeholder entries yield a PlaceholderDesign."""
-    return parse_document(text).to_design()
+        parts = tuple(tuple(STAR if token == "*" else _parse_int(token, lineno, body)
+                            for token in chunk.split())
+                      for chunk in body.split("|"))
+        try:
+            if "*" not in body:
+                blocks.append(make_block(s, parts))
+            # STAR is 0, so a literal 0 would otherwise pass for a placeholder.
+            elif sum(part.count(STAR) for part in parts) != body.count("*"):
+                raise LabelOutOfRange("label 0 in a block; labels start at 1")
+            else:
+                blocks.append(_canon_placeholder_parts(s, parts))
+                has_stars = True
+        except GencovError as e:
+            raise DesignSemanticError(str(e), line=lineno) from e
+    try:
+        if has_stars:
+            return PlaceholderDesign(s, t, tuple(PlaceholderBlock(b) for b in blocks), lam)
+        return Design(s, t, tuple(blocks), lam)
+    except GencovError as e:
+        raise DesignSemanticError(str(e)) from e
 
 
 def emit_design(d: Design | PlaceholderDesign) -> str:
     """Canonical document text; parse_design(emit_design(d)) == d."""
-    return DesignDocument.from_design(d).to_text()
+    s = d.structure
+    lines = [_HEADER, f"t: {d.t}", f"lambda: {d.lam}",
+             "v: " + " ".join(map(str, s.v)),
+             "k: " + " ".join(map(str, s.k)),
+             "blocks:"]
+    placeholders = isinstance(d, PlaceholderDesign)
+    for b in d.blocks:
+        lines.append(" | ".join(
+            " ".join("*" if x == STAR else str(x) for x in part)
+            for part in (b.parts if placeholders else b)
+        ))
+    return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ from .core import (
     admissible_patterns,
     pattern_tuple_count,
 )
-from .errors import UniverseTooLarge
+from .errors import NonPositiveEntry, UniverseTooLarge
 
 DEFICIT_CAP = 1000
 
@@ -175,7 +175,7 @@ def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, 
     """Up to cap under-covered tuples with their actual multiplicities,
     in the global enumeration order."""
     if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+        raise NonPositiveEntry(f"cap must be >= 1, got {cap}")
     out: list[tuple[SetTuple, int]] = []
     for p, counts in _pattern_scan(d):
         for rank in np.flatnonzero(counts < d.lam)[:cap - len(out)]:

@@ -3,6 +3,7 @@
 import gc
 import random
 
+import numpy as np
 import pytest
 
 import naive_oracle as oracle
@@ -51,11 +52,17 @@ def test_structure_validation():
         PartStructure((3,), (-1,))
     with pytest.raises(ProfileExceedsPart):
         PartStructure((3,), (4,))
+    for v, k in (((4.0,), (2,)), ((4,), (1.5,)), (("4",), (2,))):
+        with pytest.raises(NonPositiveEntry):
+            PartStructure(v, k)
 
 
 def test_make_structure_coerces():
     s = make_structure([4, 2], [2, 1])
     assert s.v == (4, 2) and s.k == (2, 1)
+    s = make_structure(np.array([4, 2]), [True, np.int8(1)])
+    assert s.v == (4, 2) and s.k == (1, 1)
+    assert all(type(x) is int for x in s.v + s.k)
 
 
 def test_make_block_canonicalizes():
@@ -68,7 +75,7 @@ def test_make_block_keeps_canonical_block():
     b = ((1, 3), (2,))
     assert make_block(s, b) is b
     assert Design(s, 1, (b,)).blocks[0] is b
-    for raw in ([(1, 3), (2,)], ((3, 1), (2,)), ((1.0, 3), (2,)), ((True, 3), (2,))):
+    for raw in ([(1, 3), (2,)], ((3, 1), (2,)), ((np.int64(1), 3), (2,)), ((True, 3), (2,))):
         out = make_block(s, raw)
         assert out == b and out is not raw
         assert all(type(x) is int for part in out for x in part)
@@ -86,6 +93,10 @@ def test_make_block_rejects():
         make_block(s, [[1, 5], [1]])
     with pytest.raises(LabelOutOfRange):
         make_block(s, [[0, 1], [1]])
+    # labels must be integers, not merely convertible to one
+    for raw in ([[1.7, 2.2], [1]], [[1.0, 3], [2]], [["a", 1], [1]], [[1, 2], 1]):
+        with pytest.raises(LabelOutOfRange):
+            make_block(s, raw)
 
 
 def test_design_strength_bounds():

@@ -2,9 +2,8 @@
 
 import pytest
 
-from fixture_designs import minimax_567, mixed_422, strength2_fixtures
+from fixture_designs import fano, minimax_567, mixed_422, strength2_fixtures
 from gencov import (
-    DesignDocument,
     DesignSemanticError,
     DesignSyntaxError,
     PartStructure,
@@ -13,7 +12,6 @@ from gencov import (
     emit_design,
     parse_design,
 )
-from fixture_designs import fano
 
 MIXED_TEXT = (
     "gcd 1\n"
@@ -123,9 +121,25 @@ def test_semantic_errors_carry_line():
         parse_design(MIXED_TEXT.replace("t: 2", "t: 5"))
 
 
-def test_document_type():
-    doc = DesignDocument.from_design(mixed_422())
-    assert doc.version == 1
-    assert doc.v == (4, 2, 2) and doc.k == (2, 1, 1)
-    assert doc.to_design().blocks == mixed_422().blocks
-    assert doc.to_text() == MIXED_TEXT
+# One block line of MIXED_TEXT mutated, without and with a placeholder.
+BAD_BLOCK_LINES = {
+    "part-count": ("1 3 | 1 | 2", "1 3 | 1"),
+    "label-0": ("1 4 | 2 | 1", "0 4 | 2 | 1"),
+    "label-above-part": ("2 3 | 2 | 2", "2 5 | 2 | 2"),
+    "repeated-label": ("2 4 | 1 | 2", "2 2 | 1 | 2"),
+    "entry-count": ("3 4 | 2 | 1", "3 4 | 2 1 | 1"),
+    "star-part-count": ("1 3 | 1 | 2", "1 * | 1"),
+    "star-label-0": ("1 4 | 2 | 1", "0 * | 2 | 1"),
+    "star-label-above-part": ("2 3 | 2 | 2", "* 2 | 3 | 2"),
+    "star-repeated-label": ("2 4 | 1 | 2", "2 2 | * | 2"),
+    "star-entry-count": ("3 4 | 2 | 1", "3 * | 2 * | 1"),
+}
+
+
+@pytest.mark.parametrize("original,mutated", BAD_BLOCK_LINES.values(),
+                         ids=BAD_BLOCK_LINES.keys())
+def test_bad_block_line_is_semantic_error(original, mutated):
+    lineno = MIXED_TEXT.splitlines().index(original) + 1
+    with pytest.raises(DesignSemanticError) as e:
+        parse_design(MIXED_TEXT.replace(original, mutated))
+    assert e.value.line == lineno

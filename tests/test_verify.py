@@ -11,6 +11,7 @@ from fixture_designs import cover_852, fano, hadamard_base, mixed_422, strength2
 from gencov import (
     Design,
     GencovError,
+    NonPositiveEntry,
     PartStructure,
     coverage_deficit,
     make_block,
@@ -69,6 +70,12 @@ def test_coverage_deficit():
     assert len(deficit) == 2
     assert coverage_deficit(d, cap=1) == deficit[:1]
     assert coverage_deficit(mixed_422()) == []
+
+
+def test_coverage_deficit_bad_cap():
+    for cap in (0, -1):
+        with pytest.raises(NonPositiveEntry):
+            coverage_deficit(mixed_422(), cap=cap)
 
 
 def assert_matches_oracle(d):
