@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from .construct import STAR, PlaceholderBlock, PlaceholderDesign, _canon_placeholder_parts
 from .core import Design, PartStructure, make_block
-from .errors import DesignSemanticError, DesignSyntaxError, GencovError, LabelOutOfRange
+from .errors import (DesignSemanticError, DesignSyntaxError, GencovError, LabelOutOfRange,
+                     StrengthTooLarge)
 
 _HEADER = "gcd 1"
 _KEYS = ("t", "lambda", "v", "k")
@@ -83,7 +84,15 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
     try:
         s = PartStructure(v, k)
     except GencovError as e:
-        raise DesignSemanticError(str(e)) from e
+        key = "v" if min(v) < 1 else "k"
+        raise DesignSemanticError(str(e), line=fields[key][0]) from e
+    # Design's checks of t and lambda, made before any block line so that
+    # the error carries the header's line; a PlaceholderDesign needs them too.
+    try:
+        Design(s, t, (), lam)
+    except GencovError as e:
+        key = "t" if isinstance(e, StrengthTooLarge) else "lambda"
+        raise DesignSemanticError(str(e), line=fields[key][0]) from e
 
     blocks = []
     has_stars = False
@@ -102,12 +111,9 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
                 has_stars = True
         except GencovError as e:
             raise DesignSemanticError(str(e), line=lineno) from e
-    try:
-        if has_stars:
-            return PlaceholderDesign(s, t, tuple(PlaceholderBlock(b) for b in blocks), lam)
-        return Design(s, t, tuple(blocks), lam)
-    except GencovError as e:
-        raise DesignSemanticError(str(e)) from e
+    if has_stars:
+        return PlaceholderDesign(s, t, tuple(PlaceholderBlock(b) for b in blocks), lam)
+    return Design(s, t, tuple(blocks), lam)
 
 
 def emit_design(d: Design | PlaceholderDesign) -> str:

@@ -13,12 +13,26 @@ subtree, depth first in one process, under one node count and one
 deadline taken when exact_min is entered.  The optimum, the certificate
 and the node count are deterministic; the wall-clock timeout is a safety
 valve and the one source of nondeterminism when it fires.
+
+Node bound: a node is pruned when the blocks still needed cannot beat
+the incumbent.  Three bounds count them, cheapest first: uncovered
+tuples over the most one block covers; per pattern, its uncovered tuples
+over the most of them one block covers; and the point-degree bound, for
+every part i and every pattern p with p_i >= 1.  A block through point
+x of part i covers at most cap = C(k_i-1, p_i-1) * prod_{j!=i} C(k_j, p_j)
+tuples of p through x, so at least need_x = max_p ceil(deg_{x,p} / cap)
+remaining blocks contain x; each holds k_i points of part i, so at least
+ceil(sum_x need_x / k_i) blocks remain.  deg_{x,p} is the popcount of the
+uncovered bits under one precomputed mask per (part, point, pattern).
+The count stops as soon as it reaches the pruning number: after the
+first two bounds, and after each part's degree bound.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 
@@ -84,6 +98,11 @@ class _Tables:
     iff each part's k_i-subset holds its t_i-subset, so a pattern's cover
     masks are Kronecker products of per-part incidence masks, and a
     tuple's coverers are the mixed-radix products of per-part holders.
+
+    remaining_lb bounds the blocks a search node still needs (see the
+    module docstring).  Its per-pattern masks and its point-degree slots,
+    one (mask, cap) per part i, point x and pattern p with p_i >= 1, are
+    built on the first call, so greedy_cover never builds them.
     """
 
     def __init__(self, s: PartStructure, t: int):
@@ -139,31 +158,72 @@ class _Tables:
         self.n_tuples = len(self.tuples)
         self.maxcov = max((m.bit_count() for m in self.covers), default=0)
 
-        # Point degrees sharpen the bound on single-part instances.
-        self.use_degree = s.m == 1 and t >= 2
-        if self.use_degree:
-            self.tuple_pts = [tup[0] for tup in self.tuples]
-            self.deg_cap = comb(s.k[0] - 1, t - 1)
+    @cached_property
+    def _span_masks(self) -> list[tuple[int, int]]:
+        """One (mask of its tuples, cap) per pattern, as in spans."""
+        return [(((1 << (end - start)) - 1) << start, cap) for start, end, cap in self.spans]
+
+    @cached_property
+    def _degree_slots(self) -> list[tuple[int, list[list[tuple[int, int]]]]]:
+        """Per part i: k_i, and for each point x of part i one (mask, cap)
+        slot per pattern p with p_i >= 1.  mask holds the tuples of p whose
+        part-i subset contains x; cap = C(k_i-1, p_i-1) * prod_{j!=i}
+        C(k_j, p_j), the span's cap * p_i / k_i, is the most of them one
+        block through x covers."""
+        s = self.s
+        out = []
+        for i, (vi, ki) in enumerate(zip(s.v, s.k)):
+            points: list[list[tuple[int, int]]] = [[] for _ in range(vi)]
+            for p, (start, end, cap) in zip(admissible_patterns(s, self.t), self.spans):
+                if not p[i]:
+                    continue
+                # Tuples of p are mixed radix over the per-part subsets,
+                # last part fastest: a point's mask is all-ones over the
+                # parts after i, spread over the part-i subsets holding
+                # x, repeated once per choice of the parts before i.
+                after = 1
+                for vj, pj in zip(s.v[i + 1:], p[i + 1:]):
+                    after *= comb(vj, pj)
+                subsets = list(combinations(range(1, vi + 1), p[i]))
+                block = len(subsets) * after
+                repeat = _spread((1 << ((end - start) // block)) - 1, block)
+                for x in range(1, vi + 1):
+                    ind = sum(1 << j for j, sub in enumerate(subsets) if x in sub)
+                    mask = _spread(ind, after) * ((1 << after) - 1) * repeat
+                    points[x - 1].append((mask << start, cap * p[i] // ki))
+            out.append((ki, points))
+        return out
 
     def design_from(self, chosen: list[int]) -> Design:
         return _design(self.s, self.t, [self.cands[c] for c in chosen])
 
-    def remaining_lb(self, uncovered: int, count: int) -> int:
-        lb = -(count // -self.maxcov)
-        for start, end, cap in self.spans:
-            up = ((uncovered >> start) & ((1 << (end - start)) - 1)).bit_count()
-            if up:
-                lb = max(lb, -(up // -cap))
-        if self.use_degree:
-            deg: dict[int, int] = {}
-            mask = uncovered
-            while mask:
-                low = mask & -mask
-                for x in self.tuple_pts[low.bit_length() - 1]:
-                    deg[x] = deg.get(x, 0) + 1
-                mask ^= low
-            total = sum(-(dx // -self.deg_cap) for dx in deg.values())
-            lb = max(lb, -(total // -self.s.k[0]))
+    def remaining_lb(self, uncovered: int, stop: int) -> int:
+        """A lower bound on the blocks still needed to cover the tuples
+        set in uncovered.  It returns as soon as the bound reaches stop,
+        the count at which the caller prunes, so a result of at least
+        stop may be below the full bound."""
+        lb = -(uncovered.bit_count() // -self.maxcov)
+        for mask, cap in self._span_masks:
+            up = (uncovered & mask).bit_count()
+            if up > lb * cap:
+                lb = -(up // -cap)
+        if lb >= stop:
+            return lb
+        # At least need_x = max_p ceil(deg_{x,p} / cap) of the remaining
+        # blocks contain point x, and each block holds k_i points of part i.
+        for ki, points in self._degree_slots:
+            total = 0
+            for slots in points:
+                need = 0
+                for mask, cap in slots:
+                    deg = (uncovered & mask).bit_count()
+                    if deg > need * cap:
+                        need = -(deg // -cap)
+                total += need
+            if total > lb * ki:
+                lb = -(total // -ki)
+                if lb >= stop:
+                    return lb
         return lb
 
 
@@ -245,8 +305,8 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
             return
         if len(best) == lower:
             return
-        count = uncovered.bit_count()
-        if len(chosen) + tb.remaining_lb(uncovered, count) >= len(best):
+        stop = len(best) - len(chosen)
+        if tb.remaining_lb(uncovered, stop) >= stop:
             return
         tau = (uncovered & -uncovered).bit_length() - 1
         opts = [c for c in tb.coverers[tau] if c not in banned]

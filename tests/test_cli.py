@@ -160,7 +160,7 @@ def test_jobs_flag_has_no_effect(command, mixed_file, capsys):
 
 def test_search_timeout_covers_the_whole_call(capsys):
     start = time.monotonic()
-    code, out, err = run(capsys, "search", "--v", "6,6,6", "--k", "3,3,3", "--t", "3",
+    code, out, err = run(capsys, "search", "--v", "5,5", "--k", "2,2", "--t", "3",
                          "--timeout", "1", "--jobs", "2")
     assert time.monotonic() - start < 3.0
     assert code == 3

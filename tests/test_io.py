@@ -116,9 +116,26 @@ def test_semantic_errors_carry_line():
     # wrong subset size
     with pytest.raises(DesignSemanticError):
         parse_design(MIXED_TEXT.replace("1 2 | 1 | 1", "1 2 3 | 1 | 1"))
-    # strength above the profile sum
-    with pytest.raises(DesignSemanticError):
+    # strength above the profile sum, at the t: line
+    with pytest.raises(DesignSemanticError) as e:
         parse_design(MIXED_TEXT.replace("t: 2", "t: 5"))
+    assert e.value.line == 2
+    # also when a placeholder makes the result a PlaceholderDesign
+    with pytest.raises(DesignSemanticError) as e:
+        parse_design(MIXED_TEXT.replace("t: 2", "t: 5").replace("1 2 | 1 | 1", "1 * | 1 | 1"))
+    assert e.value.line == 2
+    # lambda below 1, at the lambda: line
+    with pytest.raises(DesignSemanticError) as e:
+        parse_design(MIXED_TEXT.replace("lambda: 1", "lambda: 0"))
+    assert e.value.line == 3
+    # a profile entry above its part size, at the k: line
+    with pytest.raises(DesignSemanticError) as e:
+        parse_design(MIXED_TEXT.replace("v: 4 2 2", "v: 1").replace("k: 2 1 1", "k: 5"))
+    assert e.value.line == 5
+    # a part size below 1, at the v: line
+    with pytest.raises(DesignSemanticError) as e:
+        parse_design(MIXED_TEXT.replace("v: 4 2 2", "v: 0 2 2"))
+    assert e.value.line == 4
 
 
 # One block line of MIXED_TEXT mutated, without and with a placeholder.

@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -141,12 +142,59 @@ def test_node_budget_is_never_exceeded(budget):
 
 
 def test_timeout_covers_the_whole_call():
+    # still budget-exhausted after 300,000 nodes, so 1 s cannot prove it
     start = time.monotonic()
-    r = exact_min(PartStructure((6, 6, 6), (3, 3, 3)), 3, timeout=1.0)
+    r = exact_min(PartStructure((5, 5), (2, 2)), 3, timeout=1.0)
     assert time.monotonic() - start < 3.0
     assert r.status == "budget-exhausted"
     assert verify(r.design).valid
     assert len(r.design) == r.optimum
+
+
+def test_degree_bound_certifies():
+    # the point-degree bound of every part proves these minima
+    for v, k, t, want in (((6, 6, 6), (3, 3, 3), 3, 20), ((6, 4), (3, 2), 2, 6)):
+        r = exact_min(PartStructure(v, k), t)
+        assert (r.optimum, r.status) == (want, "proven")
+        assert len(r.design) == want
+        assert oracle.naive_valid(*oracle.as_raw(r.design))
+
+
+def _min_cover_size(tb, uncovered, limit):
+    """The fewest candidates of tb whose blocks contain every tuple set in
+    uncovered, by plain subset enumeration; None above limit."""
+    want = [tb.tuples[j] for j in range(tb.n_tuples) if uncovered >> j & 1]
+    holds = [frozenset(j for j, tup in enumerate(want) if oracle.tuple_covered(tup, cand))
+             for cand in tb.cands]
+    useful = [h for h in set(holds) if h]
+    for size in range(limit + 1):
+        for pick in combinations(useful, size):
+            if len(frozenset().union(*pick)) == len(want):
+                return size
+    return None
+
+
+def test_remaining_lb_is_sound():
+    """remaining_lb never exceeds the fewest blocks covering the uncovered
+    tuples, whatever the stopping number."""
+    rng = random.Random(71)
+    checked = tight = 0
+    while checked < 300:
+        s = random_structure(rng, v_sum_max=8, m_max=3)
+        t = rng.randint(1, min(3, s.k_sum))
+        if not 6 <= s.block_count_possible() <= 24:
+            continue
+        tb = _Tables(s, t)
+        for _ in range(5):
+            uncovered = sum(1 << j for j in range(tb.n_tuples) if rng.random() < rng.random())
+            want = _min_cover_size(tb, uncovered, 5)
+            if want is None:
+                continue
+            for stop in (len(tb.cands) + 1, rng.randint(0, want + 1)):
+                assert tb.remaining_lb(uncovered, stop) <= want, (s, t, uncovered)
+            tight += tb.remaining_lb(uncovered, len(tb.cands) + 1) == want
+            checked += 1
+    assert tight > checked // 2
 
 
 def test_root_bound_proves_at_zero_nodes():
@@ -201,6 +249,31 @@ def test_coverage_tables_match_containment(v, k):
         assert tb.covers == covers, (s, t)
         assert tb.coverers == coverers, (s, t)
         assert tb.maxcov == max(c.bit_count() for c in covers)
+
+
+@pytest.mark.parametrize("v, k", [((6,), (3,)), ((3, 2, 3), (1, 1, 1)), ((2, 4, 3), (1, 2, 2))])
+def test_degree_slots_match_containment(v, k):
+    """Each part's slots hold, per point x and pattern p with p_i >= 1, the
+    tuples of p whose part-i subset holds x, and the most of them one
+    block through x covers."""
+    s = PartStructure(v, k)
+    for t in range(1, s.k_sum + 1):
+        tb = _Tables(s, t)
+        pats = oracle.patterns(v, k, t)
+        for i, (ki, points) in enumerate(tb._degree_slots):
+            assert ki == k[i] and len(points) == v[i]
+            for x, slots in enumerate(points, start=1):
+                want = []
+                for p in pats:
+                    if p[i]:
+                        mask = sum(1 << j for j, tup in enumerate(tb.tuples)
+                                   if tuple(map(len, tup)) == p and x in tup[i])
+                        through = [c for c in tb.cands if x in c[i]]
+                        cap = max(sum(1 for tup in tb.tuples if tuple(map(len, tup)) == p
+                                      and x in tup[i] and oracle.tuple_covered(tup, c))
+                                  for c in through)
+                        want.append((mask, cap))
+                assert sorted(slots) == sorted(want), (s, t, i, x)
 
 
 def test_search_designs_share_blocks():
