@@ -34,6 +34,31 @@ def _parse_int(token: str, lineno: int, line: str) -> int:
                                 line=lineno, column=col) from None
 
 
+def _block_tokens(lineno: int, body: str) -> tuple[tuple[int, ...], ...]:
+    """The labels of one block line, part by part; STAR stands for `*`."""
+    if "*" not in body:
+        try:
+            return tuple(tuple(map(int, chunk.split())) for chunk in body.split("|"))
+        except ValueError:
+            pass  # the slow path below names the token and its column
+    return tuple(tuple(STAR if token == "*" else _parse_int(token, lineno, body)
+                       for token in chunk.split())
+                 for chunk in body.split("|"))
+
+
+def _check_line(s: PartStructure, lineno: int, body: str, parts: tuple) -> tuple:
+    """The checked block (or placeholder parts) of one line; errors carry the line."""
+    try:
+        if "*" not in body:
+            return make_block(s, parts)
+        # STAR is 0, so a literal 0 would otherwise pass for a placeholder.
+        if sum(part.count(STAR) for part in parts) != body.count("*"):
+            raise LabelOutOfRange("label 0 in a block; labels start at 1")
+        return _canon_placeholder_parts(s, parts)
+    except GencovError as e:
+        raise DesignSemanticError(str(e), line=lineno) from e
+
+
 def parse_design(text: str) -> Design | PlaceholderDesign:
     """Parse document text; placeholder entries yield a PlaceholderDesign."""
     # (lineno, significant content) with comments and blanks removed
@@ -94,26 +119,22 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
         key = "t" if isinstance(e, StrengthTooLarge) else "lambda"
         raise DesignSemanticError(str(e), line=fields[key][0]) from e
 
-    blocks = []
-    has_stars = False
-    for lineno, body in rows[pos:]:
-        parts = tuple(tuple(STAR if token == "*" else _parse_int(token, lineno, body)
-                            for token in chunk.split())
-                      for chunk in body.split("|"))
-        try:
-            if "*" not in body:
-                blocks.append(make_block(s, parts))
-            # STAR is 0, so a literal 0 would otherwise pass for a placeholder.
-            elif sum(part.count(STAR) for part in parts) != body.count("*"):
-                raise LabelOutOfRange("label 0 in a block; labels start at 1")
-            else:
-                blocks.append(_canon_placeholder_parts(s, parts))
-                has_stars = True
-        except GencovError as e:
-            raise DesignSemanticError(str(e), line=lineno) from e
-    if has_stars:
+    lines = rows[pos:]
+    if any("*" in body for _, body in lines):
+        blocks = [_check_line(s, n, body, _block_tokens(n, body)) for n, body in lines]
         return PlaceholderDesign(s, t, tuple(PlaceholderBlock(b) for b in blocks), lam)
-    return Design(s, t, tuple(blocks), lam)
+    # Design checks each block once.  Only on a failure are the lines read
+    # so far checked one by one, so that the first bad line is the one
+    # reported, also when a later line holds a syntax error.
+    tokens = []
+    try:
+        for n, body in lines:
+            tokens.append(_block_tokens(n, body))
+        return Design(s, t, tuple(tokens), lam)
+    except GencovError:
+        for row, parts in zip(lines, tokens):
+            _check_line(s, *row, parts)
+        raise
 
 
 def emit_design(d: Design | PlaceholderDesign) -> str:

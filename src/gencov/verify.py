@@ -5,15 +5,19 @@ holds and adds the ranks into one count array with np.add.at; the tuple
 universe itself is never enumerated.  A tuple's rank mixes the lex ranks
 of its parts' subsets in mixed radix, last part fastest, so rank order is
 the order of core.admissible_tuples.  Ranking follows Kreher & Stinson,
-Combinatorial Algorithms (1999), ch. 2.  The whole universe is always
-scanned so the report carries a total deficit count, not just the first
-failure.  numpy is imported by the first count, not with the module.
+Combinatorial Algorithms (1999), ch. 2.  Per pattern, each used part's
+rank is split into per-slot terms for every label of every block, radix
+weight and constant included, so a chunk of blocks is ranked by one
+gather per slot summed in place.  Counts take the smallest unsigned type
+that holds the block count (one byte up to 255 blocks).  The whole
+universe is always scanned so the report carries a total deficit count,
+not just the first failure.  numpy is imported by the first count, not
+with the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 from math import comb, prod
 
 from .core import (
@@ -28,8 +32,10 @@ from .errors import NonPositiveEntry, UniverseTooLarge
 
 DEFICIT_CAP = 1000
 
-# Most tuples one pattern may have: counting them holds 9 bytes a tuple
-# (the counts and the deficit mask), 576 MiB at the cap.
+# Most tuples one pattern may have.  Counting them holds the counts, in
+# the smallest type that holds the block count, and a one-byte deficit
+# mask: 2 bytes a tuple up to 255 blocks (128 MiB at the cap), 3 bytes up
+# to 65,535.
 PATTERN_TUPLE_CAP = 1 << 26
 
 # Sub-tuple ranks added per np.add.at call; bounds the transient memory.
@@ -54,7 +60,7 @@ class VerificationReport:
 def _part_labels(d: Design) -> list[np.ndarray]:
     """Zero-based labels of every block, one (n_blocks, k_i) array per part."""
     n = len(d.blocks)
-    return [np.array([b[i] for b in d.blocks], dtype=np.int64).reshape(n, ki) - 1
+    return [np.array([b[i] for b in d.blocks], dtype=np.intp).reshape(n, ki) - 1
             for i, ki in enumerate(d.structure.k)]
 
 
@@ -66,45 +72,59 @@ def _binom(x: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-def _subset_ranks(labels: np.ndarray, cols: list[np.ndarray], v: int) -> np.ndarray:
-    """Lex ranks among the t-subsets of range(v) of the subsets of each row
-    of labels whose slot j is column cols[j] of labels, for t = len(cols).
+def _slot_terms(labels: np.ndarray, v: int, t: int, weight: int) -> list[np.ndarray]:
+    """Slot j's share of the rank, times weight, for every entry of labels.
 
-    A sorted subset a_0 < ... < a_{t-1} has rank
-    C(v, t) - 1 - sum_j C(v - 1 - a_j, t - j).
+    A sorted t-subset a_0 < ... < a_{t-1} of range(v) has lex rank
+    C(v, t) - 1 - sum_j C(v - 1 - a_j, t - j); term j holds the j-th
+    summand with its sign, the constant folded into term 0.  Entries that
+    cannot stand in slot j hold values no gather reads.
     """
-    t = len(cols)
-    out = comb(v, t) - 1 - np.take(_binom(v - 1 - labels, t), cols[0], axis=1)
-    for j in range(1, t):
-        out -= np.take(_binom(v - 1 - labels, t - j), cols[j], axis=1)
-    return out
+    x = v - 1 - labels
+    return ([weight * (comb(v, t) - 1 - _binom(x, t))]
+            + [-weight * _binom(x, t - j) for j in range(1, t)])
 
 
 def _slot_columns(k: int, t: int) -> list[np.ndarray]:
     """Slot j of every t-subset of range(k) in lex order, one contiguous
-    array per slot."""
-    flat = np.fromiter(chain.from_iterable(combinations(range(k), t)),
-                       dtype=np.intp, count=comb(k, t) * t)
-    return list(flat.reshape(-1, t).T.copy())
+    array per slot, for 1 <= t <= k."""
+    cols = [np.arange(k, dtype=np.intp)]
+    for _ in range(1, t):
+        # each prefix ending in a is followed by a + 1, ..., k - 1
+        reps = k - 1 - cols[-1]
+        ends = np.cumsum(reps)
+        offset = np.arange(ends[-1]) - np.repeat(ends - reps, reps)
+        cols = [c.repeat(reps) for c in cols]
+        cols.append(cols[-1] + 1 + offset)
+    return cols
 
 
 def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern) -> np.ndarray:
-    """How many blocks hold each tuple of pattern p, indexed by tuple rank."""
+    """How many blocks hold each tuple of pattern p, indexed by tuple rank,
+    in the smallest unsigned type that holds the block count."""
     n_tuples = pattern_tuple_count(s, p)
     if n_tuples > PATTERN_TUPLE_CAP:
         raise UniverseTooLarge(f"pattern {p} has {n_tuples} tuples, above cap {PATTERN_TUPLE_CAP}")
-    used = [(lab, vi, _slot_columns(lab.shape[1], ti))
-            for lab, vi, ti in zip(labels, s.v, p) if ti]
-    counts = np.zeros(n_tuples, dtype=np.int64)
+    # Part i's rank is weighted by the tuple count of the parts after it
+    # (mixed radix, last part fastest), so parts combine by addition.
+    used = []
+    weight = n_tuples
+    for lab, vi, ti in zip(labels, s.v, p):
+        if ti:
+            weight //= comb(vi, ti)
+            used.append((_slot_terms(lab, vi, ti, weight), _slot_columns(lab.shape[1], ti)))
     n_blocks = len(labels[0])
-    step = max(1, _CHUNK // prod(len(cols[0]) for *_, cols in used))
-    (lab0, v0, cols0), *rest = used
+    counts = np.zeros(n_tuples, dtype=np.min_scalar_type(n_blocks))
+    one = counts.dtype.type(1)  # a Python 1 takes np.add.at off its fast path
+    step = max(1, _CHUNK // prod(len(cols[0]) for _, cols in used))
     for lo in range(0, n_blocks, step):
-        ranks = _subset_ranks(lab0[lo:lo + step], cols0, v0)
-        for lab, vi, cols in rest:
-            r = _subset_ranks(lab[lo:lo + step], cols, vi)
-            ranks = (ranks[:, :, None] * comb(vi, len(cols)) + r[:, None, :]).reshape(len(r), -1)
-        np.add.at(counts, ranks.ravel(), 1)
+        ranks = None
+        for terms, cols in used:
+            r = np.take(terms[0][lo:lo + step], cols[0], axis=1)
+            for term, col in zip(terms[1:], cols[1:]):
+                r += np.take(term[lo:lo + step], col, axis=1)
+            ranks = r if ranks is None else (ranks[:, :, None] + r[:, None, :]).reshape(len(r), -1)
+        np.add.at(counts, ranks.ravel(), one)
     return counts
 
 

@@ -160,3 +160,44 @@ def test_bad_block_line_is_semantic_error(original, mutated):
     with pytest.raises(DesignSemanticError) as e:
         parse_design(MIXED_TEXT.replace(original, mutated))
     assert e.value.line == lineno
+
+
+def _mutated(*pairs):
+    text = MIXED_TEXT
+    for original, mutated in pairs:
+        text = text.replace(original, mutated)
+    return text
+
+
+def _line_of(original):
+    return MIXED_TEXT.splitlines().index(original) + 1
+
+
+def test_first_bad_block_line_is_reported():
+    plain, plain_bad = BAD_BLOCK_LINES["label-above-part"]
+    other, other_bad = BAD_BLOCK_LINES["part-count"]
+    star, star_bad = BAD_BLOCK_LINES["star-repeated-label"]
+    assert _line_of(other) < _line_of(plain) < _line_of(star)
+    # no placeholder anywhere: the lines are checked together, and the
+    # first bad one is still the one reported
+    with pytest.raises(DesignSemanticError) as e:
+        parse_design(_mutated((plain, plain_bad), (other, other_bad)))
+    assert e.value.line == _line_of(other)
+    # a bad plain line above a bad placeholder line, and the reverse
+    with pytest.raises(DesignSemanticError) as e:
+        parse_design(_mutated((plain, plain_bad), (star, star_bad)))
+    assert e.value.line == _line_of(plain)
+    with pytest.raises(DesignSemanticError) as e:
+        parse_design(_mutated((other, "1 * | 1"), (plain, plain_bad)))
+    assert e.value.line == _line_of(other)
+    # a bad line above a non-integer token is reported first
+    with pytest.raises(DesignSemanticError) as e:
+        parse_design(_mutated((other, other_bad), (plain, "2 x | 2 | 2")))
+    assert e.value.line == _line_of(other)
+
+
+def test_non_integer_block_token_carries_column():
+    plain = "2 3 | 2 | 2"
+    with pytest.raises(DesignSyntaxError) as e:
+        parse_design(MIXED_TEXT.replace(plain, "2 3 | 2 | 2x"))
+    assert (e.value.line, e.value.column) == (_line_of(plain), 11)

@@ -1,5 +1,6 @@
 """Coverage verification against the naive oracle."""
 
+import itertools
 import random
 import sys
 import tracemalloc
@@ -103,6 +104,35 @@ def test_matches_oracle_randomized():
         assert_matches_oracle(d)
 
 
+MULTI = PartStructure((4, 3), (2, 1))
+MULTI_BLOCK = ((1, 2), (1,))
+# Each shares a sub-tuple with MULTI_BLOCK, so some count passes the copies.
+MULTI_OTHERS = (((1, 2), (2,)), ((1, 3), (1,)), ((3, 4), (3,)))
+
+
+@pytest.mark.parametrize("copies,lam", [
+    (c, lam) for c in (255, 256, 300) for lam in (1, 255, 256, 300, 301)
+] + [(0, 256), (0, 257), (0, 300)])
+def test_counts_hold_every_multiplicity(copies, lam):
+    """Counts are kept in the smallest type that holds the block count;
+    around 256 blocks a type one size too small, or a lambda cast to the
+    count type, would wrap."""
+    d = Design(MULTI, 2, (MULTI_BLOCK,) * copies + MULTI_OTHERS, lam)
+    assert_matches_oracle(d)
+    assert coverage_deficit(d, cap=3) == coverage_deficit(d)[:3]
+
+
+def test_slot_columns_enumerate_combinations():
+    slot_columns = sys.modules["gencov.verify"]._slot_columns
+    for k in range(1, 10):
+        for t in range(1, k + 1):
+            want = list(itertools.combinations(range(k), t))
+            cols = slot_columns(k, t)
+            assert len(cols) == t
+            for j, col in enumerate(cols):
+                assert col.tolist() == [c[j] for c in want], (k, t, j)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, None])
 def test_wide_gathers_match_oracle(chunk, monkeypatch):
     """Shapes the randomized corpus (t <= 2) never draws: pattern (4, 0)
@@ -140,7 +170,8 @@ def test_universe_guard_raises_before_allocating():
 
 def test_counter_memory_is_bounded():
     """The Hadamard 5th power's largest pattern, (0, 2), has C(1024, 2) =
-    523,776 tuples; one verify holds at most twice its count array."""
+    523,776 tuples; one verify peaks below a single int64 count array of
+    that size, since its 243 blocks are counted in one byte a tuple."""
     d = hadamard_base()
     for _ in range(4):
         d = product_hadamard(d, hadamard_base())
@@ -152,4 +183,4 @@ def test_counter_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert rep.valid and rep.checked_tuples == 802_011
-    assert peak < 2 * 8 * 523_776
+    assert peak < 8 * 523_776
