@@ -184,7 +184,9 @@ def upper_minimax(s: PartStructure, max_nodes: int = 10_000_000,
     the result before returning it.  If the search budget runs out the
     greedy incumbent is lifted instead (the bound stays valid, just not
     provably tight at the base); strict=True raises in that case, with
-    the fallback certificate attached to the exception.
+    the fallback certificate attached to the exception.  A timeout that
+    runs out before the base search's tables are built raises
+    BudgetExhausted with no certificate.
     """
     from .construct import construct_minimax, minimax_base_size
     from .search import certify_classical

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (and valid designs), 1 invalid design, 2 usage or
-parse errors, 3 search budget exhausted without proof.
+parse errors, 3 search budget exhausted without proof (or before the
+search tables were built).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from . import bounds as bounds_mod
 from . import construct as construct_mod
 from . import graphview, product, search
 from .core import PartStructure, from_covering_array, to_covering_array
-from .errors import GencovError, PlaceholdersPresent
+from .errors import BudgetExhausted, GencovError, PlaceholdersPresent
 from .io import emit_design, parse_design
 from .verify import verify
 
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BudgetExhausted as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     except GencovError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

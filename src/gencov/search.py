@@ -14,6 +14,21 @@ deadline taken when exact_min is entered.  The optimum, the certificate
 and the node count are deterministic; the wall-clock timeout is a safety
 valve and the one source of nondeterminism when it fires.
 
+Below the first block, a node skips every coverer of its branching tuple
+tau that lies in the orbit of an earlier sibling under H, the point
+permutations inside each part that fix every chosen block, every banned
+block and tau.  H is the product of the symmetric groups on the atoms:
+the classes of points that lie in exactly the same of those sets.  The
+atoms are point bitmasks refined one set at a time on the way down, and
+only those of two or more points are kept.  Two coverers are in one
+H-orbit iff they hold the same single-point atoms and meet every other
+atom in as many points.  A skipped coverer is still banned for the
+siblings after it.  This is sound by induction on the first sibling a
+cover holds: H maps the node's subtree onto itself, so every cover
+through a skipped child has an image of the same size through an earlier
+one.  Once every atom is a single point a node does no orbit work.
+Swapping parts of equal (v_i, k_i) is not used.
+
 Node bound: a node is pruned when the blocks still needed cannot beat
 the incumbent.  Three bounds count them, cheapest first: uncovered
 tuples over the most one block covers; per pattern, its uncovered tuples
@@ -33,15 +48,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
-from math import comb
+from itertools import accumulate, combinations, product
+from math import comb, prod
 
 from . import bounds
 from .core import Block, Design, PartStructure, admissible_patterns, admissible_tuples
-from .errors import CandidateSpaceTooLarge, StrengthTooLarge
+from .errors import BudgetExhausted, CandidateSpaceTooLarge, StrengthTooLarge
 
 CANDIDATE_CAP = 10 ** 6
 _TIME_CHECK_MASK = 0x3FF
+# Coverage tables of fewer coverer-list entries than this (about 0.1 s
+# of build) are always finished, whatever the deadline.
+_UNTIMED_ENTRIES = 1 << 20
 
 
 def _design(s: PartStructure, t: int, blocks) -> Design:
@@ -60,15 +78,23 @@ class SearchResult:
     status: str  # "proven" or "budget-exhausted"
 
 
-def _part_incidence(vi: int, ki: int, ti: int) -> tuple[list[int], list[list[int]]]:
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExhausted("timeout reached while building the coverage tables")
+
+
+def _part_incidence(vi: int, ki: int, ti: int, deadline: float | None = None,
+                    ) -> tuple[list[int], list[list[int]]]:
     """Containment between the k_i- and t_i-subsets of 1..v_i, both in lex
     order: for each k_i-subset the bitmask of the t_i-subsets inside it,
     and for each t_i-subset the ascending indices of the k_i-subsets
-    holding it."""
+    holding it.  The deadline is checked every 1,024 k_i-subsets."""
     rank = {sub: j for j, sub in enumerate(combinations(range(1, vi + 1), ti))}
     masks: list[int] = []
     holders: list[list[int]] = [[] for _ in rank]
     for a, big in enumerate(combinations(range(1, vi + 1), ki)):
+        if not a & _TIME_CHECK_MASK:
+            _check_deadline(deadline)
         mask = 0
         for sub in combinations(big, ti):
             j = rank[sub]
@@ -103,9 +129,16 @@ class _Tables:
     module docstring).  Its per-pattern masks and its point-degree slots,
     one (mask, cap) per part i, point x and pattern p with p_i >= 1, are
     built on the first call, so greedy_cover never builds them.
+
+    Past the deadline, if one is given, the build raises BudgetExhausted
+    with no certificate.  It checks between patterns, between parts,
+    between the coverer lists of two part subsets, and every 1,024
+    k_i-subsets of a part's incidence, unless the coverers lists hold
+    fewer than _UNTIMED_ENTRIES entries in all: a small table is always
+    built, so that a spent timeout still leaves greedy's cheap finish.
     """
 
-    def __init__(self, s: PartStructure, t: int):
+    def __init__(self, s: PartStructure, t: int, deadline: float | None = None):
         if s.block_count_possible() > CANDIDATE_CAP:
             raise CandidateSpaceTooLarge(
                 f"{s.block_count_possible()} candidate blocks exceed cap {CANDIDATE_CAP}"
@@ -125,7 +158,14 @@ class _Tables:
         self.covers: list[int] = [0] * len(self.cands)
         self.coverers: list[list[int]] = []
         incidence: dict[tuple[int, int, int], tuple[list[int], list[list[int]]]] = {}
-        for p in admissible_patterns(s, t):
+        patterns = admissible_patterns(s, t)
+        # Pattern p has prod_i C(v_i, p_i) tuples, each held by
+        # prod_i C(v_i - p_i, k_i - p_i) candidates.
+        entries = sum(prod(comb(vi, pi) * comb(vi - pi, ki - pi)
+                           for vi, ki, pi in zip(s.v, s.k, p)) for p in patterns)
+        if entries < _UNTIMED_ENTRIES:
+            deadline = None
+        for p in patterns:
             start = len(self.tuples)
             self.tuples.extend(admissible_tuples(s, p))
             cap = 1
@@ -141,17 +181,22 @@ class _Tables:
             masks, width = [1], 1
             holders, stride = [[ids[0]]], 1
             for i in reversed(range(s.m)):
+                _check_deadline(deadline)
                 key = (s.v[i], s.k[i], p[i])
                 if key not in incidence:
-                    incidence[key] = _part_incidence(*key)
+                    incidence[key] = _part_incidence(*key, deadline)
                 part_masks, part_holders = incidence[key]
                 spread = [_spread(x, width) for x in part_masks]
                 if i:
                     masks = [x * y for x in spread for y in masks]
                 width *= len(part_holders)
-                holders = [[ids[a * stride + c] for a in hs for c in rest]
-                           for hs in part_holders for rest in holders]
+                suffix, holders = holders, []
+                for hs in part_holders:
+                    _check_deadline(deadline)
+                    holders.extend([ids[a * stride + c] for a in hs for c in rest]
+                                   for rest in suffix)
                 stride *= len(pools[i])
+            _check_deadline(deadline)
             for ci, (x, y) in enumerate(product(spread, masks)):
                 self.covers[ci] |= x * y << start
             self.coverers.extend(holders)
@@ -194,6 +239,19 @@ class _Tables:
             out.append((ki, points))
         return out
 
+    @cached_property
+    def _point_masks(self) -> tuple[list[int], list[int]]:
+        """Each candidate and each tuple as one bitmask of points, the
+        parts side by side: point x of part i is bit v_1+...+v_{i-1}+x-1."""
+        shifts = list(accumulate(self.s.v, initial=-1))
+
+        def points(sets) -> int:
+            return sum(1 << (shift + x) for shift, part in zip(shifts, sets) for x in part)
+
+        pools = [[sum(c) for c in combinations([1 << (shift + x) for x in range(1, vi + 1)], ki)]
+                 for shift, vi, ki in zip(shifts, self.s.v, self.s.k)]
+        return [sum(c) for c in product(*pools)], [points(tup) for tup in self.tuples]
+
     def design_from(self, chosen: list[int]) -> Design:
         return _design(self.s, self.t, [self.cands[c] for c in chosen])
 
@@ -225,6 +283,23 @@ class _Tables:
                 if lb >= stop:
                     return lb
         return lb
+
+
+def _refine(atoms: list[int], points: int) -> list[int]:
+    """Split each atom, a point bitmask, into its points inside and
+    outside points, keeping only the pieces of two or more points."""
+    out = []
+    for a in atoms:
+        inside = a & points
+        if inside and inside != a:
+            outside = a ^ inside
+            if inside & (inside - 1):
+                out.append(inside)
+            if outside & (outside - 1):
+                out.append(outside)
+        else:
+            out.append(a)
+    return out
 
 
 def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
@@ -271,7 +346,9 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     exists.  Strength above the profile sum is infeasible and reported
     as optimum 0; status is proven unless a budget cut the search off.
     The timeout covers every phase, and at most max_nodes nodes are
-    searched."""
+    searched.  A timeout that runs out before the coverage tables are
+    built raises BudgetExhausted with no certificate, as there is no
+    design to return yet."""
     deadline = time.monotonic() + timeout
     if t < 0:
         raise StrengthTooLarge(f"strength must be nonnegative, got {t}")
@@ -280,7 +357,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     if t == 0:
         return SearchResult(0, Design(s, 0), 0, "proven")
 
-    tb = _Tables(s, t)
+    tb = _Tables(s, t, deadline)
     lower = bounds.lower_best(s, t).best_lower
     best = _greedy(tb, deadline)
     if len(best) == lower:
@@ -289,8 +366,10 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     nodes = 0
     stopped = False
     banned: set[int] = set()
+    cand_points, tuple_points = tb._point_masks
+    everything = (1 << s.v_sum) - 1
 
-    def dfs(chosen: list[int], uncovered: int) -> None:
+    def dfs(chosen: list[int], uncovered: int, atoms: list[int]) -> None:
         nonlocal best, nodes, stopped
         # The clock is read at the root too, so a deadline spent before
         # the search starts stops it at once.
@@ -310,17 +389,34 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
             return
         tau = (uncovered & -uncovered).bit_length() - 1
         opts = [c for c in tb.coverers[tau] if c not in banned]
+        if atoms:
+            atoms = _refine(atoms, tuple_points[tau])
+            single = everything ^ sum(atoms)
+            seen: set[tuple[int, ...]] = set()
+        refined = atoms
         for pos, c in enumerate(opts):
+            if atoms:
+                # Skip c if it is in the orbit of an earlier sibling; the
+                # children's atoms are refined by every sibling so far.
+                points = cand_points[c]
+                orbit = (points & single, *[(points & a).bit_count() for a in atoms])
+                refined = _refine(refined, points)
+                if orbit in seen:
+                    continue
+                seen.add(orbit)
             chosen.append(c)
             banned.update(opts[:pos])
-            dfs(chosen, uncovered & ~tb.covers[c])
+            dfs(chosen, uncovered & ~tb.covers[c], refined)
             banned.difference_update(opts[:pos])
             chosen.pop()
             if len(best) == lower or stopped:
                 return
 
     # Candidate 0 is the first block ((1..k_1), ..., (1..k_m)).
-    dfs([0], ((1 << tb.n_tuples) - 1) & ~tb.covers[0])
+    # The atoms start as the parts of two or more points.
+    parts = [((1 << vi) - 1) << (offset - vi)
+             for vi, offset in zip(s.v, accumulate(s.v)) if vi > 1]
+    dfs([0], ((1 << tb.n_tuples) - 1) & ~tb.covers[0], _refine(parts, cand_points[0]))
     status = "proven" if len(best) == lower or not stopped else "budget-exhausted"
     return SearchResult(len(best), tb.design_from(best), nodes, status)
 

@@ -168,6 +168,19 @@ def test_search_timeout_covers_the_whole_call(capsys):
     assert verify(parse_design(out)).valid
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--v", "10,10", "--k", "5,5", "--t", "3"],
+    ["construct", "--v", "18,18", "--k", "9,9"],  # base search on (18)/(9) t=2
+])
+def test_timeout_during_table_build_exits_three(argv, capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv, "--timeout", "0.1")
+    assert time.monotonic() - start < 0.5
+    assert code == 3
+    assert out == ""
+    assert "error:" in err
+
+
 def test_product_improved_and_prune(tmp_path, capsys):
     b = tmp_path / "b.gcd"
     c = tmp_path / "c.gcd"

@@ -2,13 +2,16 @@
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 
 import naive_oracle as oracle
 from fixture_designs import mixed_422
+import gencov.search as search_module
 from gencov import (
+    BudgetExhausted,
     CandidateSpaceTooLarge,
     PartStructure,
     StrengthTooLarge,
@@ -149,6 +152,124 @@ def test_timeout_covers_the_whole_call():
     assert r.status == "budget-exhausted"
     assert verify(r.design).valid
     assert len(r.design) == r.optimum
+
+
+def test_table_build_honours_the_timeout():
+    # the tables take about 0.6 s to build; the deadline stops them early
+    start = time.monotonic()
+    with pytest.raises(BudgetExhausted) as info:
+        exact_min(PartStructure((10, 10), (5, 5)), 3, timeout=0.1)
+    assert time.monotonic() - start < 0.5
+    assert info.value.certificate is None
+    start = time.monotonic()
+    with pytest.raises(BudgetExhausted):
+        certify_classical(18, 9, 3, timeout=0.1)
+    assert time.monotonic() - start < 0.5
+
+
+# Minima that the search proved before it pruned symmetric siblings:
+# (v, k, t, optimum).  Every one must stay proven at the same value.
+PINNED_OPTIMA = [
+    ((10,), (4,), 2, 9), ((11,), (5,), 2, 7), ((11,), (3,), 2, 19), ((9,), (4,), 2, 8),
+    ((7,), (4,), 3, 12), ((8,), (5,), 3, 8), ((9,), (6,), 3, 7), ((10,), (7,), 3, 6),
+    ((4, 4, 4), (2, 2, 2), 2, 6), ((6, 4), (3, 2), 2, 6), ((6, 6, 6), (3, 3, 3), 3, 20),
+    ((4, 2, 2), (2, 1, 1), 2, 6), ((2, 7), (1, 3), 2, 8), ((2, 2, 6), (1, 1, 3), 2, 6),
+    ((4, 5), (2, 3), 3, 12), ((2, 6), (1, 4), 3, 8), ((3, 6), (2, 4), 3, 8),
+    ((3, 7), (2, 5), 3, 7), ((2, 2, 5), (1, 1, 3), 3, 10), ((3, 3, 3), (2, 2, 2), 3, 7),
+    ((2, 2, 3, 3), (1, 1, 2, 2), 3, 8), ((2, 3, 5), (1, 2, 3), 3, 10),
+]
+
+
+@pytest.mark.parametrize("v, k, t, want", PINNED_OPTIMA)
+def test_pinned_optima(v, k, t, want):
+    r = exact_min(PartStructure(v, k), t)
+    assert (r.optimum, r.status) == (want, "proven")
+    assert len(r.design) == want
+    assert oracle.naive_valid(*oracle.as_raw(r.design))
+
+
+def test_orbit_pruning_node_count():
+    # C(10,4,2): 20,913 nodes while only the first block used symmetry
+    r = certify_classical(10, 4, 2)
+    assert (r.optimum, r.status) == (9, "proven")
+    assert r.nodes <= 2_000
+
+
+def _orbit_draw(rng):
+    """A small structure whose search meets symmetric siblings: a repeated
+    part, perhaps beside a small third one; unit parts beside one larger
+    part; or one part of at most 7 points."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        a = rng.randint(2, 4)
+        ka = rng.randint(1, a - 1)
+        v, k = [a, a], [ka, ka]
+        if rng.random() < 0.5:
+            b = rng.randint(1, 3)
+            v.append(b)
+            k.append(rng.randint(1, b))
+    elif kind == 1:
+        v = [rng.randint(2, 3) for _ in range(rng.randint(1, 2))]
+        k = [1] * len(v)
+        b = rng.randint(2, 5)
+        v.append(b)
+        k.append(rng.randint(1, b - 1))
+    else:
+        a = rng.randint(4, 7)
+        v, k = [a], [rng.randint(2, a - 1)]
+    return PartStructure(tuple(v), tuple(k))
+
+
+def test_orbit_pruning_matches_brute_force():
+    rng = random.Random(79)
+    drawn = set()
+    checked = 0
+    for _ in range(1_000):
+        s = _orbit_draw(rng)
+        t = rng.randint(2, min(3, s.k_sum))
+        if (s, t) in drawn:
+            continue
+        drawn.add((s, t))
+        if s.block_count_possible() > 20:
+            continue
+        r = exact_min(s, t)
+        # brute force tries every family of optimum - 1 candidates
+        if r.nodes == 0 or comb(s.block_count_possible(), r.optimum - 1) > 20_000:
+            continue
+        assert r.status == "proven"
+        assert oracle.brute_force_min(s.v, s.k, t, max_blocks=r.optimum) == r.optimum, (s, t)
+        assert oracle.naive_valid(*oracle.as_raw(r.design))
+        checked += 1
+    assert checked >= 6
+
+
+def _census_cases():
+    """Every multiset of parts (v_i, k_i) with 1 <= k_i < v_i, v_sum <= 10
+    and m <= 4, at t = 2 and 3."""
+    parts = [(v, k) for v in range(2, 11) for k in range(1, v)]
+    for m in range(1, 5):
+        for combo in combinations_with_replacement(parts, m):
+            v, k = zip(*combo)
+            if sum(v) <= 10:
+                for t in (2, 3):
+                    if t <= sum(k):
+                        yield PartStructure(v, k), t
+
+
+def test_orbit_pruning_keeps_optimum_and_status(monkeypatch):
+    """On a sample of census cases, the search finds the same optimum and
+    proves it whenever it does with no atoms, where no sibling is ever
+    skipped."""
+    draws = random.Random(83).sample(list(_census_cases()), 120)
+    pruned = [exact_min(s, t, max_nodes=5_000) for s, t in draws]
+    monkeypatch.setattr(search_module, "_refine", lambda atoms, points: [])
+    plain = [exact_min(s, t, max_nodes=5_000) for s, t in draws]
+    for (s, t), a, b in zip(draws, pruned, plain):
+        if b.status == "proven":
+            assert (a.optimum, a.status) == (b.optimum, "proven"), (s, t)
+        assert oracle.naive_valid(*oracle.as_raw(a.design))
+    assert sum(b.nodes > 0 for b in plain) >= 20
+    assert sum(a.nodes for a in pruned) < sum(b.nodes for b in plain)
 
 
 def test_degree_bound_certifies():
