@@ -8,6 +8,7 @@ search tables were built).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bounds as bounds_mod
@@ -171,7 +172,9 @@ def _add_output_arg(p: argparse.ArgumentParser) -> None:
                    help="write to FILE instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by later calls of main."""
     ap = argparse.ArgumentParser(prog="gencov",
                                  description="Generalized covering design toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -16,18 +16,23 @@ valve and the one source of nondeterminism when it fires.
 
 Below the first block, a node skips every coverer of its branching tuple
 tau that lies in the orbit of an earlier sibling under H, the point
-permutations inside each part that fix every chosen block, every banned
-block and tau.  H is the product of the symmetric groups on the atoms:
-the classes of points that lie in exactly the same of those sets.  The
-atoms are point bitmasks refined one set at a time on the way down, and
-only those of two or more points are kept.  Two coverers are in one
-H-orbit iff they hold the same single-point atoms and meet every other
-atom in as many points.  A skipped coverer is still banned for the
-siblings after it.  This is sound by induction on the first sibling a
-cover holds: H maps the node's subtree onto itself, so every cover
-through a skipped child has an image of the same size through an earlier
-one.  Once every atom is a single point a node does no orbit work.
-Swapping parts of equal (v_i, k_i) is not used.
+permutations inside each part that fix every chosen block.  H is the
+product of the symmetric groups on the atoms: the classes of points that
+lie in exactly the same chosen blocks.  The atoms are point bitmasks,
+refined by each chosen block on the way down, and only those of two or
+more points are kept.  Two coverers are in one H-orbit iff they hold the
+same single-point atoms and meet every other atom in as many points.  A
+skipped coverer is still banned for the siblings after it.  This is
+sound by induction on the depth-first order of search paths.  Take a
+minimum cover C whose path (at each node, the first unbanned coverer of
+tau in C) comes first, and suppose it passes through a skipped child
+c = h(c') with h in H and c' an earlier sibling.  h^-1(C) is a cover of
+the same size that holds every chosen block and c'.  It leaves the path
+of C no later than this node, either at an ancestor where it holds a
+block banned there, or here, towards c' or earlier, so its path, which
+ends at a cover no larger, comes first: a contradiction.  Once every
+atom is a single point a node does no orbit work.  Swapping parts of
+equal (v_i, k_i) is not used.
 
 Node bound: a node is pruned when the blocks still needed cannot beat
 the incumbent.  Three bounds count them, cheapest first: uncovered
@@ -106,13 +111,11 @@ def _part_incidence(vi: int, ki: int, ti: int, deadline: float | None = None,
 
 def _spread(x: int, width: int) -> int:
     """Move bit b of x to bit b * width, so that y * _spread(x, width) is
-    the Kronecker product of bitmasks x and y for any y below 2**width."""
-    out = 0
-    while x:
-        low = x & -x
-        out |= 1 << ((low.bit_length() - 1) * width)
-        x ^= low
-    return out
+    the Kronecker product of bitmasks x and y for any y below 2**width:
+    width - 1 zero digits go between the binary digits of x."""
+    if width == 1:
+        return x
+    return int(("0" * (width - 1)).join(format(x, "b")), 2)
 
 
 class _Tables:
@@ -240,17 +243,13 @@ class _Tables:
         return out
 
     @cached_property
-    def _point_masks(self) -> tuple[list[int], list[int]]:
-        """Each candidate and each tuple as one bitmask of points, the
-        parts side by side: point x of part i is bit v_1+...+v_{i-1}+x-1."""
-        shifts = list(accumulate(self.s.v, initial=-1))
-
-        def points(sets) -> int:
-            return sum(1 << (shift + x) for shift, part in zip(shifts, sets) for x in part)
-
+    def _point_masks(self) -> list[int]:
+        """Each candidate as one bitmask of points, the parts side by
+        side: point x of part i is bit v_1+...+v_{i-1}+x-1."""
+        shifts = accumulate(self.s.v, initial=-1)
         pools = [[sum(c) for c in combinations([1 << (shift + x) for x in range(1, vi + 1)], ki)]
                  for shift, vi, ki in zip(shifts, self.s.v, self.s.k)]
-        return [sum(c) for c in product(*pools)], [points(tup) for tup in self.tuples]
+        return [sum(c) for c in product(*pools)]
 
     def design_from(self, chosen: list[int]) -> Design:
         return _design(self.s, self.t, [self.cands[c] for c in chosen])
@@ -305,29 +304,39 @@ def _refine(atoms: list[int], points: int) -> list[int]:
 def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
     """greedy_cover's picks, as candidate indices of tb in pick order.
 
+    gains[c] is the number of uncovered tuples candidate c covers.  Each
+    pick takes the first candidate of the largest gain, then walks the
+    tuples it newly covers and takes one off the gain of each of their
+    coverers, so a pick costs the coverer entries of those tuples, not a
+    pass over every candidate (Chvátal 1979).
+
     The clock is read once per pick.  Past the deadline the cover is
     finished cheaply instead: of the coverers of the lowest uncovered
-    tuple, the one covering the most uncovered tuples (ties to the lowest
-    index), until none is left, so the result is always a valid design.
+    tuple, the one of the largest gain (ties to the lowest index), until
+    none is left, so the result is always a valid design.
     """
+    covers, coverers = tb.covers, tb.coverers
+    gains = [m.bit_count() for m in covers]
     uncovered = (1 << tb.n_tuples) - 1
     chosen: list[int] = []
+    cheap = False
     while uncovered:
-        if deadline is not None and time.monotonic() > deadline:
-            while uncovered:
-                ci = max(tb.coverers[(uncovered & -uncovered).bit_length() - 1],
-                         key=lambda c: (tb.covers[c] & uncovered).bit_count())
-                chosen.append(ci)
-                uncovered &= ~tb.covers[ci]
-            break
-        best_ci = -1
-        best_gain = 0
-        for ci, mask in enumerate(tb.covers):
-            gain = (mask & uncovered).bit_count()
-            if gain > best_gain:
-                best_ci, best_gain = ci, gain
-        chosen.append(best_ci)
-        uncovered &= ~tb.covers[best_ci]
+        if not cheap and deadline is not None and time.monotonic() > deadline:
+            cheap = True
+        if cheap:
+            ci = max(coverers[(uncovered & -uncovered).bit_length() - 1],
+                     key=gains.__getitem__)
+        else:
+            ci = gains.index(max(gains))
+        chosen.append(ci)
+        newly = covers[ci] & uncovered
+        uncovered ^= newly
+        bits = format(newly, "b")[::-1]
+        j = bits.find("1")
+        while j >= 0:
+            for c in coverers[j]:
+                gains[c] -= 1
+            j = bits.find("1", j + 1)
     return chosen
 
 
@@ -366,7 +375,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     nodes = 0
     stopped = False
     banned: set[int] = set()
-    cand_points, tuple_points = tb._point_masks
+    cand_points = tb._point_masks
     everything = (1 << s.v_sum) - 1
 
     def dfs(chosen: list[int], uncovered: int, atoms: list[int]) -> None:
@@ -390,23 +399,21 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
         tau = (uncovered & -uncovered).bit_length() - 1
         opts = [c for c in tb.coverers[tau] if c not in banned]
         if atoms:
-            atoms = _refine(atoms, tuple_points[tau])
             single = everything ^ sum(atoms)
             seen: set[tuple[int, ...]] = set()
-        refined = atoms
+        child = atoms
         for pos, c in enumerate(opts):
             if atoms:
-                # Skip c if it is in the orbit of an earlier sibling; the
-                # children's atoms are refined by every sibling so far.
+                # Skip c if it is in the orbit of an earlier sibling.
                 points = cand_points[c]
                 orbit = (points & single, *[(points & a).bit_count() for a in atoms])
-                refined = _refine(refined, points)
                 if orbit in seen:
                     continue
                 seen.add(orbit)
+                child = _refine(atoms, points)
             chosen.append(c)
             banned.update(opts[:pos])
-            dfs(chosen, uncovered & ~tb.covers[c], refined)
+            dfs(chosen, uncovered & ~tb.covers[c], child)
             banned.difference_update(opts[:pos])
             chosen.pop()
             if len(best) == lower or stopped:

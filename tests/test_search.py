@@ -189,10 +189,15 @@ def test_pinned_optima(v, k, t, want):
 
 
 def test_orbit_pruning_node_count():
-    # C(10,4,2): 20,913 nodes while only the first block used symmetry
+    # C(10,4,2) took 20,913 nodes with symmetry at the first block only,
+    # and 1,382 (C(11,5,2) 1,801) while the orbits also fixed the
+    # branching tuple and the banned blocks
     r = certify_classical(10, 4, 2)
     assert (r.optimum, r.status) == (9, "proven")
-    assert r.nodes <= 2_000
+    assert r.nodes <= 250
+    r = certify_classical(11, 5, 2)
+    assert (r.optimum, r.status) == (7, "proven")
+    assert r.nodes <= 700
 
 
 def _orbit_draw(rng):
@@ -335,7 +340,7 @@ def test_timeout_covers_greedy():
     # the cheap finish picks the best coverer of the lowest uncovered
     # tuple: 140 blocks against greedy's 142 (the first coverer gave 1,360)
     assert len(r.design) <= 2 * len(greedy_cover(s, 4))
-    # about 0.15 s of table build; greedy to the end took about 0.85 s more
+    # about 0.1 s of table build and 0.05 s of greedy to the end
     start = time.monotonic()
     r = exact_min(s, 4, timeout=0.1)
     assert time.monotonic() - start < 0.5
@@ -416,3 +421,30 @@ def test_greedy_cover_always_valid():
         assert verify(d).valid
         v, k, tt, blocks, lam = oracle.as_raw(d)
         assert oracle.naive_valid(v, k, tt, blocks, lam)
+
+
+def _rescan_greedy(tb, cheap):
+    """greedy's picks by a full rescan of every candidate per pick: the
+    first candidate covering the most uncovered tuples or, if cheap, the
+    first such coverer of the lowest uncovered tuple."""
+    uncovered = (1 << tb.n_tuples) - 1
+    chosen = []
+    while uncovered:
+        pool = (tb.coverers[(uncovered & -uncovered).bit_length() - 1] if cheap
+                else range(len(tb.cands)))
+        gain = {c: (tb.covers[c] & uncovered).bit_count() for c in pool}
+        ci = min(pool, key=lambda c: (-gain[c], c))
+        chosen.append(ci)
+        uncovered &= ~tb.covers[ci]
+    return chosen
+
+
+def test_greedy_picks_match_full_rescan():
+    rng = random.Random(97)
+    for _ in range(40):
+        s = random_structure(rng, v_sum_max=10, m_max=4)
+        t = rng.randint(1, min(4, s.k_sum))
+        tb = _Tables(s, t)
+        assert search_module._greedy(tb) == _rescan_greedy(tb, False), (s, t)
+        # a spent deadline runs the cheap finish from the first pick
+        assert search_module._greedy(tb, 0) == _rescan_greedy(tb, True), (s, t)
