@@ -1,10 +1,13 @@
 """Exact minimum block counts by branch and bound, plus the greedy cover.
 
 The searcher enumerates candidate blocks in lexicographic order and
-branches on the first uncovered tuple, with each child banning the
+branches on the first uncovered tuple tau, with each child banning the
 candidates tried before it so every block subset is visited at most
-once.  Only lambda = 1 is supported: a repeated block never helps a
-minimum cover, so plain subsets suffice.
+once.  The bans are a bitmask of candidates passed down the tree: a
+node's options are the coverers of tau, a bitmask, less its bans, and a
+child's bans are its parent's plus the options below its own block.
+Only lambda = 1 is supported: a repeated block never helps a minimum
+cover, so plain subsets suffice.
 
 Symmetry: permuting the points inside each part maps any block onto the
 first candidate ((1..k_1), ..., (1..k_m)), so some minimum cover holds
@@ -51,6 +54,7 @@ first two bounds, and after each part's degree bound.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, product
@@ -61,9 +65,14 @@ from .core import Block, Design, PartStructure, admissible_patterns, admissible_
 from .errors import BudgetExhausted, CandidateSpaceTooLarge, StrengthTooLarge
 
 CANDIDATE_CAP = 10 ** 6
-_TIME_CHECK_MASK = 0x3FF
-# Coverage tables of fewer coverer-list entries than this (about 0.1 s
-# of build) are always finished, whatever the deadline.
+# The search reads the clock every 64 nodes.
+_TIME_CHECK_MASK = 0x3F
+# Coverage tables of fewer (tuple, coverer) pairs than this are always
+# finished, whatever the deadline.  Of 25 random structures with 0.6 to 1
+# times as many pairs, 24 built in at most 0.1 s, median 0.02 s (Python
+# 3.11, 2-CPU VM); the build time follows the tables' bits, not the pairs,
+# and (24)/(6) t=5, whose 134,596 x 42,504 bit tables hold 807,576 pairs,
+# took 4 s.
 _UNTIMED_ENTRIES = 1 << 20
 
 
@@ -89,24 +98,42 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def _part_incidence(vi: int, ki: int, ti: int, deadline: float | None = None,
-                    ) -> tuple[list[int], list[list[int]]]:
+                    ) -> tuple[list[int], list[int]]:
     """Containment between the k_i- and t_i-subsets of 1..v_i, both in lex
     order: for each k_i-subset the bitmask of the t_i-subsets inside it,
-    and for each t_i-subset the ascending indices of the k_i-subsets
-    holding it.  The deadline is checked every 1,024 k_i-subsets."""
-    rank = {sub: j for j, sub in enumerate(combinations(range(1, vi + 1), ti))}
-    masks: list[int] = []
-    holders: list[list[int]] = [[] for _ in rank]
-    for a, big in enumerate(combinations(range(1, vi + 1), ki)):
-        if not a & _TIME_CHECK_MASK:
-            _check_deadline(deadline)
-        mask = 0
-        for sub in combinations(big, ti):
-            j = rank[sub]
-            mask |= 1 << j
-            holders[j].append(a)
-        masks.append(mask)
-    return masks, holders
+    and for each t_i-subset the bitmask of the k_i-subsets holding it.
+
+    Lex order lists the subsets that hold point 1 first, so splitting on
+    point 1 gives both tables of v points from three tables of v - 1:
+    masks(v,k,t) is m(v-1,k-1,t-1) | m(v-1,k-1,t) << C(v-1,t-1) followed
+    by m(v-1,k,t) << C(v-1,t-1), and holders(v,k,t) is h(v-1,k-1,t-1)
+    followed by h(v-1,k-1,t) | h(v-1,k,t) << C(v-1,k-1).  The tables are
+    built one size v at a time, keeping only the previous size and only
+    the (k, t) that (ki, ti) at v_i needs; a missing (k, t) has t > k or
+    k > v and holds no containment.  The deadline is checked once per
+    size."""
+    level: dict[tuple[int, int], tuple[list[int], list[int]]] = {(0, 0): ([1], [1])}
+    for v in range(1, vi + 1):
+        _check_deadline(deadline)
+        prev, level, n = level, {}, v - 1
+
+        def get(k: int, t: int) -> tuple[list[int], list[int]]:
+            got = prev.get((k, t))
+            if got is None:
+                got = ([0] * comb(n, k) if k >= 0 else [], [0] * comb(n, t) if t >= 0 else [])
+            return got
+
+        # From (ki, ti) at vi the split reaches only k <= ki and t <= ti with
+        # v - k <= vi - ki and k - t <= ki - ti.
+        for k in range(max(0, v - vi + ki), min(ki, v) + 1):
+            for t in range(max(0, ti - vi + v, k - ki + ti), min(ti, k) + 1):
+                (m1, h1), (m0, h0), (mk, hk) = get(k - 1, t - 1), get(k - 1, t), get(k, t)
+                tshift = comb(n, t - 1) if t else 0
+                kshift = comb(n, k - 1) if k else 0
+                masks = [x | y << tshift for x, y in zip(m1, m0)]
+                masks += [y << tshift for y in mk]
+                level[k, t] = (masks, h1 + [x | y << kshift for x, y in zip(h0, hk)])
+    return level[ki, ti]
 
 
 def _spread(x: int, width: int) -> int:
@@ -118,15 +145,35 @@ def _spread(x: int, width: int) -> int:
     return int(("0" * (width - 1)).join(format(x, "b")), 2)
 
 
+def _kron(xs: list[int], ys: list[int], width: int) -> list[int]:
+    """The Kronecker products of each x in xs with each y in ys, x major,
+    for ys below 2**width: bit a * width + b of x (x) y is bit a of x and
+    bit b of y.  For ys == [1] that is xs, which is returned as it is, not
+    copied."""
+    if ys == [1]:
+        return xs
+    return [x * y for x in [_spread(x, width) for x in xs] for y in ys]
+
+
 class _Tables:
     """Candidate blocks, the tuple universe, and coverage bitmasks.
 
     A candidate is a product of per-part lex k_i-subsets and a tuple of
     pattern p a product of per-part lex t_i-subsets, both indexed in
     mixed radix with the last part fastest.  A candidate covers a tuple
-    iff each part's k_i-subset holds its t_i-subset, so a pattern's cover
-    masks are Kronecker products of per-part incidence masks, and a
-    tuple's coverers are the mixed-radix products of per-part holders.
+    iff each part's k_i-subset holds its t_i-subset.  covers[c] is the
+    bitmask of the tuples candidate c covers, and coverers[j], its
+    transpose, the bitmask of the candidates that hold tuple j.  Per
+    pattern both are Kronecker products of per-part incidence masks
+    (_part_incidence), each spread by the suffix width (_spread).
+
+    The two tables are n_cands x n_tuples bit matrices, so each takes
+    n_cands * n_tuples / 8 bytes whatever its density.  Lists of the
+    coverers' indices were smaller only where a tuple lies in under
+    1/64 of the candidates.
+
+    Every block covers the same number of tuples, maxcov, the sum over
+    the patterns of prod_i C(k_i, p_i).
 
     remaining_lb bounds the blocks a search node still needs (see the
     module docstring).  Its per-pattern masks and its point-degree slots,
@@ -134,11 +181,11 @@ class _Tables:
     built on the first call, so greedy_cover never builds them.
 
     Past the deadline, if one is given, the build raises BudgetExhausted
-    with no certificate.  It checks between patterns, between parts,
-    between the coverer lists of two part subsets, and every 1,024
-    k_i-subsets of a part's incidence, unless the coverers lists hold
-    fewer than _UNTIMED_ENTRIES entries in all: a small table is always
-    built, so that a spent timeout still leaves greedy's cheap finish.
+    with no certificate.  It checks before and after each pattern's
+    tables, before each part, and once per size of a part's incidence,
+    unless the tables hold fewer than _UNTIMED_ENTRIES (tuple, coverer)
+    pairs in all: a small table is always built, so that a spent timeout
+    still leaves greedy's cheap finish.
     """
 
     def __init__(self, s: PartStructure, t: int, deadline: float | None = None):
@@ -150,8 +197,6 @@ class _Tables:
         self.t = t
         pools = [list(combinations(range(1, vi + 1), ki)) for vi, ki in zip(s.v, s.k)]
         self.cands: list[Block] = list(product(*pools))
-        # One int object per candidate, shared by every coverers list.
-        ids = list(range(len(self.cands)))
 
         # Tuple universe in global order: patterns descending, tuples
         # ascending within each pattern.  spans holds (start, end, cap)
@@ -159,8 +204,8 @@ class _Tables:
         self.tuples: list[tuple[tuple[int, ...], ...]] = []
         self.spans: list[tuple[int, int, int]] = []
         self.covers: list[int] = [0] * len(self.cands)
-        self.coverers: list[list[int]] = []
-        incidence: dict[tuple[int, int, int], tuple[list[int], list[list[int]]]] = {}
+        self.coverers: list[int] = []
+        incidence: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
         patterns = admissible_patterns(s, t)
         # Pattern p has prod_i C(v_i, p_i) tuples, each held by
         # prod_i C(v_i - p_i, k_i - p_i) candidates.
@@ -169,42 +214,33 @@ class _Tables:
         if entries < _UNTIMED_ENTRIES:
             deadline = None
         for p in patterns:
+            _check_deadline(deadline)
             start = len(self.tuples)
             self.tuples.extend(admissible_tuples(s, p))
-            cap = 1
-            for ki, tti in zip(s.k, p):
-                cap *= comb(ki, tti)
+            cap = prod(comb(ki, pi) for ki, pi in zip(s.k, p))
             self.spans.append((start, len(self.tuples), cap))
 
             # Build both tables from the last part to the first: masks[c]
             # is the pattern's cover mask of suffix candidate c, width
-            # bits wide; holders[j] lists the suffix candidates covering
-            # suffix tuple j, as offsets below stride.  The first part's
-            # masks go straight into covers.
+            # bits wide, and holders[j] the mask of the suffix candidates
+            # holding suffix tuple j, stride bits wide.
             masks, width = [1], 1
-            holders, stride = [[ids[0]]], 1
+            holders, stride = [1], 1
             for i in reversed(range(s.m)):
                 _check_deadline(deadline)
                 key = (s.v[i], s.k[i], p[i])
                 if key not in incidence:
                     incidence[key] = _part_incidence(*key, deadline)
                 part_masks, part_holders = incidence[key]
-                spread = [_spread(x, width) for x in part_masks]
-                if i:
-                    masks = [x * y for x in spread for y in masks]
+                masks = _kron(part_masks, masks, width)
+                holders = _kron(part_holders, holders, stride)
                 width *= len(part_holders)
-                suffix, holders = holders, []
-                for hs in part_holders:
-                    _check_deadline(deadline)
-                    holders.extend([ids[a * stride + c] for a in hs for c in rest]
-                                   for rest in suffix)
-                stride *= len(pools[i])
-            _check_deadline(deadline)
-            for ci, (x, y) in enumerate(product(spread, masks)):
-                self.covers[ci] |= x * y << start
+                stride *= len(part_masks)
+            self.covers = [c | x << start for c, x in zip(self.covers, masks)] if start else masks
             self.coverers.extend(holders)
+            _check_deadline(deadline)
         self.n_tuples = len(self.tuples)
-        self.maxcov = max((m.bit_count() for m in self.covers), default=0)
+        self.maxcov = sum(cap for _, _, cap in self.spans)
 
     @cached_property
     def _span_masks(self) -> list[tuple[int, int]]:
@@ -301,42 +337,61 @@ def _refine(atoms: list[int], points: int) -> list[int]:
     return out
 
 
+def _ones(x: int) -> Iterator[int]:
+    """The positions of the set bits of x, ascending, by one string scan
+    instead of a big-int operation per bit."""
+    bits = format(x, "b")[::-1]
+    j = bits.find("1")
+    while j >= 0:
+        yield j
+        j = bits.find("1", j + 1)
+
+
 def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
     """greedy_cover's picks, as candidate indices of tb in pick order.
 
-    gains[c] is the number of uncovered tuples candidate c covers.  Each
-    pick takes the first candidate of the largest gain, then walks the
-    tuples it newly covers and takes one off the gain of each of their
-    coverers, so a pick costs the coverer entries of those tuples, not a
-    pass over every candidate (Chvátal 1979).
+    Each candidate's gain, the number of uncovered tuples it covers, is
+    kept bit-sliced: bit c of slices[b] is bit b of candidate c's gain.
+    Every gain starts at tb.maxcov.  A pick ANDs down the slices from the
+    top, keeping the candidates whose gain has each bit set whenever any
+    has, and takes the lowest of the largest gain.  For each tuple it
+    newly covers, coverers[j] is subtracted from every gain at once with
+    a ripple borrow, so a pick costs a few big-int operations per newly
+    covered tuple (Chvátal's exact-gain update, 1979).
 
     The clock is read once per pick.  Past the deadline the cover is
-    finished cheaply instead: of the coverers of the lowest uncovered
-    tuple, the one of the largest gain (ties to the lowest index), until
-    none is left, so the result is always a valid design.
+    finished cheaply instead: the pick starts from the coverers of the
+    lowest uncovered tuple, not from every candidate, so it takes the one
+    of the largest gain (ties to the lowest index), until none is left,
+    and the result is always a valid design.
     """
     covers, coverers = tb.covers, tb.coverers
-    gains = [m.bit_count() for m in covers]
+    everyone = (1 << len(covers)) - 1
+    slices = [everyone if tb.maxcov >> b & 1 else 0 for b in range(tb.maxcov.bit_length())]
     uncovered = (1 << tb.n_tuples) - 1
     chosen: list[int] = []
     cheap = False
     while uncovered:
         if not cheap and deadline is not None and time.monotonic() > deadline:
             cheap = True
-        if cheap:
-            ci = max(coverers[(uncovered & -uncovered).bit_length() - 1],
-                     key=gains.__getitem__)
-        else:
-            ci = gains.index(max(gains))
+        pool = coverers[(uncovered & -uncovered).bit_length() - 1] if cheap else everyone
+        for bit in reversed(slices):
+            best = pool & bit
+            if best:
+                pool = best
+        ci = (pool & -pool).bit_length() - 1
         chosen.append(ci)
         newly = covers[ci] & uncovered
         uncovered ^= newly
-        bits = format(newly, "b")[::-1]
-        j = bits.find("1")
-        while j >= 0:
-            for c in coverers[j]:
-                gains[c] -= 1
-            j = bits.find("1", j + 1)
+        for j in _ones(newly):
+            borrow = coverers[j]
+            for b, bit in enumerate(slices):
+                bit ^= borrow
+                slices[b] = bit
+                # A candidate borrows on from bit b iff that bit was 0.
+                borrow &= bit
+                if not borrow:
+                    break
     return chosen
 
 
@@ -374,11 +429,10 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
 
     nodes = 0
     stopped = False
-    banned: set[int] = set()
     cand_points = tb._point_masks
     everything = (1 << s.v_sum) - 1
 
-    def dfs(chosen: list[int], uncovered: int, atoms: list[int]) -> None:
+    def dfs(chosen: list[int], uncovered: int, banned: int, atoms: list[int]) -> None:
         nonlocal best, nodes, stopped
         # The clock is read at the root too, so a deadline spent before
         # the search starts stops it at once.
@@ -397,12 +451,12 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
         if tb.remaining_lb(uncovered, stop) >= stop:
             return
         tau = (uncovered & -uncovered).bit_length() - 1
-        opts = [c for c in tb.coverers[tau] if c not in banned]
+        opts = tb.coverers[tau] & ~banned
         if atoms:
             single = everything ^ sum(atoms)
             seen: set[tuple[int, ...]] = set()
         child = atoms
-        for pos, c in enumerate(opts):
+        for c in _ones(opts):
             if atoms:
                 # Skip c if it is in the orbit of an earlier sibling.
                 points = cand_points[c]
@@ -411,10 +465,9 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
                     continue
                 seen.add(orbit)
                 child = _refine(atoms, points)
+            # The child bans every earlier sibling, skipped ones too.
             chosen.append(c)
-            banned.update(opts[:pos])
-            dfs(chosen, uncovered & ~tb.covers[c], child)
-            banned.difference_update(opts[:pos])
+            dfs(chosen, uncovered & ~tb.covers[c], banned | opts & ((1 << c) - 1), child)
             chosen.pop()
             if len(best) == lower or stopped:
                 return
@@ -423,7 +476,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     # The atoms start as the parts of two or more points.
     parts = [((1 << vi) - 1) << (offset - vi)
              for vi, offset in zip(s.v, accumulate(s.v)) if vi > 1]
-    dfs([0], ((1 << tb.n_tuples) - 1) & ~tb.covers[0], _refine(parts, cand_points[0]))
+    dfs([0], ((1 << tb.n_tuples) - 1) & ~tb.covers[0], 0, _refine(parts, cand_points[0]))
     status = "proven" if len(best) == lower or not stopped else "budget-exhausted"
     return SearchResult(len(best), tb.design_from(best), nodes, status)
 

@@ -169,12 +169,14 @@ def test_search_timeout_covers_the_whole_call(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["search", "--v", "10,10", "--k", "5,5", "--t", "3"],
-    ["construct", "--v", "18,18", "--k", "9,9"],  # base search on (18)/(9) t=2
+    # the tables of (10,10)/(5,5) t=3 build in about 0.13 s
+    ["search", "--v", "10,10", "--k", "5,5", "--t", "3", "--timeout", "0.05"],
+    # base search on (18)/(9) t=2, whose tables build in about 0.05 s
+    ["construct", "--v", "18,18", "--k", "9,9", "--timeout", "0.01"],
 ])
 def test_timeout_during_table_build_exits_three(argv, capsys):
     start = time.monotonic()
-    code, out, err = run(capsys, *argv, "--timeout", "0.1")
+    code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 0.5
     assert code == 3
     assert out == ""

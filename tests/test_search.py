@@ -1,5 +1,7 @@
 """Exact branch-and-bound minima and the greedy incumbent."""
 
+import contextlib
+import hashlib
 import random
 import time
 from itertools import combinations, combinations_with_replacement
@@ -16,13 +18,14 @@ from gencov import (
     PartStructure,
     StrengthTooLarge,
     certify_classical,
+    emit_design,
     exact_min,
     greedy_cover,
     lower_best,
     lower_t1,
     verify,
 )
-from gencov.search import _Tables
+from gencov.search import _Tables, _part_incidence
 from util_random import random_structure
 
 
@@ -155,16 +158,27 @@ def test_timeout_covers_the_whole_call():
 
 
 def test_table_build_honours_the_timeout():
-    # the tables take about 0.6 s to build; the deadline stops them early
+    # the tables of (10,10)/(5,5) t=3 take about 0.13 s to build, and those
+    # of (18)/(9) t=3 about 0.07 s; the deadline stops them early
     start = time.monotonic()
     with pytest.raises(BudgetExhausted) as info:
-        exact_min(PartStructure((10, 10), (5, 5)), 3, timeout=0.1)
+        exact_min(PartStructure((10, 10), (5, 5)), 3, timeout=0.05)
     assert time.monotonic() - start < 0.5
     assert info.value.certificate is None
     start = time.monotonic()
     with pytest.raises(BudgetExhausted):
-        certify_classical(18, 9, 3, timeout=0.1)
+        certify_classical(18, 9, 3, timeout=0.01)
     assert time.monotonic() - start < 0.5
+
+
+def test_search_reads_the_clock_often():
+    # (18)/(9) t=2 builds and runs greedy in about 0.06 s, then searches
+    # 1,621 nodes of about 0.12 ms each; reading the clock every 1,024
+    # nodes returned after 0.13-0.18 s, every 64 nodes after 0.10-0.11 s
+    start = time.monotonic()
+    with contextlib.suppress(BudgetExhausted):  # a slow host may not finish the build
+        exact_min(PartStructure((18,), (9,)), 2, timeout=0.1)
+    assert time.monotonic() - start < 0.1 + 0.05
 
 
 # Minima that the search proved before it pruned symmetric siblings:
@@ -354,8 +368,8 @@ def test_timeout_covers_greedy():
     ((2, 4, 3), (1, 2, 2)),
 ])
 def test_coverage_tables_match_containment(v, k):
-    """Bit j of covers[ci] is set, and ci is listed in coverers[j] in
-    ascending order, exactly when candidate ci contains tuple j."""
+    """Bit j of covers[ci] and bit ci of coverers[j] are set exactly when
+    candidate ci contains tuple j."""
     s = PartStructure(v, k)
     cands = oracle.all_blocks(v, k)
     for t in range(1, s.k_sum + 1):
@@ -366,15 +380,30 @@ def test_coverage_tables_match_containment(v, k):
         assert len(tb.tuples) == tb.n_tuples == len(universe)
         assert set(tb.tuples) == universe
         covers = [0] * len(cands)
-        coverers = [[] for _ in tb.tuples]
+        coverers = [0] * len(tb.tuples)
         for j, tup in enumerate(tb.tuples):
             for ci, cand in enumerate(cands):
                 if oracle.tuple_covered(tup, cand):
                     covers[ci] |= 1 << j
-                    coverers[j].append(ci)
+                    coverers[j] |= 1 << ci
         assert tb.covers == covers, (s, t)
         assert tb.coverers == coverers, (s, t)
         assert tb.maxcov == max(c.bit_count() for c in covers)
+
+
+def test_part_incidence_matches_containment():
+    """For every 0 <= t <= k <= v <= 9: bit j of masks[a] and bit a of
+    holders[j] are set exactly when lex k-subset a holds lex t-subset j."""
+    for v in range(10):
+        points = range(1, v + 1)
+        for k in range(v + 1):
+            bigs = [set(c) for c in combinations(points, k)]
+            for t in range(k + 1):
+                subs = [set(c) for c in combinations(points, t)]
+                masks = [sum(1 << j for j, sub in enumerate(subs) if sub <= big) for big in bigs]
+                holders = [sum(1 << a for a, big in enumerate(bigs) if sub <= big)
+                           for sub in subs]
+                assert _part_incidence(v, k, t) == (masks, holders), (v, k, t)
 
 
 @pytest.mark.parametrize("v, k", [((6,), (3,)), ((3, 2, 3), (1, 1, 1)), ((2, 4, 3), (1, 2, 2))])
@@ -412,6 +441,25 @@ def test_search_designs_share_blocks():
     assert all(x is y for x, y in zip(r1.design.blocks, r2.design.blocks))
 
 
+# greedy_cover on the structures of the cover-greedy benchmark, pinned
+# as (block count, first 16 hex digits of the SHA-256 of emit_design).
+GREEDY_PINNED = [
+    ((8, 6), (4, 3), 4, 84, "23346834a4052dac"),
+    ((5, 5, 5), (2, 2, 2), 3, 39, "2d6a0a57796a7397"),
+    ((6, 6, 6), (2, 2, 2), 2, 21, "68e6fe7efa68d909"),
+    ((4, 4, 4, 4, 4), (1, 1, 1, 1, 1), 2, 16, "e8863513e2022db4"),
+    ((12,), (6,), 3, 15, "e8e4c14f5b2a0549"),
+    ((1, 3, 5, 5), (1, 1, 2, 2), 4, 108, "45f902009f0f163f"),
+]
+
+
+@pytest.mark.parametrize("v, k, t, count, digest", GREEDY_PINNED)
+def test_greedy_cover_pinned(v, k, t, count, digest):
+    d = greedy_cover(PartStructure(v, k), t)
+    assert len(d) == count
+    assert hashlib.sha256(emit_design(d).encode()).hexdigest()[:16] == digest
+
+
 def test_greedy_cover_always_valid():
     rng = random.Random(59)
     for _ in range(30):
@@ -430,8 +478,8 @@ def _rescan_greedy(tb, cheap):
     uncovered = (1 << tb.n_tuples) - 1
     chosen = []
     while uncovered:
-        pool = (tb.coverers[(uncovered & -uncovered).bit_length() - 1] if cheap
-                else range(len(tb.cands)))
+        lowest = (uncovered & -uncovered).bit_length() - 1
+        pool = [c for c in range(len(tb.cands)) if not cheap or tb.coverers[lowest] >> c & 1]
         gain = {c: (tb.covers[c] & uncovered).bit_count() for c in pool}
         ci = min(pool, key=lambda c: (-gain[c], c))
         chosen.append(ci)
