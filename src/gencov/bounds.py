@@ -1,10 +1,15 @@
 """Lower bounds on block counts and certified upper bounds.
 
-Lower rules come in two flavors: formula bounds evaluated directly, and
-the strength-monotone closure (a strength-t design is also a
-strength-(t-1) design, so bounds propagate upward).  Every upper bound is
-witnessed by an explicitly stored design that has passed verification;
-values are never quoted from external tables.
+Every lower rule is a formula evaluated directly.  The generalized
+Schönheim recursion dominates all the others, so it alone decides
+best_lower; the rest are reported for reference.  It is nondecreasing in
+t, because L(v-e_i, k-e_i, 1) >= 1, so no rule at a lower strength
+exceeds it either, and in the parts it ranges over.
+t1, restriction_single and nested_ceiling each follow one chain of its
+recursion, and both edge rules are mediants of the counting ratios of
+such chains.  Every upper bound is witnessed by an explicitly stored
+design that has passed verification; values are never quoted from
+external tables.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .errors import (
 )
 from .verify import verify
 
-RESTRICTION_SUBSET_CAP = 3
 EXHAUSTIVE_CERT_CAP = 4096
 
 
@@ -132,44 +136,23 @@ def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> in
     return memo[parts, t]
 
 
-def _restriction_subset_rule(s: PartStructure, max_subset: int) -> int:
-    """Best base-rule lower bound over restrictions to small part subsets."""
-    best = 0
-    for size in range(1, min(max_subset, s.m) + 1):
-        for idx in combinations(range(s.m), size):
-            kI = tuple(s.k[i] for i in idx)
-            if kI == (1,):
-                continue
-            sub = PartStructure(tuple(s.v[i] for i in idx), kI)
-            best = max(best, lower_best(sub, 2).best_lower)
-    return best
+def lower_best(s: PartStructure, t: int) -> BoundReport:
+    """Every lower rule that applies at strength t.
 
-
-def lower_best(s: PartStructure, t: int,
-               all_restrictions: bool = False,
-               max_subset: int = RESTRICTION_SUBSET_CAP) -> BoundReport:
-    """Every applicable lower rule plus the strength-monotone closure.
-
-    Strength above the profile sum is impossible and reported as
-    infeasible with value 0.  all_restrictions additionally maximizes
-    over part subsets up to max_subset (exponential, so capped).
+    best_lower is the schonheim entry, which no other rule exceeds (see
+    the module docstring).  Strength above the profile sum is impossible
+    and reported as infeasible with value 0.
     """
     if t > s.k_sum:
         return BoundReport(lower={}, infeasible=True)
     if t == 0:
         return BoundReport(lower={})
     rules: dict[str, int] = {"t1": lower_t1(s), "schonheim": lower_schonheim(s, t)}
-    if t >= 2:
-        rules["monotone"] = lower_best(s, t - 1,
-                                       all_restrictions=all_restrictions,
-                                       max_subset=max_subset).best_lower
     if t == 2:
         rules["edges_clique"] = lower_edges_clique(s)
         if s.m >= 2:
             rules["edges_multipartite"] = lower_edges_multipartite(s)
         rules["restriction_single"] = lower_restriction_single(s)
-        if all_restrictions:
-            rules["restriction_subsets"] = _restriction_subset_rule(s, max_subset)
     if 1 <= t <= s.m:
         rules["nested_ceiling"] = lower_nested_ceiling(s, t)
     return BoundReport(lower=rules)
@@ -226,11 +209,9 @@ def _exhaustive_upper(s: PartStructure, t: int) -> tuple[int, Design] | None:
     return len(blocks), d
 
 
-def bound_report(s: PartStructure, t: int,
-                 all_restrictions: bool = False,
-                 max_subset: int = RESTRICTION_SUBSET_CAP) -> BoundReport:
+def bound_report(s: PartStructure, t: int) -> BoundReport:
     """Lower rules plus whatever certified uppers apply at this strength."""
-    base = lower_best(s, t, all_restrictions=all_restrictions, max_subset=max_subset)
+    base = lower_best(s, t)
     if base.infeasible:
         return base
     upper: dict[str, tuple[int, Design]] = {}

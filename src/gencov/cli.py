@@ -65,8 +65,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     s = PartStructure(args.v, args.k)
-    report = bounds_mod.bound_report(s, args.t, all_restrictions=args.all_restrictions,
-                                     max_subset=args.max_subset)
+    report = bounds_mod.bound_report(s, args.t)
     rows = [("lower." + name, str(val)) for name, val in sorted(report.lower.items())]
     rows += [("upper." + name, str(val)) for name, (val, _) in sorted(report.upper.items())]
     for name, val in rows:
@@ -189,8 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="lower and certified upper bounds")
     _add_structure_args(p)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--all-restrictions", action="store_true")
-    p.add_argument("--max-subset", type=int, default=bounds_mod.RESTRICTION_SUBSET_CAP)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("construct", help="lift a classical cover onto every part")

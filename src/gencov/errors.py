@@ -136,7 +136,7 @@ class UniverseTooLarge(GencovError):
 # ---- search ----
 
 class CandidateSpaceTooLarge(GencovError):
-    """The candidate block space exceeds the enumeration guard."""
+    """The candidate block space or its coverage tables exceed a size cap."""
 
 
 # ---- file format ----

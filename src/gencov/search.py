@@ -61,10 +61,13 @@ from itertools import accumulate, combinations, product
 from math import comb, prod
 
 from . import bounds
-from .core import Block, Design, PartStructure, admissible_patterns, admissible_tuples
+from .core import Block, Design, PartStructure, admissible_patterns, pattern_tuple_count
 from .errors import BudgetExhausted, CandidateSpaceTooLarge, StrengthTooLarge
 
 CANDIDATE_CAP = 10 ** 6
+# covers and coverers are dense n_cands x n_tuples bit matrices; tables of
+# more bits than this are refused before any is allocated.
+TABLE_BITS_CAP = 1 << 30
 # The search reads the clock every 64 nodes.
 _TIME_CHECK_MASK = 0x3F
 # Coverage tables of fewer (tuple, coverer) pairs than this are always
@@ -168,9 +171,10 @@ class _Tables:
     (_part_incidence), each spread by the suffix width (_spread).
 
     The two tables are n_cands x n_tuples bit matrices, so each takes
-    n_cands * n_tuples / 8 bytes whatever its density.  Lists of the
-    coverers' indices were smaller only where a tuple lies in under
-    1/64 of the candidates.
+    n_cands * n_tuples / 8 bytes whatever its density, and more than
+    TABLE_BITS_CAP bits raise CandidateSpaceTooLarge before either is
+    built.  Lists of the coverers' indices were smaller only where a
+    tuple lies in under 1/64 of the candidates.
 
     Every block covers the same number of tuples, maxcov, the sum over
     the patterns of prod_i C(k_i, p_i).
@@ -189,9 +193,15 @@ class _Tables:
     """
 
     def __init__(self, s: PartStructure, t: int, deadline: float | None = None):
-        if s.block_count_possible() > CANDIDATE_CAP:
+        n_cands = s.block_count_possible()
+        if n_cands > CANDIDATE_CAP:
+            raise CandidateSpaceTooLarge(f"{n_cands} candidate blocks exceed cap {CANDIDATE_CAP}")
+        patterns = admissible_patterns(s, t)
+        sizes = [pattern_tuple_count(s, p) for p in patterns]
+        bits = n_cands * sum(sizes)
+        if bits > TABLE_BITS_CAP:
             raise CandidateSpaceTooLarge(
-                f"{s.block_count_possible()} candidate blocks exceed cap {CANDIDATE_CAP}"
+                f"coverage tables of {bits} bits exceed cap {TABLE_BITS_CAP}"
             )
         self.s = s
         self.t = t
@@ -199,26 +209,24 @@ class _Tables:
         self.cands: list[Block] = list(product(*pools))
 
         # Tuple universe in global order: patterns descending, tuples
-        # ascending within each pattern.  spans holds (start, end, cap)
-        # with cap the most tuples of that pattern one block can cover.
-        self.tuples: list[tuple[tuple[int, ...], ...]] = []
+        # ascending within each pattern, as admissible_tuples lists them.
+        # spans holds (start, end, cap) with cap the most tuples of that
+        # pattern one block can cover.
         self.spans: list[tuple[int, int, int]] = []
         self.covers: list[int] = [0] * len(self.cands)
         self.coverers: list[int] = []
         incidence: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
-        patterns = admissible_patterns(s, t)
-        # Pattern p has prod_i C(v_i, p_i) tuples, each held by
-        # prod_i C(v_i - p_i, k_i - p_i) candidates.
+        # Each tuple of pattern p is held by prod_i C(v_i - p_i, k_i - p_i)
+        # candidates.
         entries = sum(prod(comb(vi, pi) * comb(vi - pi, ki - pi)
                            for vi, ki, pi in zip(s.v, s.k, p)) for p in patterns)
         if entries < _UNTIMED_ENTRIES:
             deadline = None
-        for p in patterns:
+        start = 0
+        for p, size in zip(patterns, sizes):
             _check_deadline(deadline)
-            start = len(self.tuples)
-            self.tuples.extend(admissible_tuples(s, p))
             cap = prod(comb(ki, pi) for ki, pi in zip(s.k, p))
-            self.spans.append((start, len(self.tuples), cap))
+            self.spans.append((start, start + size, cap))
 
             # Build both tables from the last part to the first: masks[c]
             # is the pattern's cover mask of suffix candidate c, width
@@ -238,8 +246,9 @@ class _Tables:
                 stride *= len(part_masks)
             self.covers = [c | x << start for c, x in zip(self.covers, masks)] if start else masks
             self.coverers.extend(holders)
+            start += size
             _check_deadline(deadline)
-        self.n_tuples = len(self.tuples)
+        self.n_tuples = start
         self.maxcov = sum(cap for _, _, cap in self.spans)
 
     @cached_property
@@ -422,7 +431,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
         return SearchResult(0, Design(s, 0), 0, "proven")
 
     tb = _Tables(s, t, deadline)
-    lower = bounds.lower_best(s, t).best_lower
+    lower = bounds.lower_schonheim(s, t)
     best = _greedy(tb, deadline)
     if len(best) == lower:
         return SearchResult(lower, tb.design_from(best), 0, "proven")

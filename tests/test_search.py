@@ -17,6 +17,8 @@ from gencov import (
     CandidateSpaceTooLarge,
     PartStructure,
     StrengthTooLarge,
+    admissible_patterns,
+    admissible_tuples,
     certify_classical,
     emit_design,
     exact_min,
@@ -25,7 +27,8 @@ from gencov import (
     lower_t1,
     verify,
 )
-from gencov.search import _Tables, _part_incidence
+from gencov.cli import main
+from gencov.search import TABLE_BITS_CAP, _Tables, _part_incidence
 from util_random import random_structure
 
 
@@ -69,6 +72,21 @@ def test_degenerate_strengths():
 def test_candidate_space_guard():
     with pytest.raises(CandidateSpaceTooLarge):
         exact_min(PartStructure((40,), (20,)), 2)
+
+
+def test_table_bits_guard(capsys):
+    """(24)/(6) t=5: 134,596 candidates x 42,504 tuples, about 5.7 G bits,
+    is refused before any table is built, whatever the timeout."""
+    s = PartStructure((24,), (6,))
+    assert comb(24, 6) * comb(24, 5) > TABLE_BITS_CAP
+    start = time.monotonic()
+    with pytest.raises(CandidateSpaceTooLarge):
+        greedy_cover(s, 5)
+    with pytest.raises(CandidateSpaceTooLarge):
+        exact_min(s, 5)
+    assert main(["search", "--v", "24", "--k", "6", "--t", "5"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert time.monotonic() - start < 0.5
 
 
 def test_matches_brute_force():
@@ -300,10 +318,17 @@ def test_degree_bound_certifies():
         assert oracle.naive_valid(*oracle.as_raw(r.design))
 
 
+def _tuples(s, t):
+    """The tuple universe in the tables' order: patterns as
+    admissible_patterns lists them, tuples in admissible_tuples order."""
+    return [T for p in admissible_patterns(s, t) for T in admissible_tuples(s, p)]
+
+
 def _min_cover_size(tb, uncovered, limit):
     """The fewest candidates of tb whose blocks contain every tuple set in
     uncovered, by plain subset enumeration; None above limit."""
-    want = [tb.tuples[j] for j in range(tb.n_tuples) if uncovered >> j & 1]
+    tuples = _tuples(tb.s, tb.t)
+    want = [tuples[j] for j in range(tb.n_tuples) if uncovered >> j & 1]
     holds = [frozenset(j for j, tup in enumerate(want) if oracle.tuple_covered(tup, cand))
              for cand in tb.cands]
     useful = [h for h in set(holds) if h]
@@ -374,14 +399,15 @@ def test_coverage_tables_match_containment(v, k):
     cands = oracle.all_blocks(v, k)
     for t in range(1, s.k_sum + 1):
         tb = _Tables(s, t)
+        tuples = _tuples(s, t)
         assert tb.cands == cands
         universe = {tuple(tuple(sorted(x)) for x in T)
                     for p in oracle.patterns(v, k, t) for T in oracle.tuples_for(v, p)}
-        assert len(tb.tuples) == tb.n_tuples == len(universe)
-        assert set(tb.tuples) == universe
+        assert len(tuples) == tb.n_tuples == len(universe)
+        assert set(tuples) == universe
         covers = [0] * len(cands)
-        coverers = [0] * len(tb.tuples)
-        for j, tup in enumerate(tb.tuples):
+        coverers = [0] * len(tuples)
+        for j, tup in enumerate(tuples):
             for ci, cand in enumerate(cands):
                 if oracle.tuple_covered(tup, cand):
                     covers[ci] |= 1 << j
@@ -414,6 +440,7 @@ def test_degree_slots_match_containment(v, k):
     s = PartStructure(v, k)
     for t in range(1, s.k_sum + 1):
         tb = _Tables(s, t)
+        tuples = _tuples(s, t)
         pats = oracle.patterns(v, k, t)
         for i, (ki, points) in enumerate(tb._degree_slots):
             assert ki == k[i] and len(points) == v[i]
@@ -421,10 +448,10 @@ def test_degree_slots_match_containment(v, k):
                 want = []
                 for p in pats:
                     if p[i]:
-                        mask = sum(1 << j for j, tup in enumerate(tb.tuples)
+                        mask = sum(1 << j for j, tup in enumerate(tuples)
                                    if tuple(map(len, tup)) == p and x in tup[i])
                         through = [c for c in tb.cands if x in c[i]]
-                        cap = max(sum(1 for tup in tb.tuples if tuple(map(len, tup)) == p
+                        cap = max(sum(1 for tup in tuples if tuple(map(len, tup)) == p
                                       and x in tup[i] and oracle.tuple_covered(tup, c))
                                   for c in through)
                         want.append((mask, cap))
