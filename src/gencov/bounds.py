@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from math import ceil, comb
+from math import comb
 
 from .core import Design, PartStructure
 from .errors import (
@@ -48,22 +48,17 @@ class BoundReport:
 
 
 def schonheim(v: int, k: int, t: int) -> int:
-    """The nested-ceiling bound ceil(v/k ceil((v-1)/(k-1) ... )).
-
-    Evaluated innermost-out: the innermost factor is
-    ceil((v-t+1)/(k-t+1)).
-    """
+    """The nested-ceiling bound ceil(v/k ceil((v-1)/(k-1) ... )), whose
+    innermost factor is ceil((v-t+1)/(k-t+1)): lower_schonheim's
+    recursion on the one part (v, k)."""
     if not (v >= k >= t >= 1):
         raise ParameterOrderViolated(f"need v >= k >= t >= 1, got ({v},{k},{t})")
-    x = 1
-    for i in range(t - 1, -1, -1):
-        x = -((v - i) * x // -(k - i))
-    return x
+    return _schonheim_rec(((v, k),), t, {})
 
 
 def lower_t1(s: PartStructure) -> int:
     """max_i ceil(v_i/k_i); exact, not just a bound, at strength 1."""
-    return max(-(vi // -ki) for vi, ki in zip(s.v, s.k))
+    return lower_schonheim(s, 1)
 
 
 def lower_edges_clique(s: PartStructure) -> int:

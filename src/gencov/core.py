@@ -76,10 +76,6 @@ class PartStructure:
         return sum(self.k)
 
     @property
-    def v_max(self) -> int:
-        return max(self.v)
-
-    @property
     def k_min(self) -> int:
         return min(self.k)
 

@@ -38,17 +38,20 @@ atom is a single point a node does no orbit work.  Swapping parts of
 equal (v_i, k_i) is not used.
 
 Node bound: a node is pruned when the blocks still needed cannot beat
-the incumbent.  Three bounds count them, cheapest first: uncovered
-tuples over the most one block covers; per pattern, its uncovered tuples
-over the most of them one block covers; and the point-degree bound, for
-every part i and every pattern p with p_i >= 1.  A block through point
-x of part i covers at most cap = C(k_i-1, p_i-1) * prod_{j!=i} C(k_j, p_j)
-tuples of p through x, so at least need_x = max_p ceil(deg_{x,p} / cap)
-remaining blocks contain x; each holds k_i points of part i, so at least
-ceil(sum_x need_x / k_i) blocks remain.  deg_{x,p} is the popcount of the
-uncovered bits under one precomputed mask per (part, point, pattern).
-The count stops as soon as it reaches the pruning number: after the
-first two bounds, and after each part's degree bound.
+the incumbent.  Schönheim's counting (Pacific J. Math. 14, 1964) bounds
+them over groups of points, each with a divisor.  A point holds (mask,
+cap) slots, cap the most of mask's tuples one block through the point
+covers, so at least need = max ceil(deg / cap) remaining blocks hold
+it, deg the popcount of the uncovered bits under mask.  A block holds
+divisor of a group's points, so ceil(sum need / divisor) blocks remain.
+Group 0, the pattern bound, has divisor 1 and one point, which every
+block holds, with a slot per pattern.  Each part i then gives a group
+of divisor k_i, the point-degree bound: per point x of part i and
+pattern p with p_i >= 1, a slot of the tuples of p whose part-i subset
+holds x, cap = C(k_i-1, p_i-1) * prod_{j!=i} C(k_j, p_j).  Uncovered
+tuples over the most one block covers is a mediant of the pattern
+ratios, never above group 0, so it is not counted.  The walk stops
+once the bound reaches the pruning number, after any group.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, combinations, product
 from math import comb, prod
 
@@ -73,9 +76,11 @@ _TIME_CHECK_MASK = 0x3F
 # Coverage tables of fewer (tuple, coverer) pairs than this are always
 # finished, whatever the deadline.  Of 25 random structures with 0.6 to 1
 # times as many pairs, 24 built in at most 0.1 s, median 0.02 s (Python
-# 3.11, 2-CPU VM); the build time follows the tables' bits, not the pairs,
-# and (24)/(6) t=5, whose 134,596 x 42,504 bit tables hold 807,576 pairs,
-# took 4 s.
+# 3.11, 2-CPU VM).  The rule cannot count bits instead, though the build
+# time follows them: (18)/(9) t=2, 7.4 M bits and 1.75 M pairs, builds in
+# 0.06 s and a 0.01 s timeout must cut it off, while (5,5,5,5)/(2,2,2,2)
+# t=4, 42 M bits and 0.70 M pairs, builds in 0.13 s and must finish at
+# timeout 0, so that greedy's cheap finish still returns a cover.
 _UNTIMED_ENTRIES = 1 << 20
 
 
@@ -139,6 +144,14 @@ def _part_incidence(vi: int, ki: int, ti: int, deadline: float | None = None,
     return level[ki, ti]
 
 
+@cache
+def _point_holders(v: int, k: int) -> list[int]:
+    """For each point x of 1..v, the bitmask of the lex k-subsets that hold
+    x.  Cached, since each search's tables ask for it again; callers must
+    not change the list."""
+    return _part_incidence(v, k, 1)[1]
+
+
 def _spread(x: int, width: int) -> int:
     """Move bit b of x to bit b * width, so that y * _spread(x, width) is
     the Kronecker product of bitmasks x and y for any y below 2**width:
@@ -151,9 +164,9 @@ def _spread(x: int, width: int) -> int:
 def _kron(xs: list[int], ys: list[int], width: int) -> list[int]:
     """The Kronecker products of each x in xs with each y in ys, x major,
     for ys below 2**width: bit a * width + b of x (x) y is bit a of x and
-    bit b of y.  For ys == [1] that is xs, which is returned as it is, not
-    copied."""
-    if ys == [1]:
+    bit b of y.  For ys == [1] and width 1 that is xs, which is returned as
+    it is, not copied."""
+    if ys == [1] and width == 1:
         return xs
     return [x * y for x in [_spread(x, width) for x in xs] for y in ys]
 
@@ -180,9 +193,8 @@ class _Tables:
     the patterns of prod_i C(k_i, p_i).
 
     remaining_lb bounds the blocks a search node still needs (see the
-    module docstring).  Its per-pattern masks and its point-degree slots,
-    one (mask, cap) per part i, point x and pattern p with p_i >= 1, are
-    built on the first call, so greedy_cover never builds them.
+    module docstring).  Its slot groups (_bound_groups) are built on the
+    first call, so greedy_cover never builds them.
 
     Past the deadline, if one is given, the build raises BudgetExhausted
     with no certificate.  It checks before and after each pattern's
@@ -252,40 +264,32 @@ class _Tables:
         self.maxcov = sum(cap for _, _, cap in self.spans)
 
     @cached_property
-    def _span_masks(self) -> list[tuple[int, int]]:
-        """One (mask of its tuples, cap) per pattern, as in spans."""
-        return [(((1 << (end - start)) - 1) << start, cap) for start, end, cap in self.spans]
-
-    @cached_property
-    def _degree_slots(self) -> list[tuple[int, list[list[tuple[int, int]]]]]:
-        """Per part i: k_i, and for each point x of part i one (mask, cap)
-        slot per pattern p with p_i >= 1.  mask holds the tuples of p whose
-        part-i subset contains x; cap = C(k_i-1, p_i-1) * prod_{j!=i}
-        C(k_j, p_j), the span's cap * p_i / k_i, is the most of them one
-        block through x covers."""
+    def _bound_groups(self) -> list[tuple[int, list[list[tuple[int, int]]]]]:
+        """remaining_lb's (divisor, points) groups, each point a list of
+        (mask, cap) slots (see the module docstring): group 0 holds the
+        spans with their caps, then one group per part i.  A point's cap
+        in part i's group is the span's cap * p_i / k_i."""
         s = self.s
-        out = []
+        patterns = admissible_patterns(s, self.t)
+        groups = [(1, [[(((1 << (end - start)) - 1) << start, cap)
+                         for start, end, cap in self.spans]])]
         for i, (vi, ki) in enumerate(zip(s.v, s.k)):
             points: list[list[tuple[int, int]]] = [[] for _ in range(vi)]
-            for p, (start, end, cap) in zip(admissible_patterns(s, self.t), self.spans):
+            for p, (start, end, cap) in zip(patterns, self.spans):
                 if not p[i]:
                     continue
                 # Tuples of p are mixed radix over the per-part subsets,
-                # last part fastest: a point's mask is all-ones over the
-                # parts after i, spread over the part-i subsets holding
-                # x, repeated once per choice of the parts before i.
-                after = 1
-                for vj, pj in zip(s.v[i + 1:], p[i + 1:]):
-                    after *= comb(vj, pj)
-                subsets = list(combinations(range(1, vi + 1), p[i]))
-                block = len(subsets) * after
-                repeat = _spread((1 << ((end - start) // block)) - 1, block)
-                for x in range(1, vi + 1):
-                    ind = sum(1 << j for j, sub in enumerate(subsets) if x in sub)
-                    mask = _spread(ind, after) * ((1 << after) - 1) * repeat
-                    points[x - 1].append((mask << start, cap * p[i] // ki))
-            out.append((ki, points))
-        return out
+                # last part fastest: a point's mask is the Kronecker
+                # product of all-ones over the parts before i, the part-i
+                # subsets holding x, and all-ones over the parts after i.
+                after = prod(comb(vj, pj) for vj, pj in zip(s.v[i + 1:], p[i + 1:]))
+                inner = comb(vi, p[i]) * after
+                through = _kron(_point_holders(vi, p[i]), [(1 << after) - 1], after)
+                masks = _kron([(1 << ((end - start) // inner)) - 1], through, inner)
+                for slots, mask in zip(points, masks):
+                    slots.append((mask << start, cap * p[i] // ki))
+            groups.append((ki, points))
+        return groups
 
     @cached_property
     def _point_masks(self) -> list[int]:
@@ -304,16 +308,11 @@ class _Tables:
         set in uncovered.  It returns as soon as the bound reaches stop,
         the count at which the caller prunes, so a result of at least
         stop may be below the full bound."""
-        lb = -(uncovered.bit_count() // -self.maxcov)
-        for mask, cap in self._span_masks:
-            up = (uncovered & mask).bit_count()
-            if up > lb * cap:
-                lb = -(up // -cap)
-        if lb >= stop:
-            return lb
-        # At least need_x = max_p ceil(deg_{x,p} / cap) of the remaining
-        # blocks contain point x, and each block holds k_i points of part i.
-        for ki, points in self._degree_slots:
+        lb = 0
+        # In each group at least need = max_slot ceil(deg / cap) of the
+        # remaining blocks hold a point, and each block holds divisor of
+        # the group's points.
+        for divisor, points in self._bound_groups:
             total = 0
             for slots in points:
                 need = 0
@@ -322,8 +321,8 @@ class _Tables:
                     if deg > need * cap:
                         need = -(deg // -cap)
                 total += need
-            if total > lb * ki:
-                lb = -(total // -ki)
+            if total > lb * divisor:
+                lb = -(total // -divisor)
                 if lb >= stop:
                     return lb
         return lb

@@ -36,7 +36,6 @@ def test_structure_attributes():
     assert s.m == 3
     assert s.v_sum == 18
     assert s.k_sum == 10
-    assert s.v_max == 7
     assert s.k_min == 3
     assert s.block_count_possible() == 10 * 15 * 35
 

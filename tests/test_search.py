@@ -28,7 +28,7 @@ from gencov import (
     verify,
 )
 from gencov.cli import main
-from gencov.search import TABLE_BITS_CAP, _Tables, _part_incidence
+from gencov.search import TABLE_BITS_CAP, _kron, _Tables, _part_incidence
 from util_random import random_structure
 
 
@@ -200,22 +200,39 @@ def test_search_reads_the_clock_often():
 
 
 # Minima that the search proved before it pruned symmetric siblings:
-# (v, k, t, optimum).  Every one must stay proven at the same value.
+# (v, k, t, optimum, nodes).  Every one must stay proven at the same
+# value, and in exactly as many nodes, so that a weaker node bound shows.
 PINNED_OPTIMA = [
-    ((10,), (4,), 2, 9), ((11,), (5,), 2, 7), ((11,), (3,), 2, 19), ((9,), (4,), 2, 8),
-    ((7,), (4,), 3, 12), ((8,), (5,), 3, 8), ((9,), (6,), 3, 7), ((10,), (7,), 3, 6),
-    ((4, 4, 4), (2, 2, 2), 2, 6), ((6, 4), (3, 2), 2, 6), ((6, 6, 6), (3, 3, 3), 3, 20),
-    ((4, 2, 2), (2, 1, 1), 2, 6), ((2, 7), (1, 3), 2, 8), ((2, 2, 6), (1, 1, 3), 2, 6),
-    ((4, 5), (2, 3), 3, 12), ((2, 6), (1, 4), 3, 8), ((3, 6), (2, 4), 3, 8),
-    ((3, 7), (2, 5), 3, 7), ((2, 2, 5), (1, 1, 3), 3, 10), ((3, 3, 3), (2, 2, 2), 3, 7),
-    ((2, 2, 3, 3), (1, 1, 2, 2), 3, 8), ((2, 3, 5), (1, 2, 3), 3, 10),
+    ((10,), (4,), 2, 9, 187),
+    ((11,), (5,), 2, 7, 558),
+    ((11,), (3,), 2, 19, 9280),
+    ((9,), (4,), 2, 8, 585),
+    ((7,), (4,), 3, 12, 3903),
+    ((8,), (5,), 3, 8, 450),
+    ((9,), (6,), 3, 7, 1250),
+    ((10,), (7,), 3, 6, 102),
+    ((4, 4, 4), (2, 2, 2), 2, 6, 279),
+    ((6, 4), (3, 2), 2, 6, 171),
+    ((6, 6, 6), (3, 3, 3), 3, 20, 17768),
+    ((4, 2, 2), (2, 1, 1), 2, 6, 27),
+    ((2, 7), (1, 3), 2, 8, 1059),
+    ((2, 2, 6), (1, 1, 3), 2, 6, 460),
+    ((4, 5), (2, 3), 3, 12, 164),
+    ((2, 6), (1, 4), 3, 8, 268),
+    ((3, 6), (2, 4), 3, 8, 1430),
+    ((3, 7), (2, 5), 3, 7, 121),
+    ((2, 2, 5), (1, 1, 3), 3, 10, 1286),
+    ((3, 3, 3), (2, 2, 2), 3, 7, 128),
+    ((2, 2, 3, 3), (1, 1, 2, 2), 3, 8, 895),
+    ((2, 3, 5), (1, 2, 3), 3, 10, 29123),
 ]
 
 
-@pytest.mark.parametrize("v, k, t, want", PINNED_OPTIMA)
-def test_pinned_optima(v, k, t, want):
+@pytest.mark.parametrize("v, k, t, want, nodes", PINNED_OPTIMA,
+                         ids=[f"v{i}-k{i}-{e[2]}-{e[3]}" for i, e in enumerate(PINNED_OPTIMA)])
+def test_pinned_optima(v, k, t, want, nodes):
     r = exact_min(PartStructure(v, k), t)
-    assert (r.optimum, r.status) == (want, "proven")
+    assert (r.optimum, r.status, r.nodes) == (want, "proven", nodes)
     assert len(r.design) == want
     assert oracle.naive_valid(*oracle.as_raw(r.design))
 
@@ -432,17 +449,38 @@ def test_part_incidence_matches_containment():
                 assert _part_incidence(v, k, t) == (masks, holders), (v, k, t)
 
 
+def test_kron_matches_bits():
+    """Bit a * width + b of x (x) y is bit a of x and bit b of y, also for
+    ys == [1] at widths above 1."""
+    rng = random.Random(37)
+    for _ in range(200):
+        width = rng.randint(1, 5)
+        xs = [rng.randrange(64) for _ in range(rng.randint(1, 3))]
+        ys = [1] if rng.random() < 0.3 else [rng.randrange(1 << width) for _ in range(2)]
+        want = [sum(1 << a * width + b for a in range(6) for b in range(width)
+                    if x >> a & 1 and y >> b & 1) for x in xs for y in ys]
+        assert _kron(xs, ys, width) == want, (xs, ys, width)
+
+
 @pytest.mark.parametrize("v, k", [((6,), (3,)), ((3, 2, 3), (1, 1, 1)), ((2, 4, 3), (1, 2, 2))])
 def test_degree_slots_match_containment(v, k):
-    """Each part's slots hold, per point x and pattern p with p_i >= 1, the
-    tuples of p whose part-i subset holds x, and the most of them one
-    block through x covers."""
+    """The bound's group 0 holds one point with one slot per pattern p: the
+    tuples of p, and the most of them one block covers.  Each part's
+    group holds, per point x and pattern p with p_i >= 1, the tuples of p
+    whose part-i subset holds x, and the most of them one block through x
+    covers."""
     s = PartStructure(v, k)
     for t in range(1, s.k_sum + 1):
         tb = _Tables(s, t)
         tuples = _tuples(s, t)
         pats = oracle.patterns(v, k, t)
-        for i, (ki, points) in enumerate(tb._degree_slots):
+        (one, [slots]), *parts = tb._bound_groups
+        want = []
+        for p in pats:
+            mask = sum(1 << j for j, tup in enumerate(tuples) if tuple(map(len, tup)) == p)
+            want.append((mask, max((c & mask).bit_count() for c in tb.covers)))
+        assert (one, sorted(slots)) == (1, sorted(want)), (s, t)
+        for i, (ki, points) in enumerate(parts):
             assert ki == k[i] and len(points) == v[i]
             for x, slots in enumerate(points, start=1):
                 want = []
