@@ -59,7 +59,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import comb, prod
 
@@ -142,14 +142,6 @@ def _part_incidence(vi: int, ki: int, ti: int, deadline: float | None = None,
                 masks += [y << tshift for y in mk]
                 level[k, t] = (masks, h1 + [x | y << kshift for x, y in zip(h0, hk)])
     return level[ki, ti]
-
-
-@cache
-def _point_holders(v: int, k: int) -> list[int]:
-    """For each point x of 1..v, the bitmask of the lex k-subsets that hold
-    x.  Cached, since each search's tables ask for it again; callers must
-    not change the list."""
-    return _part_incidence(v, k, 1)[1]
 
 
 def _spread(x: int, width: int) -> int:
@@ -282,9 +274,13 @@ class _Tables:
                 # last part fastest: a point's mask is the Kronecker
                 # product of all-ones over the parts before i, the part-i
                 # subsets holding x, and all-ones over the parts after i.
+                holders = [0] * vi
+                for j, sub in enumerate(combinations(range(vi), p[i])):
+                    for x in sub:
+                        holders[x] |= 1 << j
                 after = prod(comb(vj, pj) for vj, pj in zip(s.v[i + 1:], p[i + 1:]))
                 inner = comb(vi, p[i]) * after
-                through = _kron(_point_holders(vi, p[i]), [(1 << after) - 1], after)
+                through = _kron(holders, [(1 << after) - 1], after)
                 masks = _kron([(1 << ((end - start) // inner)) - 1], through, inner)
                 for slots, mask in zip(points, masks):
                     slots.append((mask << start, cap * p[i] // ki))
