@@ -9,6 +9,13 @@ child's bans are its parent's plus the options below its own block.
 Only lambda = 1 is supported: a repeated block never helps a minimum
 cover, so plain subsets suffice.
 
+Tables: the coverers of every tuple are built up front, as greedy's gain
+updates and the branching read them.  The tuples a candidate covers are,
+per pattern, a product of per-part factors.  Greedy, which reads only
+its picks' masks, multiplies them out per pick; the search, which reads
+one per child, builds every candidate's mask from the same factors once
+greedy has missed the root bound.
+
 Symmetry: permuting the points inside each part maps any block onto the
 first candidate ((1..k_1), ..., (1..k_m)), so some minimum cover holds
 it.  The search therefore takes that block first and explores only its
@@ -68,19 +75,20 @@ from .core import Block, Design, PartStructure, admissible_patterns, pattern_tup
 from .errors import BudgetExhausted, CandidateSpaceTooLarge, StrengthTooLarge
 
 CANDIDATE_CAP = 10 ** 6
-# covers and coverers are dense n_cands x n_tuples bit matrices; tables of
-# more bits than this are refused before any is allocated.
+# coverers is a dense n_cands x n_tuples bit matrix, the one table greedy
+# allocates, and the search's full cover list is another; tables of more
+# bits than this are refused before either is allocated.
 TABLE_BITS_CAP = 1 << 30
 # The search reads the clock every 64 nodes.
 _TIME_CHECK_MASK = 0x3F
 # Coverage tables of fewer (tuple, coverer) pairs than this are always
 # finished, whatever the deadline.  Of 25 random structures with 0.6 to 1
-# times as many pairs, 24 built in at most 0.1 s, median 0.02 s (Python
-# 3.11, 2-CPU VM).  The rule cannot count bits instead, though the build
-# time follows them: (18)/(9) t=2, 7.4 M bits and 1.75 M pairs, builds in
-# 0.06 s and a 0.01 s timeout must cut it off, while (5,5,5,5)/(2,2,2,2)
-# t=4, 42 M bits and 0.70 M pairs, builds in 0.13 s and must finish at
-# timeout 0, so that greedy's cheap finish still returns a cover.
+# times as many pairs, 23 built in at most 0.1 s, median 0.02 s, slowest
+# 0.15 s (Python 3.11, 2-CPU VM).  The rule cannot count bits instead:
+# (18)/(9) t=2, 7.4 M bits and 1.75 M pairs, builds in 0.05 s and a
+# 0.01 s timeout must cut it off, while (5,5,5,5)/(2,2,2,2) t=4, 42 M bits
+# and 0.70 M pairs, also builds in 0.05 s and must finish at timeout 0, so
+# that greedy's cheap finish still returns a cover.
 _UNTIMED_ENTRIES = 1 << 20
 
 
@@ -169,17 +177,28 @@ class _Tables:
     A candidate is a product of per-part lex k_i-subsets and a tuple of
     pattern p a product of per-part lex t_i-subsets, both indexed in
     mixed radix with the last part fastest.  A candidate covers a tuple
-    iff each part's k_i-subset holds its t_i-subset.  covers[c] is the
-    bitmask of the tuples candidate c covers, and coverers[j], its
-    transpose, the bitmask of the candidates that hold tuple j.  Per
-    pattern both are Kronecker products of per-part incidence masks
-    (_part_incidence), each spread by the suffix width (_spread).
+    iff each part's k_i-subset holds its t_i-subset.  coverers[j] is the
+    bitmask of the candidates that hold tuple j: per pattern, the
+    Kronecker product of per-part holder masks (_part_incidence), each
+    spread by the suffix width (_spread).
 
-    The two tables are n_cands x n_tuples bit matrices, so each takes
-    n_cands * n_tuples / 8 bytes whatever its density, and more than
-    TABLE_BITS_CAP bits raise CandidateSpaceTooLarge before either is
-    built.  Lists of the coverers' indices were smaller only where a
-    tuple lies in under 1/64 of the candidates.
+    cover(c), the transpose, is the bitmask of the tuples candidate c
+    covers.  Per pattern, the build keeps one factor per part i with
+    p_i >= 1: the part's incidence masks spread by the suffix width.
+    cover(c) multiplies the factors at c's per-part subsets and shifts
+    each product to its pattern's start, so greedy pays only for its
+    picks.  covers() builds every candidate's mask once, from the same
+    factors by Kronecker products, for the branch and bound, and cover
+    reads it once it is built.  A single-part structure's one factor is
+    its part's masks list itself, already the full list, so the build
+    takes it as that.
+
+    coverers, and the list covers() builds, are n_cands x n_tuples bit
+    matrices, so each takes n_cands * n_tuples / 8 bytes whatever its
+    density, and more than TABLE_BITS_CAP bits raise
+    CandidateSpaceTooLarge before either is built.  Lists of the
+    coverers' indices were smaller only where a tuple lies in under 1/64
+    of the candidates.
 
     Every block covers the same number of tuples, maxcov, the sum over
     the patterns of prod_i C(k_i, p_i).
@@ -193,7 +212,7 @@ class _Tables:
     tables, before each part, and once per size of a part's incidence,
     unless the tables hold fewer than _UNTIMED_ENTRIES (tuple, coverer)
     pairs in all: a small table is always built, so that a spent timeout
-    still leaves greedy's cheap finish.
+    still leaves greedy's cheap finish.  covers() takes its own deadline.
     """
 
     def __init__(self, s: PartStructure, t: int, deadline: float | None = None):
@@ -217,8 +236,10 @@ class _Tables:
         # spans holds (start, end, cap) with cap the most tuples of that
         # pattern one block can cover.
         self.spans: list[tuple[int, int, int]] = []
-        self.covers: list[int] = [0] * len(self.cands)
         self.coverers: list[int] = []
+        self._radices = [comb(vi, ki) for vi, ki in zip(s.v, s.k)]
+        self._factors: list[tuple[int, list[tuple[int, list[int]]]]] = []
+        self._covers: list[int] | None = None
         incidence: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
         # Each tuple of pattern p is held by prod_i C(v_i - p_i, k_i - p_i)
         # candidates.
@@ -232,11 +253,14 @@ class _Tables:
             cap = prod(comb(ki, pi) for ki, pi in zip(s.k, p))
             self.spans.append((start, start + size, cap))
 
-            # Build both tables from the last part to the first: masks[c]
-            # is the pattern's cover mask of suffix candidate c, width
-            # bits wide, and holders[j] the mask of the suffix candidates
-            # holding suffix tuple j, stride bits wide.
-            masks, width = [1], 1
+            # From the last part to the first: factors holds (i, part i's
+            # cover masks spread by width, the tuple count of the parts
+            # after it), and holders[j] the mask of the suffix candidates
+            # holding suffix tuple j, stride bits wide.  A part with
+            # p_i = 0 has no factor: each of its subsets covers the one
+            # empty subset, so its masks are all 1.
+            factors: list[tuple[int, list[int]]] = []
+            width = 1
             holders, stride = [1], 1
             for i in reversed(range(s.m)):
                 _check_deadline(deadline)
@@ -244,16 +268,59 @@ class _Tables:
                 if key not in incidence:
                     incidence[key] = _part_incidence(*key, deadline)
                 part_masks, part_holders = incidence[key]
-                masks = _kron(part_masks, masks, width)
+                if p[i]:
+                    factors.append((i, [_spread(x, width) for x in part_masks]
+                                    if width > 1 else part_masks))
                 holders = _kron(part_holders, holders, stride)
                 width *= len(part_holders)
                 stride *= len(part_masks)
-            self.covers = [c | x << start for c, x in zip(self.covers, masks)] if start else masks
+            self._factors.append((start, factors))
             self.coverers.extend(holders)
             start += size
             _check_deadline(deadline)
         self.n_tuples = start
         self.maxcov = sum(cap for _, _, cap in self.spans)
+        if s.m == 1:
+            self.covers()  # its one factor, already the full list
+
+    def cover(self, c: int) -> int:
+        """The bitmask of the tuples candidate c covers: per pattern, the
+        product of its factors at c's per-part subsets, shifted to the
+        pattern's start.  Once the full list is built, it is read there."""
+        if self._covers is not None:
+            return self._covers[c]
+        digits = [0] * self.s.m
+        for i in reversed(range(self.s.m)):
+            c, digits[i] = divmod(c, self._radices[i])
+        mask = 0
+        for start, factors in self._factors:
+            x = 1
+            for i, f in factors:
+                x *= f[digits[i]]
+            mask |= x << start
+        return mask
+
+    def covers(self, deadline: float | None = None) -> list[int]:
+        """Every candidate's cover mask, in candidate order, built on the
+        first call and kept: per pattern, the Kronecker product of its
+        factors, a part with no factor repeating the list, shifted to the
+        pattern's start.  Past the deadline, checked once per pattern, it
+        raises BudgetExhausted."""
+        if self._covers is None:
+            covers: list[int] = []
+            for start, factors in self._factors:
+                _check_deadline(deadline)
+                by_part = dict(factors)
+                masks = [1]
+                for i in reversed(range(self.s.m)):
+                    f = by_part.get(i)
+                    if f is None:
+                        masks = masks * self._radices[i]
+                    else:  # a first factor is taken as it is, not copied
+                        masks = f if masks == [1] else [x * y for x in f for y in masks]
+                covers = [c | x << start for c, x in zip(covers, masks)] if start else masks
+            self._covers = covers
+        return self._covers
 
     @cached_property
     def _bound_groups(self) -> list[tuple[int, list[list[tuple[int, int]]]]]:
@@ -361,7 +428,8 @@ def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
     has, and takes the lowest of the largest gain.  For each tuple it
     newly covers, coverers[j] is subtracted from every gain at once with
     a ripple borrow, so a pick costs a few big-int operations per newly
-    covered tuple (Chvátal's exact-gain update, 1979).
+    covered tuple (Chvátal's exact-gain update, 1979).  The pick's cover
+    mask comes from tb.cover, so greedy never builds the full list.
 
     The clock is read once per pick.  Past the deadline the cover is
     finished cheaply instead: the pick starts from the coverers of the
@@ -369,8 +437,8 @@ def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
     of the largest gain (ties to the lowest index), until none is left,
     and the result is always a valid design.
     """
-    covers, coverers = tb.covers, tb.coverers
-    everyone = (1 << len(covers)) - 1
+    coverers = tb.coverers
+    everyone = (1 << len(tb.cands)) - 1
     slices = [everyone if tb.maxcov >> b & 1 else 0 for b in range(tb.maxcov.bit_length())]
     uncovered = (1 << tb.n_tuples) - 1
     chosen: list[int] = []
@@ -385,7 +453,7 @@ def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
                 pool = best
         ci = (pool & -pool).bit_length() - 1
         chosen.append(ci)
-        newly = covers[ci] & uncovered
+        newly = tb.cover(ci) & uncovered
         uncovered ^= newly
         for j in _ones(newly):
             borrow = coverers[j]
@@ -416,7 +484,9 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     The timeout covers every phase, and at most max_nodes nodes are
     searched.  A timeout that runs out before the coverage tables are
     built raises BudgetExhausted with no certificate, as there is no
-    design to return yet."""
+    design to return yet.  Once greedy has a design, the full cover list
+    is built only if greedy misses the root bound; a timeout that runs
+    out while it is built returns greedy's design as budget-exhausted."""
     deadline = time.monotonic() + timeout
     if t < 0:
         raise StrengthTooLarge(f"strength must be nonnegative, got {t}")
@@ -430,6 +500,10 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     best = _greedy(tb, deadline)
     if len(best) == lower:
         return SearchResult(lower, tb.design_from(best), 0, "proven")
+    try:
+        covers = tb.covers(deadline)
+    except BudgetExhausted:
+        return SearchResult(len(best), tb.design_from(best), 0, "budget-exhausted")
 
     nodes = 0
     stopped = False
@@ -471,7 +545,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
                 child = _refine(atoms, points)
             # The child bans every earlier sibling, skipped ones too.
             chosen.append(c)
-            dfs(chosen, uncovered & ~tb.covers[c], banned | opts & ((1 << c) - 1), child)
+            dfs(chosen, uncovered & ~covers[c], banned | opts & ((1 << c) - 1), child)
             chosen.pop()
             if len(best) == lower or stopped:
                 return
@@ -480,7 +554,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     # The atoms start as the parts of two or more points.
     parts = [((1 << vi) - 1) << (offset - vi)
              for vi, offset in zip(s.v, accumulate(s.v)) if vi > 1]
-    dfs([0], ((1 << tb.n_tuples) - 1) & ~tb.covers[0], 0, _refine(parts, cand_points[0]))
+    dfs([0], ((1 << tb.n_tuples) - 1) & ~covers[0], 0, _refine(parts, cand_points[0]))
     status = "proven" if len(best) == lower or not stopped else "budget-exhausted"
     return SearchResult(len(best), tb.design_from(best), nodes, status)
 

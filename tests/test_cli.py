@@ -169,8 +169,8 @@ def test_search_timeout_covers_the_whole_call(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # the tables of (10,10)/(5,5) t=3 build in about 0.13 s
-    ["search", "--v", "10,10", "--k", "5,5", "--t", "3", "--timeout", "0.05"],
+    # the tables of (10,10)/(5,5) t=3 build in about 0.05 s
+    ["search", "--v", "10,10", "--k", "5,5", "--t", "3", "--timeout", "0.005"],
     # base search on (18)/(9) t=2, whose tables build in about 0.05 s
     ["construct", "--v", "18,18", "--k", "9,9", "--timeout", "0.01"],
 ])

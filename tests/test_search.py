@@ -25,6 +25,7 @@ from gencov import (
     greedy_cover,
     lower_best,
     lower_t1,
+    parse_design,
     verify,
 )
 from gencov.cli import main
@@ -176,11 +177,11 @@ def test_timeout_covers_the_whole_call():
 
 
 def test_table_build_honours_the_timeout():
-    # the tables of (10,10)/(5,5) t=3 take about 0.13 s to build, and those
+    # the tables of (10,10)/(5,5) t=3 take about 0.05 s to build, and those
     # of (18)/(9) t=3 about 0.07 s; the deadline stops them early
     start = time.monotonic()
     with pytest.raises(BudgetExhausted) as info:
-        exact_min(PartStructure((10, 10), (5, 5)), 3, timeout=0.05)
+        exact_min(PartStructure((10, 10), (5, 5)), 3, timeout=0.005)
     assert time.monotonic() - start < 0.5
     assert info.value.certificate is None
     start = time.monotonic()
@@ -387,6 +388,51 @@ def test_root_bound_proves_at_zero_nodes():
         assert oracle.naive_valid(*oracle.as_raw(r.design))
 
 
+def test_full_covers_wait_for_the_search(monkeypatch):
+    """Greedy reads only its picks' cover masks, and a search that greedy
+    proves at the root never builds the list of every candidate's."""
+    s = PartStructure((5, 4), (3, 2))
+    tb = _Tables(s, 3)
+    search_module._greedy(tb)
+    assert tb._covers is None
+
+    def refuse(self, deadline=None):
+        raise AssertionError("the full cover list was built")
+
+    monkeypatch.setattr(_Tables, "covers", refuse)
+    r = exact_min(s, 3)
+    assert (r.optimum, r.nodes, r.status) == (12, 0, "proven")
+
+
+def test_deadline_after_greedy_returns_its_design(monkeypatch, capsys):
+    """A deadline that passes once greedy is done stops the build of the
+    full cover list, and the search returns greedy's design unproven."""
+    s = PartStructure((5, 5), (2, 2))
+    want = len(greedy_cover(s, 3))
+    assert want > lower_best(s, 3).best_lower  # greedy misses the root bound
+    clock = [0.0]
+    tables = []
+    real_greedy = search_module._greedy
+
+    def greedy_then_late(tb, deadline=None):
+        picks = real_greedy(tb, deadline)
+        tables.append(tb)
+        clock[0] = 1e9
+        return picks
+
+    monkeypatch.setattr(search_module.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(search_module, "_greedy", greedy_then_late)
+    r = exact_min(s, 3, timeout=60)
+    assert (r.optimum, r.nodes, r.status) == (want, 0, "budget-exhausted")
+    assert len(r.design) == want and verify(r.design).valid
+    assert tables[0]._covers is None  # stopped in the build, not at the root
+    clock[0] = 0.0
+    assert main(["search", "--v", "5,5", "--k", "2,2", "--t", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert "status=budget-exhausted" in err
+    assert len(parse_design(out)) == want
+
+
 def test_timeout_covers_greedy():
     s = PartStructure((5, 5, 5, 5), (2, 2, 2, 2))
     r = exact_min(s, 4, timeout=0)
@@ -396,7 +442,8 @@ def test_timeout_covers_greedy():
     # the cheap finish picks the best coverer of the lowest uncovered
     # tuple: 140 blocks against greedy's 142 (the first coverer gave 1,360)
     assert len(r.design) <= 2 * len(greedy_cover(s, 4))
-    # about 0.1 s of table build and 0.05 s of greedy to the end
+    # about 0.05 s of table build and 0.02 s of greedy to the end, then
+    # 0.05 s to build the full cover list for the search
     start = time.monotonic()
     r = exact_min(s, 4, timeout=0.1)
     assert time.monotonic() - start < 0.5
@@ -410,8 +457,8 @@ def test_timeout_covers_greedy():
     ((2, 4, 3), (1, 2, 2)),
 ])
 def test_coverage_tables_match_containment(v, k):
-    """Bit j of covers[ci] and bit ci of coverers[j] are set exactly when
-    candidate ci contains tuple j."""
+    """Bit j of cover(ci), of covers()[ci] and bit ci of coverers[j] are
+    set exactly when candidate ci contains tuple j."""
     s = PartStructure(v, k)
     cands = oracle.all_blocks(v, k)
     for t in range(1, s.k_sum + 1):
@@ -429,7 +476,8 @@ def test_coverage_tables_match_containment(v, k):
                 if oracle.tuple_covered(tup, cand):
                     covers[ci] |= 1 << j
                     coverers[j] |= 1 << ci
-        assert tb.covers == covers, (s, t)
+        assert [tb.cover(ci) for ci in range(len(cands))] == covers, (s, t)
+        assert tb.covers() == covers, (s, t)
         assert tb.coverers == coverers, (s, t)
         assert tb.maxcov == max(c.bit_count() for c in covers)
 
@@ -478,7 +526,7 @@ def test_degree_slots_match_containment(v, k):
         want = []
         for p in pats:
             mask = sum(1 << j for j, tup in enumerate(tuples) if tuple(map(len, tup)) == p)
-            want.append((mask, max((c & mask).bit_count() for c in tb.covers)))
+            want.append((mask, max((c & mask).bit_count() for c in tb.covers())))
         assert (one, sorted(slots)) == (1, sorted(want)), (s, t)
         for i, (ki, points) in enumerate(parts):
             assert ki == k[i] and len(points) == v[i]
@@ -545,10 +593,10 @@ def _rescan_greedy(tb, cheap):
     while uncovered:
         lowest = (uncovered & -uncovered).bit_length() - 1
         pool = [c for c in range(len(tb.cands)) if not cheap or tb.coverers[lowest] >> c & 1]
-        gain = {c: (tb.covers[c] & uncovered).bit_count() for c in pool}
+        gain = {c: (tb.covers()[c] & uncovered).bit_count() for c in pool}
         ci = min(pool, key=lambda c: (-gain[c], c))
         chosen.append(ci)
-        uncovered &= ~tb.covers[ci]
+        uncovered &= ~tb.covers()[ci]
     return chosen
 
 
