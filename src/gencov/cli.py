@@ -16,7 +16,7 @@ from . import construct as construct_mod
 from . import graphview, product, search
 from .core import PartStructure, from_covering_array, to_covering_array
 from .errors import BudgetExhausted, GencovError, PlaceholdersPresent
-from .io import emit_design, parse_design
+from .io import emit_design, parse_array, parse_design
 from .verify import verify
 
 
@@ -139,12 +139,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_convert(args) -> int:
     if args.op == "ca2gc":
-        rows = []
-        for raw in _read(args.file).splitlines():
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                rows.append(tuple(int(x) for x in body.split()))
-        d = from_covering_array(rows, t=args.t)
+        d = from_covering_array(parse_array(_read(args.file)), t=args.t)
         _write(emit_design(d), args.output)
         return 0
     d = _load_design(args.file)
@@ -180,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a design file")
     p.add_argument("file")
-    # Goes once perfbench/workloads.py stops passing it (ROADMAP item 5).
+    # Goes once perfbench/workloads.py stops passing it (ROADMAP item 1).
     p.add_argument("--jobs", type=int, default=None,
                    help="accepted for compatibility; no effect on verify")
     p.set_defaults(func=_cmd_verify)
@@ -205,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=10_000_000)
     p.add_argument("--timeout", type=float, default=60.0)
-    # Goes once perfbench/workloads.py stops passing it (ROADMAP item 5).
+    # Goes once perfbench/workloads.py stops passing it (ROADMAP item 1).
     p.add_argument("--jobs", type=int, default=None,
                    help="accepted for compatibility; no effect on search")
     _add_output_arg(p)
@@ -257,10 +252,7 @@ def main(argv=None) -> int:
     except BudgetExhausted as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except GencovError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (GencovError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

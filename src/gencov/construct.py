@@ -5,6 +5,12 @@ classical cover onto every part, restriction and amalgamation of parts,
 point deletion and block expansion, equivalence handling for repeated
 parts, and redundancy pruning.  All operations return new immutable
 designs; none mutate their input.
+
+A PlaceholderDesign has the shape of a Design, a tuple of blocks that
+are tuples of parts, except that a part may hold STAR ("*"), an entry
+that fill() sets to the least label the part lacks.  Operations that can
+map two blocks to one drop the repeats at lambda = 1 only; at larger
+lambda a repeat counts toward the multiplicity and stays.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from .errors import (
 )
 from .verify import verify
 
-# Placeholder marker inside block parts; real labels are always >= 1.
-STAR = 0
+# Placeholder marker inside the parts of a PlaceholderDesign's blocks;
+# real labels are integers >= 1.
+STAR = "*"
 
 
 def _pad(labels, k: int) -> tuple[int, ...]:
@@ -44,8 +51,14 @@ def _pad(labels, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canon_placeholder_parts(s: PartStructure,
-                             parts: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+def _drop_repeats(blocks, lam: int) -> tuple[Block, ...]:
+    """blocks without exact repeats at lambda = 1, where a repeat never
+    helps; every block, repeats too, at larger lambda."""
+    return tuple(dict.fromkeys(blocks)) if lam == 1 else tuple(blocks)
+
+
+def _canon_placeholder_parts(s: PartStructure, parts) -> tuple[tuple, ...]:
+    """One block whose parts may hold STAR: labels ascending, STARs last."""
     if len(parts) != s.m:
         raise StructureMismatch(f"block has {len(parts)} parts, structure has {s.m}")
     canon = []
@@ -63,37 +76,26 @@ def _canon_placeholder_parts(s: PartStructure,
 
 
 @dataclass(frozen=True)
-class PlaceholderBlock:
-    """A block whose parts may contain STAR entries awaiting a label."""
-
-    parts: tuple[tuple[int, ...], ...]
-
-    def filled(self, s: PartStructure) -> Block:
-        return make_block(s, [_pad([x for x in part if x != STAR], len(part))
-                              for part in self.parts])
-
-
-@dataclass(frozen=True)
 class PlaceholderDesign:
-    """A design whose blocks may retain don't-care placeholder entries."""
+    """A design whose block parts may hold STAR, a don't-care entry."""
 
     structure: PartStructure
     t: int
-    blocks: tuple[PlaceholderBlock, ...] = ()
+    blocks: tuple[tuple[tuple, ...], ...] = ()
     lam: int = 1
 
     def __post_init__(self) -> None:
-        canon = tuple(
-            PlaceholderBlock(_canon_placeholder_parts(self.structure, b.parts))
-            for b in self.blocks
-        )
-        object.__setattr__(self, "blocks", canon)
+        object.__setattr__(self, "blocks", tuple(
+            _canon_placeholder_parts(self.structure, b) for b in self.blocks))
 
     def fill(self) -> Design:
         """Replace each placeholder with the least unused label of its
-        part, then drop exact duplicate blocks."""
-        filled = dict.fromkeys(b.filled(self.structure) for b in self.blocks)
-        return Design(self.structure, self.t, tuple(filled), self.lam)
+        part, then drop exact repeats at lambda = 1."""
+        s = self.structure
+        filled = (make_block(s, [_pad([x for x in part if x != STAR], len(part))
+                                 for part in b])
+                  for b in self.blocks)
+        return Design(s, self.t, _drop_repeats(filled, self.lam), self.lam)
 
 
 def cover_t1(s: PartStructure) -> Design:
@@ -161,10 +163,9 @@ def construct_minimax(s: PartStructure, base: Design,
             tail = list(range(cut[i] + 1, vi + 1))
             stars = ki - len(kept) - len(tail)
             parts.append(tuple(kept + tail) + (STAR,) * stars)
-        pblocks.append(PlaceholderBlock(tuple(parts)))
-    if keep_placeholders:
-        return PlaceholderDesign(s, 2, tuple(dict.fromkeys(pblocks)))
-    return PlaceholderDesign(s, 2, tuple(pblocks)).fill()
+        pblocks.append(tuple(parts))
+    pd = PlaceholderDesign(s, 2, tuple(dict.fromkeys(pblocks)))
+    return pd if keep_placeholders else pd.fill()
 
 
 def _check_part_index(s: PartStructure, i: int) -> None:
@@ -265,27 +266,26 @@ def delete_points(d: Design, v_hat) -> Design:
     """Shrink part i to its first v_hat_i labels.  A deleted label in a
     block is replaced by the least surviving label of that part not
     already present (deleted labels processed in ascending order), then
-    duplicate blocks are dropped."""
+    exact repeats are dropped at lambda = 1."""
     v_hat = _target(d, v_hat, "target size")
     s = PartStructure(v_hat, d.structure.k)
-    out = dict.fromkeys(
-        make_block(s, [_pad([x for x in part if x <= vh], ki)
-                       for part, vh, ki in zip(b, v_hat, s.k)])
-        for b in d.blocks)
-    return Design(s, d.t, tuple(out), d.lam)
+    out = (make_block(s, [_pad([x for x in part if x <= vh], ki)
+                          for part, vh, ki in zip(b, v_hat, s.k)])
+           for b in d.blocks)
+    return Design(s, d.t, _drop_repeats(out, d.lam), d.lam)
 
 
 def expand_blocks(d: Design, k_hat) -> Design:
     """Grow each block's part i to k_hat_i labels using the least labels
-    not already present, then drop duplicates.  Requires every original
-    profile >= 2 so the coverage obligations do not change shape."""
+    not already present, then drop exact repeats at lambda = 1.  Requires
+    every original profile >= 2 so the coverage obligations do not change
+    shape."""
     if any(ki < 2 for ki in d.structure.k):
         raise ProfileBelowTwo(f"expansion needs every k_i >= 2, got {d.structure.k}")
     k_hat = _target(d, k_hat, "target profile")
     s = PartStructure(d.structure.v, k_hat)
-    out = dict.fromkeys(make_block(s, [_pad(part, kh) for part, kh in zip(b, k_hat)])
-                        for b in d.blocks)
-    return Design(s, d.t, tuple(out), d.lam)
+    out = (make_block(s, [_pad(part, kh) for part, kh in zip(b, k_hat)]) for b in d.blocks)
+    return Design(s, d.t, _drop_repeats(out, d.lam), d.lam)
 
 
 def amalgamate(d: Design, i: int, j: int) -> Design:
@@ -332,9 +332,7 @@ def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:
     blocks first."""
     if not verify(d).valid:
         raise InvalidInput("input design fails verification")
-    blocks = list(d.blocks)
-    if d.lam == 1:
-        blocks = list(dict.fromkeys(blocks))
+    blocks = _drop_repeats(d.blocks, d.lam)
     if greedy_drop:
         kept = set(range(len(blocks)))
         for r in sorted(kept, key=lambda q: blocks[q], reverse=True):

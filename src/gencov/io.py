@@ -9,17 +9,21 @@
     1 2 | 1 | 1
 
 `#` starts a comment anywhere on a line; blank lines are ignored; CRLF
-input is accepted.  Labels start at 1; a literal `*` in a block denotes a
-retained placeholder.  Emission is canonical: labels ascending,
+input is accepted.  Labels start at 1; a `*` in a block is a retained
+placeholder, STAR in the parsed parts, and a document holding one parses
+to a PlaceholderDesign.  Both kinds take one constructor call, which
+checks each block once.  Emission is canonical: labels ascending,
 placeholders last, parts joined by ` | `, headers in the order shown.
+
+Covering-array files (parse_array) share the comment and blank-line
+rules: one row of integer entries per line.
 """
 
 from __future__ import annotations
 
-from .construct import STAR, PlaceholderBlock, PlaceholderDesign, _canon_placeholder_parts
+from .construct import STAR, PlaceholderDesign, _canon_placeholder_parts
 from .core import Design, PartStructure, make_block
-from .errors import (DesignSemanticError, DesignSyntaxError, GencovError, LabelOutOfRange,
-                     StrengthTooLarge)
+from .errors import DesignSemanticError, DesignSyntaxError, GencovError, StrengthTooLarge
 
 _HEADER = "gcd 1"
 _KEYS = ("t", "lambda", "v", "k")
@@ -34,14 +38,30 @@ def _parse_int(token: str, lineno: int, line: str) -> int:
                                 line=lineno, column=col) from None
 
 
-def _block_tokens(lineno: int, body: str) -> tuple[tuple[int, ...], ...]:
-    """The labels of one block line, part by part; STAR stands for `*`."""
-    if "*" not in body:
+def _significant_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, content) of each line, comments and blanks removed."""
+    rows = []
+    for n, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            rows.append((n, body))
+    return rows
+
+
+def parse_array(text: str) -> list[tuple[int, ...]]:
+    """The integer rows of a covering-array file, one per line."""
+    return [tuple(_parse_int(x, n, body) for x in body.split())
+            for n, body in _significant_lines(text)]
+
+
+def _block_tokens(lineno: int, body: str) -> tuple[tuple, ...]:
+    """The entries of one block line, part by part: labels and STARs."""
+    if STAR not in body:
         try:
             return tuple(tuple(map(int, chunk.split())) for chunk in body.split("|"))
         except ValueError:
             pass  # the slow path below names the token and its column
-    return tuple(tuple(STAR if token == "*" else _parse_int(token, lineno, body)
+    return tuple(tuple(STAR if token == STAR else _parse_int(token, lineno, body)
                        for token in chunk.split())
                  for chunk in body.split("|"))
 
@@ -49,11 +69,8 @@ def _block_tokens(lineno: int, body: str) -> tuple[tuple[int, ...], ...]:
 def _check_line(s: PartStructure, lineno: int, body: str, parts: tuple) -> tuple:
     """The checked block (or placeholder parts) of one line; errors carry the line."""
     try:
-        if "*" not in body:
+        if STAR not in body:
             return make_block(s, parts)
-        # STAR is 0, so a literal 0 would otherwise pass for a placeholder.
-        if sum(part.count(STAR) for part in parts) != body.count("*"):
-            raise LabelOutOfRange("label 0 in a block; labels start at 1")
         return _canon_placeholder_parts(s, parts)
     except GencovError as e:
         raise DesignSemanticError(str(e), line=lineno) from e
@@ -61,12 +78,7 @@ def _check_line(s: PartStructure, lineno: int, body: str, parts: tuple) -> tuple
 
 def parse_design(text: str) -> Design | PlaceholderDesign:
     """Parse document text; placeholder entries yield a PlaceholderDesign."""
-    # (lineno, significant content) with comments and blanks removed
-    rows = []
-    for n, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((n, body))
+    rows = _significant_lines(text)
     if not rows:
         raise DesignSyntaxError("empty document", line=1)
     lineno, head = rows[0]
@@ -120,17 +132,15 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
         raise DesignSemanticError(str(e), line=fields[key][0]) from e
 
     lines = rows[pos:]
-    if any("*" in body for _, body in lines):
-        blocks = [_check_line(s, n, body, _block_tokens(n, body)) for n, body in lines]
-        return PlaceholderDesign(s, t, tuple(PlaceholderBlock(b) for b in blocks), lam)
-    # Design checks each block once.  Only on a failure are the lines read
-    # so far checked one by one, so that the first bad line is the one
-    # reported, also when a later line holds a syntax error.
+    kind = PlaceholderDesign if any(STAR in body for _, body in lines) else Design
+    # The constructor checks each block once.  Only on a failure are the
+    # lines read so far checked one by one, so that the first bad line is
+    # the one reported, also when a later line holds a syntax error.
     tokens = []
     try:
         for n, body in lines:
             tokens.append(_block_tokens(n, body))
-        return Design(s, t, tuple(tokens), lam)
+        return kind(s, t, tuple(tokens), lam)
     except GencovError:
         for row, parts in zip(lines, tokens):
             _check_line(s, *row, parts)
@@ -144,10 +154,6 @@ def emit_design(d: Design | PlaceholderDesign) -> str:
              "v: " + " ".join(map(str, s.v)),
              "k: " + " ".join(map(str, s.k)),
              "blocks:"]
-    placeholders = isinstance(d, PlaceholderDesign)
     for b in d.blocks:
-        lines.append(" | ".join(
-            " ".join("*" if x == STAR else str(x) for x in part)
-            for part in (b.parts if placeholders else b)
-        ))
+        lines.append(" | ".join(" ".join(map(str, part)) for part in b))
     return "\n".join(lines) + "\n"

@@ -523,8 +523,6 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
             if len(chosen) < len(best):
                 best = chosen[:]
             return
-        if len(best) == lower:
-            return
         stop = len(best) - len(chosen)
         if tb.remaining_lb(uncovered, stop) >= stop:
             return

@@ -11,7 +11,11 @@ import gencov.bounds
 from gencov import (
     BudgetExhausted,
     GencovError,
+    ParameterOrderViolated,
     PartStructure,
+    SinglePart,
+    StrengthExceedsParts,
+    UnitProfilePart,
     VerificationReport,
     bound_report,
     exact_min,
@@ -149,6 +153,17 @@ def test_nested_ceiling():
     from itertools import permutations
     assert lower_nested_ceiling(s2, 3) == max(nested(p) for p in permutations(range(3), 3))
     assert lower_nested_ceiling(s2, 2) == max(nested(p) for p in permutations(range(3), 2))
+
+
+def test_rule_preconditions():
+    with pytest.raises(ParameterOrderViolated):
+        schonheim(3, 4, 2)
+    with pytest.raises(SinglePart):
+        lower_edges_multipartite(PartStructure((5,), (2,)))
+    with pytest.raises(StrengthExceedsParts):
+        lower_nested_ceiling(PartStructure((4, 2), (2, 1)), 3)
+    with pytest.raises(UnitProfilePart):
+        upper_minimax(PartStructure((4, 2), (2, 1)))
 
 
 def test_restriction_single():

@@ -10,6 +10,7 @@ import pytest
 
 from fixture_designs import (
     HADAMARD_9_16_RAW,
+    fano,
     hadamard_base,
     minimax_567,
     mixed_422,
@@ -17,7 +18,8 @@ from fixture_designs import (
     prod_c,
 )
 import gencov
-from gencov import Design, emit_design, parse_design, verify
+from gencov import (Design, PartStructure, construct_minimax, emit_design, parse_design,
+                    product_concat, verify)
 from gencov.cli import main
 
 
@@ -126,6 +128,16 @@ def test_construct_keep_placeholders(capsys):
     assert isinstance(parse_design(out).fill(), Design)
 
 
+def test_verify_refuses_placeholders(tmp_path, capsys):
+    f = tmp_path / "stars.gcd"
+    f.write_text(emit_design(construct_minimax(PartStructure((5, 6, 7), (3, 4, 3)), fano(),
+                                               keep_placeholders=True)))
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2
+    assert out == ""
+    assert "placeholder" in err
+
+
 def test_construct_unit_profile_needs_base(capsys):
     code, _, err = run(capsys, "construct", "--v", "4,2", "--k", "2,1")
     assert code == 2
@@ -198,6 +210,16 @@ def test_product_improved_and_prune(tmp_path, capsys):
     assert len(parse_design(out).blocks) == 15
 
 
+def test_product_concat(tmp_path, capsys):
+    b = tmp_path / "b.gcd"
+    c = tmp_path / "c.gcd"
+    b.write_text(emit_design(prod_b()))
+    c.write_text(emit_design(prod_c()))
+    code, out, _ = run(capsys, "product", "concat", str(b), str(c))
+    assert code == 0
+    assert out == emit_design(product_concat(prod_b(), prod_c()))
+
+
 def test_product_hadamard(tmp_path, capsys):
     f = tmp_path / "h.gcd"
     f.write_text(emit_design(hadamard_base()))
@@ -219,6 +241,13 @@ def test_transform_amalgamate_requires_profiles(mixed_file, capsys):
                        "--parts", "2,3")
     assert code == 2
     assert "error:" in err
+
+
+def test_transform_amalgamate_needs_two_parts(mixed_file, capsys):
+    code, out, err = run(capsys, "transform", "amalgamate", mixed_file, "--parts", "1")
+    assert code == 2
+    assert out == ""
+    assert "two part indices" in err
 
 
 def test_transform_delete_and_expand(tmp_path, capsys):
@@ -262,6 +291,25 @@ def test_convert_round_trip(tmp_path, capsys):
     assert out.splitlines() == ["1 1 1", "2 2 1", "2 1 2", "1 2 2"]
 
 
+def test_convert_non_integer_entry_exits_two(tmp_path, capsys):
+    rows = tmp_path / "rows.txt"
+    rows.write_text("# header\n0 0 0\n1 x 0\n")
+    code, out, err = run(capsys, "convert", "ca2gc", str(rows))
+    assert code == 2
+    assert out == ""
+    assert "(line 3, column 3)" in err
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("convert", "ca2gc"), ("convert", "gc2ca")])
+def test_non_utf8_file_exits_two(argv, tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes("gcd 1\n# caf\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, *argv, str(f))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "utf-8" in err
+
+
 def test_convert_gc2ca_rejects_wide_profile(mixed_file, capsys):
     code, _, err = run(capsys, "convert", "gc2ca", mixed_file)
     assert code == 2
@@ -279,6 +327,13 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["bounds", "--v", "4,2,2"])  # missing --k and --t
     assert e.value.code == 2
+
+
+def test_bad_vector_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["bounds", "--v", "4,x", "--k", "2,1", "--t", "2"])
+    assert e.value.code == 2
+    assert "comma-separated integers" in capsys.readouterr().err
 
 
 def run_python(*args):

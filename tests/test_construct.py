@@ -20,6 +20,8 @@ from gencov import (
     EmptyIndexSet,
     InvalidInput,
     LabelOutOfRange,
+    LengthMismatch,
+    NonPositiveEntry,
     ParameterOrderViolated,
     PartStructure,
     PlaceholderDesign,
@@ -116,8 +118,24 @@ def test_minimax_placeholder_intermediate():
         ((2, STAR, STAR), (2, 6, STAR, STAR), (2, 6, 7)),
         ((1, 3, STAR), (1, 3, STAR, STAR), (1, 3, 7)),
     )
-    assert tuple(b.parts for b in pd.blocks) == want
+    assert pd.blocks == want
     assert blocks_of(pd.fill()) == MINIMAX_567_RAW
+
+
+def test_placeholder_label_zero_is_out_of_range():
+    s = PartStructure((3,), (2,))
+    assert PlaceholderDesign(s, 1, (((STAR, 1),),)).blocks == (((1, STAR),),)
+    with pytest.raises(LabelOutOfRange):
+        PlaceholderDesign(s, 1, (((0, 1),),))
+
+
+def test_fill_keeps_repeats_at_lambda_two():
+    # 1* fills to 12; at lambda = 2 point 1 needs both copies
+    pd = PlaceholderDesign(PartStructure((3,), (2,)), 1,
+                           (((1, STAR),), ((1, STAR),), ((2, 3),), ((2, 3),)), lam=2)
+    out = pd.fill()
+    assert blocks_of(out) == (((1, 2),), ((1, 2),), ((2, 3),), ((2, 3),))
+    assert verify(out).valid
 
 
 def test_minimax_full_blocks_collapse():
@@ -246,6 +264,11 @@ def test_add_full_parts():
     assert drop_full_parts(out).blocks == d.blocks
 
 
+def test_add_full_parts_rejects_non_positive_size():
+    with pytest.raises(NonPositiveEntry):
+        add_full_parts(mixed_422(), (2, 0))
+
+
 # ------------------------------------------------------------- equivalence
 
 def test_expand_equivalent():
@@ -303,6 +326,16 @@ def test_delete_points_errors():
         delete_points(d, (1, 1, 1))
     with pytest.raises(TargetExceedsPart):
         delete_points(d, (5, 2, 2))
+    with pytest.raises(LengthMismatch):
+        delete_points(d, (3, 2))
+
+
+def test_delete_points_keeps_repeats_at_lambda_two():
+    # 13 and 23 both map to 12; at lambda = 2 each point needs two blocks
+    d = build((3,), (2,), 1, (((1, 2),), ((1, 3),), ((2, 3),)), lam=2)
+    out = delete_points(d, (2,))
+    assert blocks_of(out) == (((1, 2),),) * 3
+    assert verify(out).valid
 
 
 # --------------------------------------------------------- block expansion
@@ -328,6 +361,15 @@ def test_expand_blocks_errors():
         expand_blocks(fano(), (8,))
     with pytest.raises(TargetBelowProfile):
         expand_blocks(fano(), (2,))
+    with pytest.raises(LengthMismatch):
+        expand_blocks(fano(), (4, 4))
+
+
+def test_expand_blocks_keeps_repeats_at_lambda_two():
+    d = build((4,), (2,), 1, (((1, 2),), ((1, 2),), ((3, 4),), ((3, 4),)), lam=2)
+    out = expand_blocks(d, (3,))
+    assert blocks_of(out) == (((1, 2, 3),),) * 2 + (((1, 3, 4),),) * 2
+    assert verify(out).valid
 
 
 # ------------------------------------------------------------ amalgamation

@@ -195,6 +195,14 @@ def test_covering_array_round_trip():
     assert plain[0] == (1, 1, 1, 1)
 
 
+def test_to_covering_array_alphabet_errors():
+    d = from_covering_array(CA_5_4_2_ROWS, t=2)
+    with pytest.raises(LengthMismatch):
+        to_covering_array(d, alphabets=[(0, 1)] * 3)
+    with pytest.raises(EntryOutOfAlphabet):
+        to_covering_array(d, alphabets=[(0, 1)] * 3 + [(0, 1, 2)])
+
+
 def test_to_covering_array_requires_unit_profile():
     with pytest.raises(NotUnitProfile):
         to_covering_array(fano())

@@ -85,7 +85,7 @@ def test_placeholder_round_trip():
     assert "*" in text
     back = parse_design(text)
     assert isinstance(back, PlaceholderDesign)
-    assert tuple(b.parts for b in back.blocks) == tuple(b.parts for b in pd.blocks)
+    assert back.blocks == pd.blocks
     assert back.fill().blocks == minimax_567().blocks
 
 
