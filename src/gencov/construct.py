@@ -16,6 +16,7 @@ lambda a repeat counts toward the multiplicity and stays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .core import Block, Design, PartStructure, make_block
 from .errors import (
@@ -58,12 +59,16 @@ def _drop_repeats(blocks, lam: int) -> tuple[Block, ...]:
 
 
 def _canon_placeholder_parts(s: PartStructure, parts) -> tuple[tuple, ...]:
-    """One block whose parts may hold STAR: labels ascending, STARs last."""
+    """One block whose parts may hold STAR: labels ascending, STARs last.
+    Labels are coerced with operator.index, as make_block does."""
     if len(parts) != s.m:
         raise StructureMismatch(f"block has {len(parts)} parts, structure has {s.m}")
     canon = []
     for i, raw in enumerate(parts):
-        labels = sorted(x for x in raw if x != STAR)
+        try:
+            labels = sorted(map(index, (x for x in raw if x != STAR)))
+        except TypeError:
+            raise LabelOutOfRange(f"part {i + 1} labels must be integers, got {raw!r}") from None
         stars = len(raw) - len(labels)
         if len(set(labels)) != len(labels) or len(labels) + stars != s.k[i]:
             raise StructureMismatch(

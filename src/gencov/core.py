@@ -98,7 +98,15 @@ def make_block(structure: PartStructure, parts: Sequence[Sequence[int]]) -> Bloc
 
     A block that is already canonical (a tuple of sorted int tuples) is
     returned as the same object, so designs built from shared blocks
-    share them."""
+    share them.  A block that is itself in the structure's shared-block
+    registry, which holds only canonical blocks that searches built, is
+    returned at once, unchecked; an equal but different object, or an
+    unhashable one, takes the full check."""
+    try:
+        if structure._shared_blocks.get(parts) is parts:
+            return parts
+    except TypeError:  # unhashable parts, such as lists
+        pass
     if len(parts) != structure.m:
         raise StructureMismatch(f"block has {len(parts)} parts, structure has {structure.m}")
     out = []

@@ -21,6 +21,8 @@ rules: one row of integer entries per line.
 
 from __future__ import annotations
 
+import re
+
 from .construct import STAR, PlaceholderDesign, _canon_placeholder_parts
 from .core import Design, PartStructure, make_block
 from .errors import DesignSemanticError, DesignSyntaxError, GencovError, StrengthTooLarge
@@ -29,39 +31,47 @@ _HEADER = "gcd 1"
 _KEYS = ("t", "lambda", "v", "k")
 
 
-def _parse_int(token: str, lineno: int, line: str) -> int:
+def _parse_int(token: str, lineno: int, text: str, offset: int) -> int:
+    """token as an integer.  On failure the error's column is that of the
+    token in the line, where text, which holds the token, starts at
+    0-based column offset."""
     try:
         return int(token)
     except ValueError:
-        col = line.find(token) + 1
+        # Tokens are split at whitespace and "|", so the first occurrence
+        # bounded by those is this one: an earlier equal token would have
+        # failed first.
+        at = re.search(rf"(?<![^\s|]){re.escape(token)}(?![^\s|])", text)
         raise DesignSyntaxError(f"expected integer, got {token!r}",
-                                line=lineno, column=col) from None
+                                line=lineno, column=offset + at.start() + 1) from None
 
 
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, content) of each line, comments and blanks removed."""
+def _significant_lines(text: str) -> list[tuple[int, str, int]]:
+    """(line number, content, 0-based column of the content) of each line,
+    comments and blanks removed."""
     rows = []
     for n, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
+        head = raw.split("#", 1)[0]
+        body = head.strip()
         if body:
-            rows.append((n, body))
+            rows.append((n, body, len(head) - len(head.lstrip())))
     return rows
 
 
 def parse_array(text: str) -> list[tuple[int, ...]]:
     """The integer rows of a covering-array file, one per line."""
-    return [tuple(_parse_int(x, n, body) for x in body.split())
-            for n, body in _significant_lines(text)]
+    return [tuple(_parse_int(x, n, body, col) for x in body.split())
+            for n, body, col in _significant_lines(text)]
 
 
-def _block_tokens(lineno: int, body: str) -> tuple[tuple, ...]:
+def _block_tokens(lineno: int, body: str, col: int) -> tuple[tuple, ...]:
     """The entries of one block line, part by part: labels and STARs."""
     if STAR not in body:
         try:
             return tuple(tuple(map(int, chunk.split())) for chunk in body.split("|"))
         except ValueError:
             pass  # the slow path below names the token and its column
-    return tuple(tuple(STAR if token == STAR else _parse_int(token, lineno, body)
+    return tuple(tuple(STAR if token == STAR else _parse_int(token, lineno, body, col)
                        for token in chunk.split())
                  for chunk in body.split("|"))
 
@@ -81,14 +91,15 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
     rows = _significant_lines(text)
     if not rows:
         raise DesignSyntaxError("empty document", line=1)
-    lineno, head = rows[0]
+    lineno, head, _ = rows[0]
     if head != _HEADER:
         raise DesignSyntaxError(f"expected {_HEADER!r}, got {head!r}", line=lineno)
 
-    fields: dict[str, tuple[int, str]] = {}
+    # key: (line number, value, 0-based column of the value)
+    fields: dict[str, tuple[int, str, int]] = {}
     pos = 1
     while pos < len(rows):
-        lineno, body = rows[pos]
+        lineno, body, col = rows[pos]
         if body == "blocks:":
             pos += 1
             break
@@ -99,7 +110,7 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
                                     line=lineno)
         if key in fields:
             raise DesignSyntaxError(f"duplicate header {key!r}", line=lineno)
-        fields[key] = (lineno, rest.strip())
+        fields[key] = (lineno, rest.strip(), col + len(body) - len(rest.lstrip()))
         pos += 1
     else:
         raise DesignSyntaxError("missing 'blocks:' line", line=rows[-1][0])
@@ -107,12 +118,10 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
         if key not in fields:
             raise DesignSyntaxError(f"missing header {key!r}", line=lineno)
 
-    t = _parse_int(fields["t"][1], fields["t"][0], fields["t"][1])
-    lam = _parse_int(fields["lambda"][1], fields["lambda"][0], fields["lambda"][1])
-    v = tuple(_parse_int(x, fields["v"][0], fields["v"][1])
-              for x in fields["v"][1].split())
-    k = tuple(_parse_int(x, fields["k"][0], fields["k"][1])
-              for x in fields["k"][1].split())
+    t = _parse_int(fields["t"][1], *fields["t"])
+    lam = _parse_int(fields["lambda"][1], *fields["lambda"])
+    v = tuple(_parse_int(x, *fields["v"]) for x in fields["v"][1].split())
+    k = tuple(_parse_int(x, *fields["k"]) for x in fields["k"][1].split())
     if not v:
         raise DesignSyntaxError("empty part list", line=fields["v"][0])
     if len(v) != len(k):
@@ -132,18 +141,18 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
         raise DesignSemanticError(str(e), line=fields[key][0]) from e
 
     lines = rows[pos:]
-    kind = PlaceholderDesign if any(STAR in body for _, body in lines) else Design
+    kind = PlaceholderDesign if any(STAR in body for _, body, _ in lines) else Design
     # The constructor checks each block once.  Only on a failure are the
     # lines read so far checked one by one, so that the first bad line is
     # the one reported, also when a later line holds a syntax error.
     tokens = []
     try:
-        for n, body in lines:
-            tokens.append(_block_tokens(n, body))
+        for row in lines:
+            tokens.append(_block_tokens(*row))
         return kind(s, t, tuple(tokens), lam)
     except GencovError:
-        for row, parts in zip(lines, tokens):
-            _check_line(s, *row, parts)
+        for (n, body, _), parts in zip(lines, tokens):
+            _check_line(s, n, body, parts)
         raise
 
 

@@ -10,11 +10,15 @@ Only lambda = 1 is supported: a repeated block never helps a minimum
 cover, so plain subsets suffice.
 
 Tables: the coverers of every tuple are built up front, as greedy's gain
-updates and the branching read them.  The tuples a candidate covers are,
-per pattern, a product of per-part factors.  Greedy, which reads only
-its picks' masks, multiplies them out per pick; the search, which reads
-one per child, builds every candidate's mask from the same factors once
-greedy has missed the root bound.
+updates and the branching read them, from one incidence build per
+distinct part (v_i, k_i) that serves every t_i the patterns give it.
+The candidates themselves are never listed: a candidate is its index,
+decoded into per-part subsets by mixed radix when a block or a cover
+mask is needed.  The tuples a candidate covers are, per pattern, a
+product of per-part factors.  Greedy, which reads only its picks' masks,
+multiplies them out per pick; the search, which reads one per child,
+builds every candidate's mask from the same factors once greedy has
+missed the root bound.
 
 Symmetry: permuting the points inside each part maps any block onto the
 first candidate ((1..k_1), ..., (1..k_m)), so some minimum cover holds
@@ -64,7 +68,7 @@ once the bound reaches the pruning number, after any group.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, product
@@ -113,11 +117,12 @@ def _check_deadline(deadline: float | None) -> None:
         raise BudgetExhausted("timeout reached while building the coverage tables")
 
 
-def _part_incidence(vi: int, ki: int, ti: int, deadline: float | None = None,
-                    ) -> tuple[list[int], list[int]]:
+def _part_incidence(vi: int, ki: int, tis: Collection[int], deadline: float | None = None,
+                    ) -> dict[int, tuple[list[int], list[int]]]:
     """Containment between the k_i- and t_i-subsets of 1..v_i, both in lex
-    order: for each k_i-subset the bitmask of the t_i-subsets inside it,
-    and for each t_i-subset the bitmask of the k_i-subsets holding it.
+    order, for each t_i in tis: for each k_i-subset the bitmask of the
+    t_i-subsets inside it, and for each t_i-subset the bitmask of the
+    k_i-subsets holding it.
 
     Lex order lists the subsets that hold point 1 first, so splitting on
     point 1 gives both tables of v points from three tables of v - 1:
@@ -125,9 +130,9 @@ def _part_incidence(vi: int, ki: int, ti: int, deadline: float | None = None,
     by m(v-1,k,t) << C(v-1,t-1), and holders(v,k,t) is h(v-1,k-1,t-1)
     followed by h(v-1,k-1,t) | h(v-1,k,t) << C(v-1,k-1).  The tables are
     built one size v at a time, keeping only the previous size and only
-    the (k, t) that (ki, ti) at v_i needs; a missing (k, t) has t > k or
-    k > v and holds no containment.  The deadline is checked once per
-    size."""
+    the (k, t) that some (ki, ti) at v_i needs, so one build serves every
+    t_i of a part; a missing (k, t) has t > k or k > v and holds no
+    containment.  The deadline is checked once per size."""
     level: dict[tuple[int, int], tuple[list[int], list[int]]] = {(0, 0): ([1], [1])}
     for v in range(1, vi + 1):
         _check_deadline(deadline)
@@ -140,16 +145,20 @@ def _part_incidence(vi: int, ki: int, ti: int, deadline: float | None = None,
             return got
 
         # From (ki, ti) at vi the split reaches only k <= ki and t <= ti with
-        # v - k <= vi - ki and k - t <= ki - ti.
+        # v - k <= vi - ki and k - t <= ki - ti; the union of these windows
+        # over tis holds every dependency of its members.
         for k in range(max(0, v - vi + ki), min(ki, v) + 1):
-            for t in range(max(0, ti - vi + v, k - ki + ti), min(ti, k) + 1):
+            ts = set()
+            for ti in tis:
+                ts.update(range(max(0, ti - vi + v, k - ki + ti), min(ti, k) + 1))
+            for t in ts:
                 (m1, h1), (m0, h0), (mk, hk) = get(k - 1, t - 1), get(k - 1, t), get(k, t)
                 tshift = comb(n, t - 1) if t else 0
                 kshift = comb(n, k - 1) if k else 0
                 masks = [x | y << tshift for x, y in zip(m1, m0)]
                 masks += [y << tshift for y in mk]
                 level[k, t] = (masks, h1 + [x | y << kshift for x, y in zip(h0, hk)])
-    return level[ki, ti]
+    return {ti: level[ki, ti] for ti in tis}
 
 
 def _spread(x: int, width: int) -> int:
@@ -176,11 +185,15 @@ class _Tables:
 
     A candidate is a product of per-part lex k_i-subsets and a tuple of
     pattern p a product of per-part lex t_i-subsets, both indexed in
-    mixed radix with the last part fastest.  A candidate covers a tuple
-    iff each part's k_i-subset holds its t_i-subset.  coverers[j] is the
-    bitmask of the candidates that hold tuple j: per pattern, the
-    Kronecker product of per-part holder masks (_part_incidence), each
-    spread by the suffix width (_spread).
+    mixed radix with the last part fastest.  There are n_cands
+    candidates and no list of them: block(c) decodes candidate c from
+    the per-part pools of k_i-subsets, so greedy_cover pays only for the
+    blocks it picks.  A candidate covers a tuple iff each part's
+    k_i-subset holds its t_i-subset.  coverers[j] is the bitmask of the
+    candidates that hold tuple j: per pattern, the Kronecker product of
+    per-part holder masks, each spread by the suffix width (_spread).
+    The per-part masks come from one _part_incidence build per distinct
+    (v_i, k_i), made for every p_i its parts take in the patterns.
 
     cover(c), the transpose, is the bitmask of the tuples candidate c
     covers.  Per pattern, the build keeps one factor per part i with
@@ -228,8 +241,8 @@ class _Tables:
             )
         self.s = s
         self.t = t
-        pools = [list(combinations(range(1, vi + 1), ki)) for vi, ki in zip(s.v, s.k)]
-        self.cands: list[Block] = list(product(*pools))
+        self.n_cands = n_cands
+        self._pools = [list(combinations(range(1, vi + 1), ki)) for vi, ki in zip(s.v, s.k)]
 
         # Tuple universe in global order: patterns descending, tuples
         # ascending within each pattern, as admissible_tuples lists them.
@@ -237,16 +250,25 @@ class _Tables:
         # pattern one block can cover.
         self.spans: list[tuple[int, int, int]] = []
         self.coverers: list[int] = []
-        self._radices = [comb(vi, ki) for vi, ki in zip(s.v, s.k)]
+        self._radices = [len(pool) for pool in self._pools]
+        # (stride, radix) per part: candidate c's part-i digit is
+        # c // stride % radix, stride the product of the later radices.
+        self._places = [(prod(self._radices[i + 1:]), r) for i, r in enumerate(self._radices)]
         self._factors: list[tuple[int, list[tuple[int, list[int]]]]] = []
         self._covers: list[int] | None = None
-        incidence: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
         # Each tuple of pattern p is held by prod_i C(v_i - p_i, k_i - p_i)
         # candidates.
         entries = sum(prod(comb(vi, pi) * comb(vi - pi, ki - pi)
                            for vi, ki, pi in zip(s.v, s.k, p)) for p in patterns)
         if entries < _UNTIMED_ENTRIES:
             deadline = None
+        # One incidence build per distinct (v_i, k_i), for every p_i the
+        # patterns give its parts.
+        needed: dict[tuple[int, int], set[int]] = {}
+        for p in patterns:
+            for vk, pi in zip(zip(s.v, s.k), p):
+                needed.setdefault(vk, set()).add(pi)
+        incidence = {vk: _part_incidence(*vk, tis, deadline) for vk, tis in needed.items()}
         start = 0
         for p, size in zip(patterns, sizes):
             _check_deadline(deadline)
@@ -264,10 +286,7 @@ class _Tables:
             holders, stride = [1], 1
             for i in reversed(range(s.m)):
                 _check_deadline(deadline)
-                key = (s.v[i], s.k[i], p[i])
-                if key not in incidence:
-                    incidence[key] = _part_incidence(*key, deadline)
-                part_masks, part_holders = incidence[key]
+                part_masks, part_holders = incidence[s.v[i], s.k[i]][p[i]]
                 if p[i]:
                     factors.append((i, [_spread(x, width) for x in part_masks]
                                     if width > 1 else part_masks))
@@ -283,15 +302,22 @@ class _Tables:
         if s.m == 1:
             self.covers()  # its one factor, already the full list
 
+    def _digits(self, c: int) -> list[int]:
+        """Candidate c's per-part lex subset indices, by mixed radix with
+        the last part fastest."""
+        return [c // stride % radix for stride, radix in self._places]
+
+    def block(self, c: int) -> Block:
+        """Candidate c as a block, decoded from the per-part pools."""
+        return tuple([pool[d] for pool, d in zip(self._pools, self._digits(c))])
+
     def cover(self, c: int) -> int:
         """The bitmask of the tuples candidate c covers: per pattern, the
         product of its factors at c's per-part subsets, shifted to the
         pattern's start.  Once the full list is built, it is read there."""
         if self._covers is not None:
             return self._covers[c]
-        digits = [0] * self.s.m
-        for i in reversed(range(self.s.m)):
-            c, digits[i] = divmod(c, self._radices[i])
+        digits = self._digits(c)
         mask = 0
         for start, factors in self._factors:
             x = 1
@@ -364,7 +390,7 @@ class _Tables:
         return [sum(c) for c in product(*pools)]
 
     def design_from(self, chosen: list[int]) -> Design:
-        return _design(self.s, self.t, [self.cands[c] for c in chosen])
+        return _design(self.s, self.t, [self.block(c) for c in chosen])
 
     def remaining_lb(self, uncovered: int, stop: int) -> int:
         """A lower bound on the blocks still needed to cover the tuples
@@ -438,7 +464,7 @@ def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
     and the result is always a valid design.
     """
     coverers = tb.coverers
-    everyone = (1 << len(tb.cands)) - 1
+    everyone = (1 << tb.n_cands) - 1
     slices = [everyone if tb.maxcov >> b & 1 else 0 for b in range(tb.maxcov.bit_length())]
     uncovered = (1 << tb.n_tuples) - 1
     chosen: list[int] = []

@@ -129,6 +129,18 @@ def test_placeholder_label_zero_is_out_of_range():
         PlaceholderDesign(s, 1, (((0, 1),),))
 
 
+def test_placeholder_labels_must_be_integers():
+    # labels are coerced as make_block coerces them, when the design is built
+    s = PartStructure((3,), (2,))
+    for bad in ("x", 1.5):
+        with pytest.raises(LabelOutOfRange):
+            PlaceholderDesign(s, 1, (((bad, 1),),))
+        with pytest.raises(LabelOutOfRange):
+            PlaceholderDesign(s, 1, (((bad, STAR),),))
+    (((label, star),),) = PlaceholderDesign(s, 1, (((True, STAR),),)).blocks
+    assert (type(label), label, star) == (int, 1, STAR)
+
+
 def test_fill_keeps_repeats_at_lambda_two():
     # 1* fills to 12; at lambda = 2 point 1 needs both copies
     pd = PlaceholderDesign(PartStructure((3,), (2,)), 1,

@@ -22,6 +22,7 @@ from gencov import (
     admissible_patterns,
     admissible_tuples,
     from_covering_array,
+    greedy_cover,
     make_block,
     make_structure,
     pattern_tuple_count,
@@ -75,6 +76,42 @@ def test_make_block_keeps_canonical_block():
     assert make_block(s, b) is b
     assert Design(s, 1, (b,)).blocks[0] is b
     for raw in ([(1, 3), (2,)], ((3, 1), (2,)), ((np.int64(1), 3), (2,)), ((True, 3), (2,))):
+        out = make_block(s, raw)
+        assert out == b and out is not raw
+        assert all(type(x) is int for part in out for x in part)
+
+
+def _outcome(s, raw):
+    try:
+        out = make_block(s, raw)
+    except Exception as e:
+        return type(e), str(e)
+    return out, [type(x) for part in out for x in part]
+
+
+def test_make_block_registered_block_fast_path():
+    """A block a search registered comes back as the same object; an equal
+    but different object, or an unhashable one, is checked in full and
+    gives what a structure with no registered blocks gives."""
+    s = PartStructure((4, 2), (2, 1))
+    d = greedy_cover(s, 2)
+    b = d.blocks[0]
+    assert s._shared_blocks[b] is b
+    assert make_block(s, b) is b
+    assert Design(s, 2, d.blocks).blocks == d.blocks
+    assert all(x is y for x, y in zip(Design(s, 2, d.blocks).blocks, d.blocks))
+    fresh = PartStructure(s.v, s.k)
+    assert not fresh._shared_blocks
+    cases = [tuple(tuple(float(x) for x in part) for part in b),  # equal float block
+             tuple(tuple(bool(x) if x == 1 else x for x in part) for part in b),  # bools
+             [list(part) for part in b],                           # list parts
+             tuple(list(part) for part in b),                      # a tuple holding lists
+             ((9, 1), (1,))]                                      # an out-of-range label
+    assert cases[0] == b and cases[1] == b
+    for raw in cases:
+        assert _outcome(s, raw) == _outcome(fresh, raw), raw
+    assert _outcome(s, cases[0])[0] is LabelOutOfRange
+    for raw in cases[1:4]:
         out = make_block(s, raw)
         assert out == b and out is not raw
         assert all(type(x) is int for part in out for x in part)

@@ -201,3 +201,15 @@ def test_non_integer_block_token_carries_column():
     with pytest.raises(DesignSyntaxError) as e:
         parse_design(MIXED_TEXT.replace(plain, "2 3 | 2 | 2x"))
     assert (e.value.line, e.value.column) == (_line_of(plain), 11)
+
+
+def test_error_column_counts_within_the_line():
+    """The column of a non-integer token is its place in the whole line,
+    not in the header value or the stripped block line."""
+    with pytest.raises(DesignSyntaxError) as e:
+        parse_design(MIXED_TEXT.replace("lambda: 1", "lambda: x"))
+    assert (e.value.line, e.value.column) == (3, 9)
+    plain = "2 3 | 2 | 2"
+    with pytest.raises(DesignSyntaxError) as e:
+        parse_design(MIXED_TEXT.replace(plain, "   1 y"))
+    assert (e.value.line, e.value.column) == (_line_of(plain), 6)

@@ -342,13 +342,18 @@ def _tuples(s, t):
     return [T for p in admissible_patterns(s, t) for T in admissible_tuples(s, p)]
 
 
+def _cands(tb):
+    """Every candidate block of tb, in candidate order."""
+    return [tb.block(c) for c in range(tb.n_cands)]
+
+
 def _min_cover_size(tb, uncovered, limit):
     """The fewest candidates of tb whose blocks contain every tuple set in
     uncovered, by plain subset enumeration; None above limit."""
     tuples = _tuples(tb.s, tb.t)
     want = [tuples[j] for j in range(tb.n_tuples) if uncovered >> j & 1]
     holds = [frozenset(j for j, tup in enumerate(want) if oracle.tuple_covered(tup, cand))
-             for cand in tb.cands]
+             for cand in _cands(tb)]
     useful = [h for h in set(holds) if h]
     for size in range(limit + 1):
         for pick in combinations(useful, size):
@@ -373,9 +378,9 @@ def test_remaining_lb_is_sound():
             want = _min_cover_size(tb, uncovered, 5)
             if want is None:
                 continue
-            for stop in (len(tb.cands) + 1, rng.randint(0, want + 1)):
+            for stop in (tb.n_cands + 1, rng.randint(0, want + 1)):
                 assert tb.remaining_lb(uncovered, stop) <= want, (s, t, uncovered)
-            tight += tb.remaining_lb(uncovered, len(tb.cands) + 1) == want
+            tight += tb.remaining_lb(uncovered, tb.n_cands + 1) == want
             checked += 1
     assert tight > checked // 2
 
@@ -464,7 +469,7 @@ def test_coverage_tables_match_containment(v, k):
     for t in range(1, s.k_sum + 1):
         tb = _Tables(s, t)
         tuples = _tuples(s, t)
-        assert tb.cands == cands
+        assert _cands(tb) == cands
         universe = {tuple(tuple(sorted(x)) for x in T)
                     for p in oracle.patterns(v, k, t) for T in oracle.tuples_for(v, p)}
         assert len(tuples) == tb.n_tuples == len(universe)
@@ -494,7 +499,20 @@ def test_part_incidence_matches_containment():
                 masks = [sum(1 << j for j, sub in enumerate(subs) if sub <= big) for big in bigs]
                 holders = [sum(1 << a for a, big in enumerate(bigs) if sub <= big)
                            for sub in subs]
-                assert _part_incidence(v, k, t) == (masks, holders), (v, k, t)
+                assert _part_incidence(v, k, [t]) == {t: (masks, holders)}, (v, k, t)
+
+
+def test_part_incidence_one_build_per_part():
+    """One build for several t_i equals the builds for each t_i alone, for
+    every 0 <= k <= v <= 10 and every range of t_i, plus random sets."""
+    rng = random.Random(43)
+    for v in range(11):
+        for k in range(v + 1):
+            single = {t: _part_incidence(v, k, [t])[t] for t in range(k + 1)}
+            sets = [range(lo, hi + 1) for lo in range(k + 1) for hi in range(lo, k + 1)]
+            sets += [rng.sample(range(k + 1), rng.randint(1, k + 1)) for _ in range(3)]
+            for tis in sets:
+                assert _part_incidence(v, k, tis) == {t: single[t] for t in tis}, (v, k, tis)
 
 
 def test_kron_matches_bits():
@@ -536,7 +554,7 @@ def test_degree_slots_match_containment(v, k):
                     if p[i]:
                         mask = sum(1 << j for j, tup in enumerate(tuples)
                                    if tuple(map(len, tup)) == p and x in tup[i])
-                        through = [c for c in tb.cands if x in c[i]]
+                        through = [c for c in _cands(tb) if x in c[i]]
                         cap = max(sum(1 for tup in tuples if tuple(map(len, tup)) == p
                                       and x in tup[i] and oracle.tuple_covered(tup, c))
                                   for c in through)
@@ -592,7 +610,7 @@ def _rescan_greedy(tb, cheap):
     chosen = []
     while uncovered:
         lowest = (uncovered & -uncovered).bit_length() - 1
-        pool = [c for c in range(len(tb.cands)) if not cheap or tb.coverers[lowest] >> c & 1]
+        pool = [c for c in range(tb.n_cands) if not cheap or tb.coverers[lowest] >> c & 1]
         gain = {c: (tb.covers()[c] & uncovered).bit_count() for c in pool}
         ci = min(pool, key=lambda c: (-gain[c], c))
         chosen.append(ci)
