@@ -7,9 +7,14 @@ t, because L(v-e_i, k-e_i, 1) >= 1, so no rule at a lower strength
 exceeds it either, and in the parts it ranges over.
 t1, restriction_single and nested_ceiling each follow one chain of its
 recursion, and both edge rules are mediants of the counting ratios of
-such chains.  Every upper bound is witnessed by an explicitly stored
-design that has passed verification; values are never quoted from
-external tables.
+such chains.
+
+Every upper bound is witnessed by an explicitly stored design that has
+passed verification; values are never quoted from external tables.  The
+upper entries are t1_formula (strength 1, of the minimum size),
+minimax (strength 2 with every k_i >= 2, a base cover lifted to every
+part) and greedy (every strength, unless the structure's coverage
+tables exceed the search's caps).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from math import comb
 from .core import Design, PartStructure
 from .errors import (
     BudgetExhausted,
+    CandidateSpaceTooLarge,
     CertificateInvalid,
     ParameterOrderViolated,
     SinglePart,
@@ -28,8 +34,6 @@ from .errors import (
     UnitProfilePart,
 )
 from .verify import verify
-
-EXHAUSTIVE_CERT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,18 @@ def lower_best(s: PartStructure, t: int) -> BoundReport:
     return BoundReport(lower=rules)
 
 
+def _certified(name: str, design: Design) -> tuple[int, Design]:
+    """(block count, design) for a design that verifies; raises
+    CertificateInvalid naming the entry and its first uncovered tuple
+    otherwise."""
+    report = verify(design)
+    if not report.valid:
+        raise CertificateInvalid(
+            f"{name} certificate failed verification: {report.first_uncovered}"
+        )
+    return len(design.blocks), design
+
+
 def upper_minimax(s: PartStructure, max_nodes: int = 10_000_000,
                   timeout: float = 60.0, strict: bool = False) -> tuple[int, Design]:
     """Certified strength-2 upper bound from one classical base cover.
@@ -173,55 +189,31 @@ def upper_minimax(s: PartStructure, max_nodes: int = 10_000_000,
         raise UnitProfilePart(f"minimax bound needs every k_i >= 2, got {s.k}")
     w = minimax_base_size(s)
     base_result = certify_classical(w, s.k_min, 2, max_nodes=max_nodes, timeout=timeout)
-    design = construct_minimax(s, base_result.design)
-    report = verify(design)
-    if not report.valid:
-        raise CertificateInvalid(
-            f"minimax certificate failed verification: {report.first_uncovered}"
-        )
+    n, design = _certified("minimax", construct_minimax(s, base_result.design))
     if strict and base_result.status != "proven":
         raise BudgetExhausted(
             f"base ({w},{s.k_min},2) search stopped at status {base_result.status}",
             certificate=design,
         )
-    return len(design.blocks), design
-
-
-def _exhaustive_upper(s: PartStructure, t: int) -> tuple[int, Design] | None:
-    """The all-blocks design, when small enough to enumerate and verify."""
-    from itertools import product
-
-    if s.block_count_possible() > EXHAUSTIVE_CERT_CAP:
-        return None
-    pools = [list(combinations(range(1, vi + 1), ki)) for vi, ki in zip(s.v, s.k)]
-    blocks = tuple(product(*pools))
-    d = Design(s, t, blocks)
-    report = verify(d)
-    if not report.valid:
-        raise CertificateInvalid(
-            f"exhaustive certificate failed verification: {report.first_uncovered}"
-        )
-    return len(blocks), d
+    return n, design
 
 
 def bound_report(s: PartStructure, t: int) -> BoundReport:
     """Lower rules plus whatever certified uppers apply at this strength."""
+    from .search import greedy_cover
+
     base = lower_best(s, t)
     if base.infeasible:
         return base
     upper: dict[str, tuple[int, Design]] = {}
-    if t == 0:
-        return BoundReport(lower=base.lower, upper={"empty": (0, Design(s, 0))})
     if t == 1:
         from .construct import cover_t1
 
-        cert = cover_t1(s)
-        if not verify(cert).valid:
-            raise CertificateInvalid("strength-1 certificate failed verification")
-        upper["t1_formula"] = (len(cert.blocks), cert)
+        upper["t1_formula"] = _certified("t1_formula", cover_t1(s))
     if t == 2 and s.k_min >= 2:
         upper["minimax"] = upper_minimax(s)
-    exhaustive = _exhaustive_upper(s, t)
-    if exhaustive is not None:
-        upper["exhaustive"] = exhaustive
-    return BoundReport(lower=base.lower, upper=upper, infeasible=base.infeasible)
+    try:
+        upper["greedy"] = _certified("greedy", greedy_cover(s, t))
+    except CandidateSpaceTooLarge:
+        pass
+    return BoundReport(lower=base.lower, upper=upper)

@@ -30,6 +30,7 @@ from .errors import (
     ParameterOrderViolated,
     ProfileBelowTwo,
     StrengthNotTwo,
+    StrengthTooLarge,
     StructureMismatch,
     TargetBelowProfile,
     TargetExceedsPart,
@@ -178,6 +179,18 @@ def _check_part_index(s: PartStructure, i: int) -> None:
         raise LabelOutOfRange(f"part index {i} outside 1..{s.m}")
 
 
+def _check_strength(d: Design, parts, op: str) -> None:
+    """Raise StrengthTooLarge unless each listed part (1-based) has
+    k_i >= min(t, v_i), so that a part holds every set of labels that a
+    t-tuple can meet it in."""
+    for i in parts:
+        vi, ki = d.structure.v[i - 1], d.structure.k[i - 1]
+        if ki < min(d.t, vi):
+            raise StrengthTooLarge(
+                f"{op} at strength {d.t} needs k_{i} >= {min(d.t, vi)}, got {ki}"
+            )
+
+
 def restrict(d: Design, index_set) -> Design:
     """Project the design onto the parts in index_set (1-based).
 
@@ -223,11 +236,14 @@ def add_full_parts(d: Design, sizes) -> Design:
 
 def expand_equivalent(d: Design, i: int) -> Design:
     """Append a copy of part i (profile >= 2 required); each block's new
-    part repeats its part-i labels.  Valid for strength <= 2: a pair
-    split across the twin parts maps to a pair inside part i."""
+    part repeats its part-i labels.  A tuple split across the twin parts
+    maps to at most min(t, v_i) labels inside part i, so the copy needs
+    k_i >= min(t, v_i), which profile >= 2 gives at strength <= 2;
+    StrengthTooLarge otherwise."""
     _check_part_index(d.structure, i)
     if d.structure.k[i - 1] < 2:
         raise ProfileBelowTwo(f"part {i} has profile {d.structure.k[i - 1]}")
+    _check_strength(d, (i,), "expand_equivalent")
     s = PartStructure(d.structure.v + (d.structure.v[i - 1],),
                       d.structure.k + (d.structure.k[i - 1],))
     blocks = tuple(b + (b[i - 1],) for b in d.blocks)
@@ -283,11 +299,16 @@ def delete_points(d: Design, v_hat) -> Design:
 def expand_blocks(d: Design, k_hat) -> Design:
     """Grow each block's part i to k_hat_i labels using the least labels
     not already present, then drop exact repeats at lambda = 1.  Requires
-    every original profile >= 2 so the coverage obligations do not change
-    shape."""
+    every original profile >= 2.  A part grown to k_i < k_hat_i < v_i
+    admits tuples meeting it in up to t labels, so it also needs
+    k_i >= t (StrengthTooLarge otherwise); a part grown to v_i is whole
+    in every block."""
     if any(ki < 2 for ki in d.structure.k):
         raise ProfileBelowTwo(f"expansion needs every k_i >= 2, got {d.structure.k}")
     k_hat = _target(d, k_hat, "target profile")
+    grown = [i + 1 for i, (vi, ki, kh) in enumerate(zip(d.structure.v, d.structure.k, k_hat))
+             if ki < kh < vi]
+    _check_strength(d, grown, "expand_blocks")
     s = PartStructure(d.structure.v, k_hat)
     out = (make_block(s, [_pad(part, kh) for part, kh in zip(b, k_hat)]) for b in d.blocks)
     return Design(s, d.t, _drop_repeats(out, d.lam), d.lam)
@@ -296,13 +317,16 @@ def expand_blocks(d: Design, k_hat) -> Design:
 def amalgamate(d: Design, i: int, j: int) -> Design:
     """Merge parts i and j (both profiles >= 2) into a single part at
     position i; part-j labels are offset by v_i.  Block count is
-    preserved."""
+    preserved.  A tuple may meet the merged part in up to t labels from
+    either side, so each merged part needs k >= min(t, v), which profile
+    >= 2 gives at strength <= 2; StrengthTooLarge otherwise."""
     _check_part_index(d.structure, i)
     _check_part_index(d.structure, j)
     if i == j:
         raise InvalidInput("amalgamation needs two distinct parts")
     if d.structure.k[i - 1] < 2 or d.structure.k[j - 1] < 2:
         raise ProfileBelowTwo("both merged parts need profile >= 2")
+    _check_strength(d, (i, j), "amalgamate")
     vi = d.structure.v[i - 1]
     v_out: list[int] = []
     k_out: list[int] = []

@@ -24,7 +24,8 @@ class ProfileExceedsPart(GencovError):
 
 
 class StrengthTooLarge(GencovError):
-    """Requested strength t exceeds the profile sum."""
+    """Requested strength t exceeds the profile sum, or what an operation
+    on a design of that strength keeps valid."""
 
 
 class StructureMismatch(GencovError):

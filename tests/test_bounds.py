@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 from math import ceil, comb
 
 import pytest
@@ -19,6 +20,7 @@ from gencov import (
     VerificationReport,
     bound_report,
     exact_min,
+    greedy_cover,
     lower_best,
     lower_edges_clique,
     lower_edges_multipartite,
@@ -31,6 +33,7 @@ from gencov import (
     verify,
 )
 from gencov.cli import main
+from test_search import _census_cases
 from util_random import random_structure
 
 
@@ -247,22 +250,42 @@ def test_upper_minimax_strict_budget():
 def test_bound_report_uppers():
     s = PartStructure((4, 2, 2), (2, 1, 1))
     rep = bound_report(s, 2)
-    assert set(rep.upper) == {"exhaustive"}
-    n, d = rep.upper["exhaustive"]
-    assert n == 24 and len(d) == 24 and verify(d).valid
-    assert rep.best_upper == 24 and rep.best_lower == 6
+    assert set(rep.upper) == {"greedy"}
+    n, d = rep.upper["greedy"]
+    assert n == 7 and len(d) == 7 and verify(d).valid
+    assert rep.best_upper == 7 and rep.best_lower == 6
 
     rep1 = bound_report(s, 1)
     n1, d1 = rep1.upper["t1_formula"]
     assert n1 == lower_t1(s) == 2 and verify(d1).valid
 
     rep0 = bound_report(s, 0)
-    assert rep0.upper["empty"][0] == 0 and rep0.best_lower == 0
+    assert rep0.upper["greedy"][0] == 0 and rep0.best_lower == 0
 
     rep2 = bound_report(PartStructure((5, 6, 7), (3, 4, 3)), 2)
     assert rep2.upper["minimax"][0] == 7
     assert verify(rep2.upper["minimax"][1]).valid
     assert rep2.best_lower == 7  # bound meets certificate, so 7 is optimal
+
+
+def test_greedy_upper_on_census():
+    """greedy is reported at t = 2 and 3 as greedy_cover's own design,
+    and no certified upper exceeds the all-blocks count."""
+    for s, t in _census_cases():
+        rep = bound_report(s, t)
+        n, d = rep.upper["greedy"]
+        assert n == len(greedy_cover(s, t)) == len(d), (s, t)
+        assert verify(d).valid, (s, t)
+        assert rep.best_upper <= s.block_count_possible(), (s, t)
+
+
+def test_bound_report_without_greedy_tables():
+    # the coverage tables of (24)/(6) t=5 exceed the search's cap, so
+    # greedy is refused before it allocates anything
+    start = time.perf_counter()
+    rep = bound_report(PartStructure((24,), (6,)), 5)
+    assert time.perf_counter() - start < 0.5
+    assert rep.upper == {} and rep.best_upper is None
 
 
 def test_bound_report_infeasible():
@@ -286,8 +309,8 @@ def test_certificates_sized_consistently():
 
 @pytest.mark.parametrize("v, k, t, which", [
     ((4, 4), (2, 2), 2, "minimax"),
-    ((3, 2), (2, 1), 2, "exhaustive"),
-    ((3, 2), (2, 1), 1, "strength-1"),
+    ((3, 2), (2, 1), 2, "greedy"),
+    ((3, 2), (2, 1), 1, "t1_formula"),
 ])
 def test_failed_certificate_is_gencov_error(v, k, t, which, monkeypatch, capsys):
     monkeypatch.setattr(gencov.bounds, "verify",

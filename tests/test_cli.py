@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -82,7 +83,7 @@ def test_bounds_report(capsys):
     assert code == 0
     assert "lower.restriction_single=6" in out
     assert "best_lower=6" in out
-    assert "upper.exhaustive=24" in out
+    assert "upper.greedy=7" in out
     assert "infeasible=false" in out
 
 
@@ -266,6 +267,18 @@ def test_transform_delete_and_expand(tmp_path, capsys):
                        "--part", "1")
     assert code == 0
     assert parse_design(out).structure.v == (7, 7)
+
+
+def test_transform_refuses_strength_it_breaks(tmp_path, capsys):
+    # every block of (4,3)/(2,1) at t=3: a copy of part 1 would leave
+    # tuples meeting the twin parts in three labels uncovered
+    blocks = tuple((a, (b,)) for a in combinations(range(1, 5), 2) for b in range(1, 4))
+    f = tmp_path / "t3.gcd"
+    f.write_text(emit_design(Design(PartStructure((4, 3), (2, 1)), 3, blocks)))
+    code, out, err = run(capsys, "transform", "expand-equivalent", str(f), "--part", "1")
+    assert code == 2
+    assert out == ""
+    assert "strength 3" in err
 
 
 def test_transform_drop_full(tmp_path, capsys):

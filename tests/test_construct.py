@@ -1,5 +1,6 @@
 """Single-design constructions and transformations."""
 
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from gencov import (
     PlaceholderDesign,
     ProfileBelowTwo,
     StrengthNotTwo,
+    StrengthTooLarge,
     StructureMismatch,
     TargetBelowProfile,
     TargetExceedsPart,
@@ -39,6 +41,7 @@ from gencov import (
     expand_blocks,
     expand_equivalent,
     greedy_classical_cover,
+    greedy_cover,
     lower_t1,
     prune_redundant,
     reduce_equivalence,
@@ -51,6 +54,12 @@ from util_random import random_structure
 
 def blocks_of(d):
     return tuple(tuple(tuple(p) for p in b) for b in d.blocks)
+
+
+def all_blocks(v, k, t):
+    """The design of every candidate block of (v)/(k) at strength t."""
+    pools = [itertools.combinations(range(1, vi + 1), ki) for vi, ki in zip(v, k)]
+    return Design(PartStructure(v, k), t, tuple(itertools.product(*pools)))
 
 
 # ---------------------------------------------------------------- cover_t1
@@ -410,6 +419,66 @@ def test_amalgamate_errors():
         amalgamate(mixed_422(), 1, 2)
     with pytest.raises(InvalidInput):
         amalgamate(fano(), 1, 1)
+
+
+# --------------------------------------------------- strength guards, t >= 3
+
+def test_strength_guards_refuse_invalid_outputs():
+    # unguarded, each of these returned a design that fails verification
+    d = all_blocks((4, 3), (2, 1), 3)
+    assert len(d) == 18
+    with pytest.raises(StrengthTooLarge, match="k_1 >= 3"):
+        expand_equivalent(d, 1)
+    d = all_blocks((4, 4, 3), (2, 2, 1), 3)
+    assert len(d) == 108
+    with pytest.raises(StrengthTooLarge):
+        amalgamate(d, 1, 2)
+    d = all_blocks((5, 5), (2, 2), 3)
+    with pytest.raises(StrengthTooLarge, match="k_1 >= 3"):
+        expand_blocks(d, (3, 2))
+
+
+def test_strength_guards_allow_sound_cases():
+    d = all_blocks((4, 4), (3, 3), 3)
+    assert verify(amalgamate(d, 1, 2)).valid
+    assert verify(expand_equivalent(d, 2)).valid
+    assert verify(expand_blocks(d, (4, 3))).valid
+    # a part grown to its whole point set holds every tuple
+    d = all_blocks((5, 5), (2, 2), 3)
+    out = expand_blocks(d, (5, 2))
+    assert out.structure.k == (5, 2) and verify(out).valid
+    # a part with v_i <= t needs only k_i >= v_i
+    d = all_blocks((2, 5), (2, 3), 3)
+    assert verify(amalgamate(d, 1, 2)).valid
+    assert verify(expand_equivalent(d, 1)).valid
+
+
+def test_strength_guards_predict_validity():
+    """On seeded greedy designs at t = 3 and 4, each transform either
+    raises StrengthTooLarge or returns a valid design."""
+    rng = random.Random(23)
+    raised = kept = 0
+    for _ in range(60):
+        s = random_structure(rng, v_sum_max=9, m_max=3)
+        if s.k_sum < 3:
+            continue
+        d = greedy_cover(s, rng.randint(3, min(4, s.k_sum)))
+        trials = [lambda i=i, j=j: amalgamate(d, i, j)
+                  for i, j in itertools.permutations(range(1, s.m + 1), 2)
+                  if s.k[i - 1] >= 2 and s.k[j - 1] >= 2]
+        trials += [lambda i=i: expand_equivalent(d, i)
+                   for i in range(1, s.m + 1) if s.k[i - 1] >= 2]
+        if s.k_min >= 2:
+            trials.append(lambda: expand_blocks(d, [min(ki + 1, vi) for vi, ki in zip(s.v, s.k)]))
+        for trial in trials:
+            try:
+                out = trial()
+            except StrengthTooLarge:
+                raised += 1
+                continue
+            assert verify(out).valid, (s, d.t)
+            kept += 1
+    assert raised >= 5 and kept >= 5
 
 
 # ----------------------------------------------------------------- pruning
