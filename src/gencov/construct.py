@@ -6,6 +6,11 @@ point deletion and block expansion, equivalence handling for repeated
 parts, and redundancy pruning.  All operations return new immutable
 designs; none mutate their input.
 
+Restriction, the equivalence expansion and amalgamation are regroupings
+of parts: each output part joins one or more input parts, whose labels
+are offset past the members before it.  restrict keeps some parts,
+expand_equivalent appends a copy of one, and amalgamate merges two.
+
 A PlaceholderDesign has the shape of a Design, a tuple of blocks that
 are tuples of parts, except that a part may hold STAR ("*"), an entry
 that fill() sets to the least label the part lacks.  Operations that can
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index
 
-from .core import Block, Design, PartStructure, make_block
+from .core import Block, Design, PartStructure, as_int, check_strength_lambda, make_block
 from .errors import (
     BasePartTooSmall,
     DegenerateRestriction,
@@ -91,6 +96,9 @@ class PlaceholderDesign:
     lam: int = 1
 
     def __post_init__(self) -> None:
+        t, lam = check_strength_lambda(self.structure, self.t, self.lam)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "blocks", tuple(
             _canon_placeholder_parts(self.structure, b) for b in self.blocks))
 
@@ -174,9 +182,12 @@ def construct_minimax(s: PartStructure, base: Design,
     return pd if keep_placeholders else pd.fill()
 
 
-def _check_part_index(s: PartStructure, i: int) -> None:
+def _check_part_index(s: PartStructure, i) -> int:
+    """i as an integer part index in 1..m."""
+    i = as_int(i, LabelOutOfRange, "part index")
     if not (1 <= i <= s.m):
         raise LabelOutOfRange(f"part index {i} outside 1..{s.m}")
+    return i
 
 
 def _check_strength(d: Design, parts, op: str) -> None:
@@ -191,23 +202,34 @@ def _check_strength(d: Design, parts, op: str) -> None:
             )
 
 
+def _regroup(d: Design, groups, t: int) -> Design:
+    """The design at strength t whose part r joins the parts of d listed
+    in groups[r] (1-based): its size and profile are the sums over the
+    group, and each member's labels are offset by the sizes of the
+    members before it.  Lambda and the block order are kept."""
+    v, k = d.structure.v, d.structure.k
+    s = PartStructure(tuple(sum(v[p - 1] for p in g) for g in groups),
+                      tuple(sum(k[p - 1] for p in g) for g in groups))
+    # (0-based part, label offset) of each member of each group
+    members = [[(p - 1, sum(v[q - 1] for q in g[:n])) for n, p in enumerate(g)]
+               for g in groups]
+    blocks = tuple(tuple(tuple(x + off for p, off in grp for x in b[p]) for grp in members)
+                   for b in d.blocks)
+    return Design(s, t, blocks, d.lam)
+
+
 def restrict(d: Design, index_set) -> Design:
     """Project the design onto the parts in index_set (1-based).
 
     Strength drops to the restricted profile sum when that is smaller.
     """
-    idx = sorted(set(index_set))
+    idx = sorted({_check_part_index(d.structure, i) for i in index_set})
     if not idx:
         raise EmptyIndexSet("restriction needs at least one part")
-    for i in idx:
-        _check_part_index(d.structure, i)
     kI = tuple(d.structure.k[i - 1] for i in idx)
     if kI == (1,):
         raise DegenerateRestriction("no design exists on a single unit-profile part")
-    vI = tuple(d.structure.v[i - 1] for i in idx)
-    sub = PartStructure(vI, kI)
-    blocks = tuple(tuple(b[i - 1] for i in idx) for b in d.blocks)
-    return Design(sub, min(d.t, sum(kI)), blocks, d.lam)
+    return _regroup(d, [(i,) for i in idx], min(d.t, sum(kI)))
 
 
 def drop_full_parts(d: Design) -> Design:
@@ -225,7 +247,7 @@ def drop_full_parts(d: Design) -> Design:
 def add_full_parts(d: Design, sizes) -> Design:
     """Append parts with v_i = k_i = size; every block gains the whole
     new point set, so validity is preserved at the same strength."""
-    sizes = tuple(int(x) for x in sizes)
+    sizes = tuple(as_int(x, NonPositiveEntry, "part size") for x in sizes)
     if any(x < 1 for x in sizes):
         raise NonPositiveEntry(f"part sizes must be positive, got {sizes}")
     s = PartStructure(d.structure.v + sizes, d.structure.k + sizes)
@@ -240,14 +262,11 @@ def expand_equivalent(d: Design, i: int) -> Design:
     maps to at most min(t, v_i) labels inside part i, so the copy needs
     k_i >= min(t, v_i), which profile >= 2 gives at strength <= 2;
     StrengthTooLarge otherwise."""
-    _check_part_index(d.structure, i)
+    i = _check_part_index(d.structure, i)
     if d.structure.k[i - 1] < 2:
         raise ProfileBelowTwo(f"part {i} has profile {d.structure.k[i - 1]}")
     _check_strength(d, (i,), "expand_equivalent")
-    s = PartStructure(d.structure.v + (d.structure.v[i - 1],),
-                      d.structure.k + (d.structure.k[i - 1],))
-    blocks = tuple(b + (b[i - 1],) for b in d.blocks)
-    return Design(s, d.t, blocks, d.lam)
+    return _regroup(d, [(p,) for p in range(1, d.structure.m + 1)] + [(i,)], d.t)
 
 
 def reduce_equivalence(s: PartStructure) -> tuple[PartStructure, dict[tuple[int, int], int]]:
@@ -272,7 +291,7 @@ def reduce_equivalence(s: PartStructure) -> tuple[PartStructure, dict[tuple[int,
 
 def _target(d: Design, target, what: str) -> tuple[int, ...]:
     """target as integers, one per part, with k_i <= target_i <= v_i."""
-    target = tuple(int(x) for x in target)
+    target = tuple(as_int(x, NonPositiveEntry, what) for x in target)
     if len(target) != d.structure.m:
         raise LengthMismatch(f"expected {d.structure.m} entries, got {len(target)}")
     for x, vi, ki in zip(target, d.structure.v, d.structure.k):
@@ -320,38 +339,15 @@ def amalgamate(d: Design, i: int, j: int) -> Design:
     preserved.  A tuple may meet the merged part in up to t labels from
     either side, so each merged part needs k >= min(t, v), which profile
     >= 2 gives at strength <= 2; StrengthTooLarge otherwise."""
-    _check_part_index(d.structure, i)
-    _check_part_index(d.structure, j)
+    i = _check_part_index(d.structure, i)
+    j = _check_part_index(d.structure, j)
     if i == j:
         raise InvalidInput("amalgamation needs two distinct parts")
     if d.structure.k[i - 1] < 2 or d.structure.k[j - 1] < 2:
         raise ProfileBelowTwo("both merged parts need profile >= 2")
     _check_strength(d, (i, j), "amalgamate")
-    vi = d.structure.v[i - 1]
-    v_out: list[int] = []
-    k_out: list[int] = []
-    for p in range(1, d.structure.m + 1):
-        if p == j:
-            continue
-        if p == i:
-            v_out.append(vi + d.structure.v[j - 1])
-            k_out.append(d.structure.k[i - 1] + d.structure.k[j - 1])
-        else:
-            v_out.append(d.structure.v[p - 1])
-            k_out.append(d.structure.k[p - 1])
-    s = PartStructure(tuple(v_out), tuple(k_out))
-    blocks = []
-    for b in d.blocks:
-        parts = []
-        for p in range(1, d.structure.m + 1):
-            if p == j:
-                continue
-            if p == i:
-                parts.append(b[i - 1] + tuple(x + vi for x in b[j - 1]))
-            else:
-                parts.append(b[p - 1])
-        blocks.append(tuple(parts))
-    return Design(s, d.t, tuple(blocks), d.lam)
+    return _regroup(d, [(i, j) if p == i else (p,) for p in range(1, d.structure.m + 1)
+                        if p != j], d.t)
 
 
 def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:

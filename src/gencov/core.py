@@ -128,6 +128,28 @@ def make_block(structure: PartStructure, parts: Sequence[Sequence[int]]) -> Bloc
     return parts if canonical else tuple(out)
 
 
+def as_int(x, error: type[Exception], what: str) -> int:
+    """x coerced with operator.index; error when x is not an integer."""
+    try:
+        return index(x)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {x!r}") from None
+
+
+def check_strength_lambda(s: PartStructure, t, lam) -> tuple[int, int]:
+    """(t, lam) as integers with 0 <= t <= k_sum and lam >= 1, the checks
+    every design of structure s makes."""
+    t = as_int(t, StrengthTooLarge, "strength")
+    if t < 0:
+        raise StrengthTooLarge(f"strength must be non-negative, got {t}")
+    if t > s.k_sum:
+        raise StrengthTooLarge(f"strength {t} exceeds profile sum {s.k_sum}")
+    lam = as_int(lam, NonPositiveEntry, "lambda")
+    if lam < 1:
+        raise NonPositiveEntry(f"lambda must be positive, got {lam}")
+    return t, lam
+
+
 @dataclass(frozen=True)
 class Design:
     """An ordered multiset of blocks with declared strength and lambda.
@@ -141,14 +163,9 @@ class Design:
     lam: int = 1
 
     def __post_init__(self):
-        if self.t < 0:
-            raise StrengthTooLarge(f"strength must be non-negative, got {self.t}")
-        if self.t > self.structure.k_sum:
-            raise StrengthTooLarge(
-                f"strength {self.t} exceeds profile sum {self.structure.k_sum}"
-            )
-        if self.lam < 1:
-            raise NonPositiveEntry(f"lambda must be positive, got {self.lam}")
+        t, lam = check_strength_lambda(self.structure, self.t, self.lam)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "lam", lam)
         canon = tuple(make_block(self.structure, b) for b in self.blocks)
         object.__setattr__(self, "blocks", canon)
 
@@ -163,6 +180,7 @@ def admissible_patterns(s: PartStructure, t: int) -> list[Pattern]:
     examples use; e.g. k=(2,1,1), t=2 gives (2,0,0), (1,1,0), (1,0,1),
     (0,1,1).
     """
+    t = as_int(t, StrengthTooLarge, "strength")
     if t < 0 or t > s.k_sum:
         raise StrengthTooLarge(f"strength {t} not in 0..{s.k_sum}")
     # Room left in the parts after position i; pushing the choices for part

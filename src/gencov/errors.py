@@ -24,8 +24,8 @@ class ProfileExceedsPart(GencovError):
 
 
 class StrengthTooLarge(GencovError):
-    """Requested strength t exceeds the profile sum, or what an operation
-    on a design of that strength keeps valid."""
+    """Requested strength t is not an integer in 0..k_sum, or exceeds what
+    an operation on a design of that strength keeps valid."""
 
 
 class StructureMismatch(GencovError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from .construct import STAR, PlaceholderDesign, _canon_placeholder_parts
-from .core import Design, PartStructure, make_block
+from .core import Design, PartStructure, check_strength_lambda, make_block
 from .errors import DesignSemanticError, DesignSyntaxError, GencovError, StrengthTooLarge
 
 _HEADER = "gcd 1"
@@ -132,10 +132,10 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
     except GencovError as e:
         key = "v" if min(v) < 1 else "k"
         raise DesignSemanticError(str(e), line=fields[key][0]) from e
-    # Design's checks of t and lambda, made before any block line so that
-    # the error carries the header's line; a PlaceholderDesign needs them too.
+    # The checks of t and lambda that Design and PlaceholderDesign share,
+    # made before any block line so that the error carries the header's line.
     try:
-        Design(s, t, (), lam)
+        check_strength_lambda(s, t, lam)
     except GencovError as e:
         key = "t" if isinstance(e, StrengthTooLarge) else "lambda"
         raise DesignSemanticError(str(e), line=fields[key][0]) from e

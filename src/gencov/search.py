@@ -75,7 +75,7 @@ from itertools import accumulate, combinations, product
 from math import comb, prod
 
 from . import bounds
-from .core import Block, Design, PartStructure, admissible_patterns, pattern_tuple_count
+from .core import Block, Design, PartStructure, admissible_patterns, as_int, pattern_tuple_count
 from .errors import BudgetExhausted, CandidateSpaceTooLarge, StrengthTooLarge
 
 CANDIDATE_CAP = 10 ** 6
@@ -514,6 +514,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     is built only if greedy misses the root bound; a timeout that runs
     out while it is built returns greedy's design as budget-exhausted."""
     deadline = time.monotonic() + timeout
+    t = as_int(t, StrengthTooLarge, "strength")
     if t < 0:
         raise StrengthTooLarge(f"strength must be nonnegative, got {t}")
     if t > s.k_sum:

@@ -26,6 +26,7 @@ from .core import (
     PartStructure,
     SetTuple,
     admissible_patterns,
+    as_int,
     pattern_tuple_count,
 )
 from .errors import NonPositiveEntry, UniverseTooLarge
@@ -194,6 +195,7 @@ def verify(d: Design) -> VerificationReport:
 def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, int]]:
     """Up to cap under-covered tuples with their actual multiplicities,
     in the global enumeration order."""
+    cap = as_int(cap, NonPositiveEntry, "cap")
     if cap < 1:
         raise NonPositiveEntry(f"cap must be >= 1, got {cap}")
     out: list[tuple[SetTuple, int]] = []

@@ -150,6 +150,17 @@ def test_placeholder_labels_must_be_integers():
     assert (type(label), label, star) == (int, 1, STAR)
 
 
+@pytest.mark.parametrize("args", [(99,), (-1,), (2, (), 0), (1.5,)])
+def test_placeholder_design_checks_strength_and_lambda(args):
+    # as Design does: same class, same message
+    s = PartStructure((4, 2, 2), (2, 1, 1))
+    with pytest.raises((StrengthTooLarge, NonPositiveEntry)) as e:
+        PlaceholderDesign(s, *args)
+    with pytest.raises(type(e.value)) as want:
+        Design(s, *args)
+    assert str(e.value) == str(want.value)
+
+
 def test_fill_keeps_repeats_at_lambda_two():
     # 1* fills to 12; at lambda = 2 point 1 needs both copies
     pd = PlaceholderDesign(PartStructure((3,), (2,)), 1,

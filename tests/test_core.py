@@ -19,13 +19,20 @@ from gencov import (
     ProfileExceedsPart,
     StrengthTooLarge,
     StructureMismatch,
+    add_full_parts,
     admissible_patterns,
     admissible_tuples,
+    amalgamate,
+    coverage_deficit,
+    delete_points,
+    exact_min,
+    expand_equivalent,
     from_covering_array,
     greedy_cover,
     make_block,
     make_structure,
     pattern_tuple_count,
+    restrict,
     to_covering_array,
     tuple_in_block,
 )
@@ -147,6 +154,37 @@ def test_design_strength_bounds():
 def test_design_lambda_positive():
     with pytest.raises(NonPositiveEntry):
         Design(PartStructure((3,), (2,)), 1, lam=0)
+
+
+NON_INTEGER_CALLS = {
+    "Design t": (StrengthTooLarge, lambda s, d: Design(s, 1.5, d.blocks)),
+    "Design lam": (NonPositiveEntry, lambda s, d: Design(s, 2, d.blocks, lam=1.5)),
+    "admissible_patterns": (StrengthTooLarge, lambda s, d: admissible_patterns(s, 2.0)),
+    "restrict": (LabelOutOfRange, lambda s, d: restrict(d, [1.0, 2])),
+    "expand_equivalent": (LabelOutOfRange, lambda s, d: expand_equivalent(d, 1.0)),
+    "amalgamate": (LabelOutOfRange, lambda s, d: amalgamate(d, 1.0, 2)),
+    "delete_points": (NonPositiveEntry, lambda s, d: delete_points(d, (3.7, 2, 2))),
+    "add_full_parts": (NonPositiveEntry, lambda s, d: add_full_parts(d, (2.5,))),
+    "coverage_deficit": (NonPositiveEntry, lambda s, d: coverage_deficit(d, 2.5)),
+    "greedy_cover": (StrengthTooLarge, lambda s, d: greedy_cover(s, 2.0)),
+    "exact_min": (StrengthTooLarge, lambda s, d: exact_min(s, 2.0)),
+}
+
+
+@pytest.mark.parametrize("error, call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+def test_non_integer_arguments_raise_gencov_errors(error, call):
+    s = PartStructure((4, 3, 3), (2, 2, 2))
+    with pytest.raises(error, match="must be an integer"):
+        call(s, greedy_cover(s, 2))
+
+
+def test_integer_like_arguments_are_coerced():
+    s = PartStructure((4, 3, 3), (2, 2, 2))
+    d = greedy_cover(s, 2)
+    same = Design(s, np.int64(2), d.blocks, lam=np.int8(1))
+    assert same == d and type(same.t) is int and type(same.lam) is int
+    assert restrict(d, [True, np.int64(2)]) == restrict(d, [1, 2])
+    assert amalgamate(d, np.int64(1), 2) == amalgamate(d, 1, 2)
 
 
 def test_design_canonicalizes_blocks():

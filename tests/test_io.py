@@ -138,6 +138,24 @@ def test_semantic_errors_carry_line():
     assert e.value.line == 4
 
 
+HEADER_ERRORS = {
+    "missing blocks line": ("gcd 1\nt: 2\nlambda: 1\nv: 4\nk: 2\n",
+                            DesignSyntaxError, 5, "missing 'blocks:'"),
+    "empty part list": ("gcd 1\nt: 2\nlambda: 1\nv:\nk: 2\nblocks:\n",
+                        DesignSyntaxError, 4, "empty part list"),
+    "lengths differ": ("gcd 1\nt: 2\nlambda: 1\nv: 3 4\nk: 2\nblocks:\n",
+                       DesignSemanticError, 5, "2 part sizes but 1 profile entries"),
+}
+
+
+@pytest.mark.parametrize("text, error, line, message", HEADER_ERRORS.values(),
+                         ids=HEADER_ERRORS)
+def test_header_errors_carry_line(text, error, line, message):
+    with pytest.raises(error, match=message) as e:
+        parse_design(text)
+    assert e.value.line == line
+
+
 # One block line of MIXED_TEXT mutated, without and with a placeholder.
 BAD_BLOCK_LINES = {
     "part-count": ("1 3 | 1 | 2", "1 3 | 1"),
