@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb
 
-from .core import Design, PartStructure
+from .core import Design, PartStructure, as_int
 from .errors import (
     BudgetExhausted,
     CandidateSpaceTooLarge,
@@ -31,6 +31,7 @@ from .errors import (
     ParameterOrderViolated,
     SinglePart,
     StrengthExceedsParts,
+    StrengthTooLarge,
     UnitProfilePart,
 )
 from .verify import verify
@@ -55,6 +56,9 @@ def schonheim(v: int, k: int, t: int) -> int:
     """The nested-ceiling bound ceil(v/k ceil((v-1)/(k-1) ... )), whose
     innermost factor is ceil((v-t+1)/(k-t+1)): lower_schonheim's
     recursion on the one part (v, k)."""
+    v = as_int(v, ParameterOrderViolated, "v")
+    k = as_int(k, ParameterOrderViolated, "k")
+    t = as_int(t, StrengthTooLarge, "strength")
     if not (v >= k >= t >= 1):
         raise ParameterOrderViolated(f"need v >= k >= t >= 1, got ({v},{k},{t})")
     return _schonheim_rec(((v, k),), t, {})
@@ -67,6 +71,8 @@ def lower_t1(s: PartStructure) -> int:
 
 def lower_edges_clique(s: PartStructure) -> int:
     """Edge count of the join graph over edge count of one block clique."""
+    if s.k_sum < 2:
+        raise StrengthTooLarge(f"edge bound is for strength 2, above profile sum {s.k_sum}")
     edges = comb(s.v_sum, 2) - sum(comb(vi, 2) for vi, ki in zip(s.v, s.k) if ki == 1)
     per_block = comb(s.k_sum, 2)
     return -(edges // -per_block)
@@ -87,6 +93,9 @@ def lower_nested_ceiling(s: PartStructure, t: int) -> int:
     The value depends on the nesting order, so all orderings of each
     subset are tried (t! per subset; fine at small t).
     """
+    t = as_int(t, StrengthTooLarge, "strength")
+    if t < 1:
+        raise ParameterOrderViolated(f"nested-ceiling bound needs t >= 1, got t={t}")
     if t > s.m:
         raise StrengthExceedsParts(f"nested-ceiling bound needs t <= m, got t={t}, m={s.m}")
     best = 0
@@ -114,6 +123,7 @@ def lower_schonheim(s: PartStructure, t: int) -> int:
     L(v,k,t) = max_i ceil(v_i/k_i L(v-e_i, k-e_i, t-1)), with
     L(v,k,1) = max_i ceil(v_i/k_i).  For m = 1 this is schonheim().
     """
+    t = as_int(t, StrengthTooLarge, "strength")
     if not 1 <= t <= s.k_sum:
         raise ParameterOrderViolated(f"need 1 <= t <= k_sum = {s.k_sum}, got t={t}")
     return _schonheim_rec(tuple(sorted(zip(s.v, s.k))), t, {})
@@ -142,6 +152,7 @@ def lower_best(s: PartStructure, t: int) -> BoundReport:
     the module docstring).  Strength above the profile sum is impossible
     and reported as infeasible with value 0.
     """
+    t = as_int(t, StrengthTooLarge, "strength")
     if t > s.k_sum:
         return BoundReport(lower={}, infeasible=True)
     if t == 0:
@@ -202,6 +213,7 @@ def bound_report(s: PartStructure, t: int) -> BoundReport:
     """Lower rules plus whatever certified uppers apply at this strength."""
     from .search import greedy_cover
 
+    t = as_int(t, StrengthTooLarge, "strength")
     base = lower_best(s, t)
     if base.infeasible:
         return base

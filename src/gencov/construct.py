@@ -12,8 +12,11 @@ are offset past the members before it.  restrict keeps some parts,
 expand_equivalent appends a copy of one, and amalgamate merges two.
 
 A PlaceholderDesign has the shape of a Design, a tuple of blocks that
-are tuples of parts, except that a part may hold STAR ("*"), an entry
-that fill() sets to the least label the part lacks.  Operations that can
+are tuples of parts, except that a part may hold core's STAR ("*"), an
+entry that fill() sets to the least label the part lacks.  Its blocks
+take make_block's check, in which each STAR counts toward k_i.  fill,
+delete_points and expand_blocks build sorted blocks and leave the check
+to the output Design, so each block is checked once.  Operations that can
 map two blocks to one drop the repeats at lambda = 1 only; at larger
 lambda a repeat counts toward the multiplicity and stays.
 """
@@ -21,9 +24,8 @@ lambda a repeat counts toward the multiplicity and stays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 
-from .core import Block, Design, PartStructure, as_int, check_strength_lambda, make_block
+from .core import STAR, Block, Design, PartStructure, _check_block, as_int, check_strength_lambda
 from .errors import (
     BasePartTooSmall,
     DegenerateRestriction,
@@ -42,48 +44,22 @@ from .errors import (
 )
 from .verify import verify
 
-# Placeholder marker inside the parts of a PlaceholderDesign's blocks;
-# real labels are integers >= 1.
-STAR = "*"
-
 
 def _pad(labels, k: int) -> tuple[int, ...]:
-    """labels followed by the least labels not among them, k in all."""
+    """labels and the least labels not among them, k in all, sorted."""
     out = list(labels)
     fill = 1
     while len(out) < k:
         if fill not in out:
             out.append(fill)
         fill += 1
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 def _drop_repeats(blocks, lam: int) -> tuple[Block, ...]:
     """blocks without exact repeats at lambda = 1, where a repeat never
     helps; every block, repeats too, at larger lambda."""
     return tuple(dict.fromkeys(blocks)) if lam == 1 else tuple(blocks)
-
-
-def _canon_placeholder_parts(s: PartStructure, parts) -> tuple[tuple, ...]:
-    """One block whose parts may hold STAR: labels ascending, STARs last.
-    Labels are coerced with operator.index, as make_block does."""
-    if len(parts) != s.m:
-        raise StructureMismatch(f"block has {len(parts)} parts, structure has {s.m}")
-    canon = []
-    for i, raw in enumerate(parts):
-        try:
-            labels = sorted(map(index, (x for x in raw if x != STAR)))
-        except TypeError:
-            raise LabelOutOfRange(f"part {i + 1} labels must be integers, got {raw!r}") from None
-        stars = len(raw) - len(labels)
-        if len(set(labels)) != len(labels) or len(labels) + stars != s.k[i]:
-            raise StructureMismatch(
-                f"part {i + 1} needs {s.k[i]} entries counting placeholders"
-            )
-        if labels and not (1 <= labels[0] and labels[-1] <= s.v[i]):
-            raise LabelOutOfRange(f"part {i + 1} label outside 1..{s.v[i]}")
-        canon.append(tuple(labels) + (STAR,) * stars)
-    return tuple(canon)
 
 
 @dataclass(frozen=True)
@@ -100,16 +76,14 @@ class PlaceholderDesign:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "blocks", tuple(
-            _canon_placeholder_parts(self.structure, b) for b in self.blocks))
+            _check_block(self.structure, b, STAR) for b in self.blocks))
 
     def fill(self) -> Design:
         """Replace each placeholder with the least unused label of its
         part, then drop exact repeats at lambda = 1."""
-        s = self.structure
-        filled = (make_block(s, [_pad([x for x in part if x != STAR], len(part))
-                                 for part in b])
+        filled = (tuple(_pad([x for x in part if x != STAR], len(part)) for part in b)
                   for b in self.blocks)
-        return Design(s, self.t, _drop_repeats(filled, self.lam), self.lam)
+        return Design(self.structure, self.t, _drop_repeats(filled, self.lam), self.lam)
 
 
 def cover_t1(s: PartStructure) -> Design:
@@ -309,8 +283,7 @@ def delete_points(d: Design, v_hat) -> Design:
     exact repeats are dropped at lambda = 1."""
     v_hat = _target(d, v_hat, "target size")
     s = PartStructure(v_hat, d.structure.k)
-    out = (make_block(s, [_pad([x for x in part if x <= vh], ki)
-                          for part, vh, ki in zip(b, v_hat, s.k)])
+    out = (tuple(_pad([x for x in part if x <= vh], ki) for part, vh, ki in zip(b, v_hat, s.k))
            for b in d.blocks)
     return Design(s, d.t, _drop_repeats(out, d.lam), d.lam)
 
@@ -329,7 +302,7 @@ def expand_blocks(d: Design, k_hat) -> Design:
              if ki < kh < vi]
     _check_strength(d, grown, "expand_blocks")
     s = PartStructure(d.structure.v, k_hat)
-    out = (make_block(s, [_pad(part, kh) for part, kh in zip(b, k_hat)]) for b in d.blocks)
+    out = (tuple(_pad(part, kh) for part, kh in zip(b, k_hat)) for b in d.blocks)
     return Design(s, d.t, _drop_repeats(out, d.lam), d.lam)
 
 

@@ -31,6 +31,9 @@ from .errors import (
 
 # A block is an m-tuple of sorted label tuples, one per part.
 Block = tuple[tuple[int, ...], ...]
+# Placeholder marker inside the parts of a PlaceholderDesign's blocks;
+# real labels are integers >= 1.
+STAR = "*"
 # A pattern is an m-tuple of non-negative subset sizes summing to t.
 Pattern = tuple[int, ...]
 # A set tuple is shaped like a block but sized by a pattern.
@@ -101,7 +104,15 @@ def make_block(structure: PartStructure, parts: Sequence[Sequence[int]]) -> Bloc
     share them.  A block that is itself in the structure's shared-block
     registry, which holds only canonical blocks that searches built, is
     returned at once, unchecked; an equal but different object, or an
-    unhashable one, takes the full check."""
+    unhashable one, takes the full check.  This check is the one that
+    Design and PlaceholderDesign make on each of their blocks."""
+    return _check_block(structure, parts)
+
+
+def _check_block(structure: PartStructure, parts, star=None) -> tuple:
+    """make_block's check.  Given the placeholder marker star, a part may
+    also hold star entries: each counts toward k_i, and they go after the
+    sorted labels."""
     try:
         if structure._shared_blocks.get(parts) is parts:
             return parts
@@ -112,11 +123,15 @@ def make_block(structure: PartStructure, parts: Sequence[Sequence[int]]) -> Bloc
     out = []
     canonical = type(parts) is tuple
     for i, (vi, ki, raw) in enumerate(zip(structure.v, structure.k, parts), start=1):
+        entries, stars = raw, ()
+        if star is not None:
+            entries = [x for x in raw if x != star]
+            stars = (star,) * (len(raw) - len(entries))
         try:
-            labels = tuple(sorted(map(index, raw)))
+            labels = tuple(sorted(map(index, entries)))
         except TypeError:
             raise LabelOutOfRange(f"part {i} labels must be integers, got {raw!r}") from None
-        if len(labels) != ki or len(set(labels)) != ki:
+        if len(labels) + len(stars) != ki or len(set(labels)) != len(labels):
             raise ProfileExceedsPart(
                 f"part {i} holds {len(raw)} labels, profile requires {ki} distinct"
             )
@@ -124,7 +139,7 @@ def make_block(structure: PartStructure, parts: Sequence[Sequence[int]]) -> Bloc
             raise LabelOutOfRange(f"part {i} label outside 1..{vi}: {labels}")
         canonical = (canonical and type(raw) is tuple and raw == labels
                      and all(type(x) is int for x in raw))
-        out.append(labels)
+        out.append(labels + stars)
     return parts if canonical else tuple(out)
 
 
@@ -166,8 +181,8 @@ class Design:
         t, lam = check_strength_lambda(self.structure, self.t, self.lam)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "lam", lam)
-        canon = tuple(make_block(self.structure, b) for b in self.blocks)
-        object.__setattr__(self, "blocks", canon)
+        object.__setattr__(self, "blocks", tuple(
+            _check_block(self.structure, b) for b in self.blocks))
 
     def __len__(self) -> int:
         return len(self.blocks)

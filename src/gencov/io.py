@@ -10,10 +10,11 @@
 
 `#` starts a comment anywhere on a line; blank lines are ignored; CRLF
 input is accepted.  Labels start at 1; a `*` in a block is a retained
-placeholder, STAR in the parsed parts, and a document holding one parses
-to a PlaceholderDesign.  Both kinds take one constructor call, which
-checks each block once.  Emission is canonical: labels ascending,
-placeholders last, parts joined by ` | `, headers in the order shown.
+placeholder, core's STAR in the parsed parts, and a document holding one
+parses to a PlaceholderDesign.  Both kinds take one constructor call,
+which makes make_block's check on each block once.  Emission is
+canonical: labels ascending, placeholders last, parts joined by ` | `,
+headers in the order shown.
 
 Covering-array files (parse_array) share the comment and blank-line
 rules: one row of integer entries per line.
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 import re
 
-from .construct import STAR, PlaceholderDesign, _canon_placeholder_parts
-from .core import Design, PartStructure, check_strength_lambda, make_block
+from .construct import PlaceholderDesign
+from .core import STAR, Design, PartStructure, check_strength_lambda
 from .errors import DesignSemanticError, DesignSyntaxError, GencovError, StrengthTooLarge
 
 _HEADER = "gcd 1"
@@ -74,16 +75,6 @@ def _block_tokens(lineno: int, body: str, col: int) -> tuple[tuple, ...]:
     return tuple(tuple(STAR if token == STAR else _parse_int(token, lineno, body, col)
                        for token in chunk.split())
                  for chunk in body.split("|"))
-
-
-def _check_line(s: PartStructure, lineno: int, body: str, parts: tuple) -> tuple:
-    """The checked block (or placeholder parts) of one line; errors carry the line."""
-    try:
-        if STAR not in body:
-            return make_block(s, parts)
-        return _canon_placeholder_parts(s, parts)
-    except GencovError as e:
-        raise DesignSemanticError(str(e), line=lineno) from e
 
 
 def parse_design(text: str) -> Design | PlaceholderDesign:
@@ -143,16 +134,20 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
     lines = rows[pos:]
     kind = PlaceholderDesign if any(STAR in body for _, body, _ in lines) else Design
     # The constructor checks each block once.  Only on a failure are the
-    # lines read so far checked one by one, so that the first bad line is
-    # the one reported, also when a later line holds a syntax error.
+    # lines read so far checked one by one, each as a one-block design of
+    # the same kind, so that the first bad line is the one reported, also
+    # when a later line holds a syntax error.
     tokens = []
     try:
         for row in lines:
             tokens.append(_block_tokens(*row))
         return kind(s, t, tuple(tokens), lam)
     except GencovError:
-        for (n, body, _), parts in zip(lines, tokens):
-            _check_line(s, n, body, parts)
+        for (n, _, _), parts in zip(lines, tokens):
+            try:
+                kind(s, t, (parts,), lam)
+            except GencovError as e:
+                raise DesignSemanticError(str(e), line=n) from e
         raise
 
 

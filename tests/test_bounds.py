@@ -16,6 +16,7 @@ from gencov import (
     PartStructure,
     SinglePart,
     StrengthExceedsParts,
+    StrengthTooLarge,
     UnitProfilePart,
     VerificationReport,
     bound_report,
@@ -167,6 +168,47 @@ def test_rule_preconditions():
         lower_nested_ceiling(PartStructure((4, 2), (2, 1)), 3)
     with pytest.raises(UnitProfilePart):
         upper_minimax(PartStructure((4, 2), (2, 1)))
+
+
+S433 = PartStructure((4, 3, 3), (2, 2, 2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: lower_schonheim(S433, 2.5), StrengthTooLarge),
+    (lambda: schonheim(5, 3, 2.5), StrengthTooLarge),
+    (lambda: lower_best(S433, 2.5), StrengthTooLarge),
+    (lambda: bound_report(S433, 2.5), StrengthTooLarge),
+    (lambda: lower_nested_ceiling(S433, 2.5), StrengthTooLarge),
+    (lambda: schonheim(5.5, 3, 2), ParameterOrderViolated),
+    (lambda: schonheim(5, 3.0, 2), ParameterOrderViolated),
+], ids=["lower_schonheim", "schonheim-t", "lower_best", "bound_report",
+        "lower_nested_ceiling", "schonheim-v", "schonheim-k"])
+def test_bounds_refuse_non_integer_arguments(call, error):
+    with pytest.raises(error, match="must be an integer"):
+        call()
+
+
+def test_bounds_coerce_integer_like_arguments():
+    import numpy as np
+
+    assert schonheim(np.int64(7), np.int64(3), np.int64(2)) == 7
+    assert type(schonheim(np.int64(7), 3, 2)) is int
+    assert lower_schonheim(S433, np.int64(2)) == lower_schonheim(S433, 2)
+    assert lower_nested_ceiling(S433, np.int64(2)) == lower_nested_ceiling(S433, 2)
+    assert lower_best(S433, np.int64(2)).lower == lower_best(S433, 2).lower
+    assert bound_report(S433, np.int64(1)).best_upper == bound_report(S433, 1).best_upper
+
+
+def test_lower_rules_refuse_what_they_cannot_bound():
+    # the empty design is a GC at t = 0, so no rule may claim a block there
+    for t in (0, -1):
+        with pytest.raises(ParameterOrderViolated):
+            lower_nested_ceiling(S433, t)
+    # one unit-profile part has no strength-2 tuple to count edges for
+    with pytest.raises(StrengthTooLarge):
+        lower_edges_clique(PartStructure((5,), (1,)))
+    assert lower_best(PartStructure((5,), (1,)), 1).lower == {"t1": 5, "schonheim": 5,
+                                                              "nested_ceiling": 5}
 
 
 def test_restriction_single():

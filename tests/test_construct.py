@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import gencov.core
 import naive_oracle as oracle
 from fixture_designs import (
     MINIMAX_567_RAW,
@@ -27,6 +28,7 @@ from gencov import (
     PartStructure,
     PlaceholderDesign,
     ProfileBelowTwo,
+    ProfileExceedsPart,
     StrengthNotTwo,
     StrengthTooLarge,
     StructureMismatch,
@@ -43,6 +45,7 @@ from gencov import (
     greedy_classical_cover,
     greedy_cover,
     lower_t1,
+    make_block,
     prune_redundant,
     reduce_equivalence,
     restrict,
@@ -148,6 +151,48 @@ def test_placeholder_labels_must_be_integers():
             PlaceholderDesign(s, 1, (((bad, STAR),),))
     (((label, star),),) = PlaceholderDesign(s, 1, (((True, STAR),),)).blocks
     assert (type(label), label, star) == (int, 1, STAR)
+
+
+# (plain block, the same fault with a placeholder in the block): part 1
+# of (4,3)/(2,2) is at fault, and each * counts toward k_i.
+FAULTS = {
+    "count": (((1, 2, 3), (1, 2)), ((1, 2, 3), (1, STAR))),
+    "count-with-star": (((1, 2, 3), (1, 2)), ((1, 2, STAR), (1, 2))),
+    "duplicate": (((2, 2), (1, 2)), ((2, 2), (STAR, 1))),
+    "out-of-range": (((1, 5), (1, 2)), ((5, 1), (1, STAR))),
+    "non-integer": (((1, "x"), (1, 2)), ((1, "x"), (STAR, STAR))),
+}
+
+
+@pytest.mark.parametrize("plain, placeholder", FAULTS.values(), ids=FAULTS)
+def test_placeholder_block_faults_match_plain_block(plain, placeholder):
+    s = PartStructure((4, 3), (2, 2))
+    with pytest.raises((ProfileExceedsPart, LabelOutOfRange)) as want:
+        make_block(s, plain)
+    for build_one in (lambda: Design(s, 1, (plain,)),
+                      lambda: PlaceholderDesign(s, 1, (placeholder,))):
+        with pytest.raises(type(want.value)) as e:
+            build_one()
+        assert str(e.value) == str(want.value)
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+def test_transforms_check_each_output_block_once(lam, monkeypatch):
+    d = Design(fano().structure, 2, fano().blocks, lam)
+    pd = construct_minimax(PartStructure((5, 6, 7), (3, 4, 3)), fano(),
+                           keep_placeholders=True)
+    calls = []
+    real = gencov.core._check_block
+
+    def counting(s, parts, *star):
+        calls.append(parts)
+        return real(s, parts, *star)
+
+    monkeypatch.setattr(gencov.core, "_check_block", counting)
+    for op in (lambda: delete_points(d, (5,)), lambda: expand_blocks(d, (5,)), pd.fill):
+        calls.clear()
+        out = op()
+        assert calls == list(out.blocks)
 
 
 @pytest.mark.parametrize("args", [(99,), (-1,), (2, (), 0), (1.5,)])
