@@ -7,7 +7,8 @@ t, because L(v-e_i, k-e_i, 1) >= 1, so no rule at a lower strength
 exceeds it either, and in the parts it ranges over.
 t1, restriction_single and nested_ceiling each follow one chain of its
 recursion, and both edge rules are mediants of the counting ratios of
-such chains.
+such chains.  The recursion itself, lower_schonheim, lives in core,
+below search, which takes it as its root bound; bounds re-exports it.
 
 Every upper bound is witnessed by an explicitly stored design that has
 passed verification; values are never quoted from external tables.  The
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb
 
-from .core import Design, PartStructure, as_int
+from .construct import construct_minimax, cover_t1, minimax_base_size
+from .core import Design, PartStructure, as_int, lower_schonheim
 from .errors import (
     BudgetExhausted,
     CandidateSpaceTooLarge,
@@ -34,6 +36,7 @@ from .errors import (
     StrengthTooLarge,
     UnitProfilePart,
 )
+from .search import certify_classical, greedy_cover
 from .verify import verify
 
 
@@ -61,7 +64,7 @@ def schonheim(v: int, k: int, t: int) -> int:
     t = as_int(t, StrengthTooLarge, "strength")
     if not (v >= k >= t >= 1):
         raise ParameterOrderViolated(f"need v >= k >= t >= 1, got ({v},{k},{t})")
-    return _schonheim_rec(((v, k),), t, {})
+    return lower_schonheim(PartStructure((v,), (k,)), t)
 
 
 def lower_t1(s: PartStructure) -> int:
@@ -114,37 +117,6 @@ def lower_restriction_single(s: PartStructure) -> int:
     return max(vals, default=0)
 
 
-def lower_schonheim(s: PartStructure, t: int) -> int:
-    """Generalized Schönheim bound (Schönheim, Pacific J. Math. 14, 1964).
-
-    The blocks through a point x of part i, with x removed, form a GC of
-    strength t-1 on (v - e_i, k - e_i), where a part whose profile drops
-    to 0 disappears.  Each block holds k_i points of part i, so
-    L(v,k,t) = max_i ceil(v_i/k_i L(v-e_i, k-e_i, t-1)), with
-    L(v,k,1) = max_i ceil(v_i/k_i).  For m = 1 this is schonheim().
-    """
-    t = as_int(t, StrengthTooLarge, "strength")
-    if not 1 <= t <= s.k_sum:
-        raise ParameterOrderViolated(f"need 1 <= t <= k_sum = {s.k_sum}, got t={t}")
-    return _schonheim_rec(tuple(sorted(zip(s.v, s.k))), t, {})
-
-
-def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> int:
-    """lower_schonheim on sorted (v_i, k_i) pairs, so that identical parts
-    share memo entries.  The memo lives for one lower_schonheim call."""
-    if t == 1:
-        return max(-(vi // -ki) for vi, ki in parts)
-    if (parts, t) not in memo:
-        best = 0
-        for i, (vi, ki) in enumerate(parts):
-            rest = parts[:i] + parts[i + 1:]
-            if ki > 1:
-                rest = tuple(sorted(rest + ((vi - 1, ki - 1),)))
-            best = max(best, -(vi * _schonheim_rec(rest, t - 1, memo) // -ki))
-        memo[parts, t] = best
-    return memo[parts, t]
-
-
 def lower_best(s: PartStructure, t: int) -> BoundReport:
     """Every lower rule that applies at strength t.
 
@@ -193,9 +165,6 @@ def upper_minimax(s: PartStructure, max_nodes: int = 10_000_000,
     runs out before the base search's tables are built raises
     BudgetExhausted with no certificate.
     """
-    from .construct import construct_minimax, minimax_base_size
-    from .search import certify_classical
-
     if s.k_min < 2:
         raise UnitProfilePart(f"minimax bound needs every k_i >= 2, got {s.k}")
     w = minimax_base_size(s)
@@ -211,16 +180,12 @@ def upper_minimax(s: PartStructure, max_nodes: int = 10_000_000,
 
 def bound_report(s: PartStructure, t: int) -> BoundReport:
     """Lower rules plus whatever certified uppers apply at this strength."""
-    from .search import greedy_cover
-
     t = as_int(t, StrengthTooLarge, "strength")
     base = lower_best(s, t)
     if base.infeasible:
         return base
     upper: dict[str, tuple[int, Design]] = {}
     if t == 1:
-        from .construct import cover_t1
-
         upper["t1_formula"] = _certified("t1_formula", cover_t1(s))
     if t == 2 and s.k_min >= 2:
         upper["minimax"] = upper_minimax(s)

@@ -42,6 +42,7 @@ from .errors import (
     TargetBelowProfile,
     TargetExceedsPart,
 )
+from .search import greedy_cover
 from .verify import verify
 
 
@@ -102,10 +103,11 @@ def cover_t1(s: PartStructure) -> Design:
 def greedy_classical_cover(v: int, k: int, t: int) -> Design:
     """Greedy (v,k,t)-cover: repeatedly add the k-subset covering the
     most uncovered t-subsets, breaking ties lexicographically."""
+    v = as_int(v, ParameterOrderViolated, "v")
+    k = as_int(k, ParameterOrderViolated, "k")
+    t = as_int(t, ParameterOrderViolated, "strength")
     if not (v >= k >= t >= 0):
         raise ParameterOrderViolated(f"need v >= k >= t >= 0, got ({v},{k},{t})")
-    from .search import greedy_cover
-
     return greedy_cover(PartStructure((v,), (k,)), t)
 
 

@@ -8,6 +8,11 @@ in at least lambda blocks.
 
 Point labels are 1-based within each part.  Blocks are canonicalized on
 construction: each part is stored as a sorted tuple of labels.
+
+core also holds the generalized Schönheim recursion, which bounds and
+search both use, and alone reads and writes each structure's shared
+blocks.  Package imports run one way: core, then verify and search,
+then construct, then bounds, product and io, then cli.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveEntry,
     NotUnitProfile,
+    ParameterOrderViolated,
     ProfileExceedsPart,
     StrengthTooLarge,
     StructureMismatch,
@@ -118,29 +124,39 @@ def _check_block(structure: PartStructure, parts, star=None) -> tuple:
             return parts
     except TypeError:  # unhashable parts, such as lists
         pass
+    canonical = type(parts) is tuple
+    if not canonical:  # a list or an iterator of parts
+        parts = tuple(parts)
     if len(parts) != structure.m:
         raise StructureMismatch(f"block has {len(parts)} parts, structure has {structure.m}")
     out = []
-    canonical = type(parts) is tuple
     for i, (vi, ki, raw) in enumerate(zip(structure.v, structure.k, parts), start=1):
+        # Counts come from the entries read, so a part may be an iterator.
         entries, stars = raw, ()
         if star is not None:
-            entries = [x for x in raw if x != star]
-            stars = (star,) * (len(raw) - len(entries))
+            read = list(raw)
+            entries = [x for x in read if x != star]
+            stars = (star,) * (len(read) - len(entries))
         try:
             labels = tuple(sorted(map(index, entries)))
         except TypeError:
             raise LabelOutOfRange(f"part {i} labels must be integers, got {raw!r}") from None
-        if len(labels) + len(stars) != ki or len(set(labels)) != len(labels):
-            raise ProfileExceedsPart(
-                f"part {i} holds {len(raw)} labels, profile requires {ki} distinct"
-            )
+        n = len(labels) + len(stars)
+        if n != ki or len(set(labels)) != len(labels):
+            raise ProfileExceedsPart(f"part {i} holds {n} labels, profile requires {ki} distinct")
         if labels and (labels[0] < 1 or labels[-1] > vi):
             raise LabelOutOfRange(f"part {i} label outside 1..{vi}: {labels}")
         canonical = (canonical and type(raw) is tuple and raw == labels
                      and all(type(x) is int for x in raw))
         out.append(labels + stars)
     return parts if canonical else tuple(out)
+
+
+def _shared_design(s: PartStructure, t: int, blocks) -> Design:
+    """A design whose blocks come from the structure's shared blocks, so
+    that the designs a caller keeps of one structure share their block
+    objects instead of each holding its own copy of every block."""
+    return Design(s, t, tuple(s._shared_blocks.setdefault(b, b) for b in blocks))
 
 
 def as_int(x, error: type[Exception], what: str) -> int:
@@ -225,6 +241,37 @@ def pattern_tuple_count(s: PartStructure, p: Pattern) -> int:
     for vi, ti in zip(s.v, p):
         n *= comb(vi, ti)
     return n
+
+
+def lower_schonheim(s: PartStructure, t: int) -> int:
+    """Generalized Schönheim bound (Schönheim, Pacific J. Math. 14, 1964).
+
+    The blocks through a point x of part i, with x removed, form a GC of
+    strength t-1 on (v - e_i, k - e_i), where a part whose profile drops
+    to 0 disappears.  Each block holds k_i points of part i, so
+    L(v,k,t) = max_i ceil(v_i/k_i L(v-e_i, k-e_i, t-1)), with
+    L(v,k,1) = max_i ceil(v_i/k_i).  For m = 1 this is bounds.schonheim().
+    """
+    t = as_int(t, StrengthTooLarge, "strength")
+    if not 1 <= t <= s.k_sum:
+        raise ParameterOrderViolated(f"need 1 <= t <= k_sum = {s.k_sum}, got t={t}")
+    return _schonheim_rec(tuple(sorted(zip(s.v, s.k))), t, {})
+
+
+def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> int:
+    """lower_schonheim on sorted (v_i, k_i) pairs, so that identical parts
+    share memo entries.  The memo lives for one lower_schonheim call."""
+    if t == 1:
+        return max(-(vi // -ki) for vi, ki in parts)
+    if (parts, t) not in memo:
+        best = 0
+        for i, (vi, ki) in enumerate(parts):
+            rest = parts[:i] + parts[i + 1:]
+            if ki > 1:
+                rest = tuple(sorted(rest + ((vi - 1, ki - 1),)))
+            best = max(best, -(vi * _schonheim_rec(rest, t - 1, memo) // -ki))
+        memo[parts, t] = best
+    return memo[parts, t]
 
 
 def tuple_in_block(T: SetTuple, B: Block) -> bool:

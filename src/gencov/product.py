@@ -39,11 +39,11 @@ def product_concat_improved(d1: Design, d2: Design,
 
     Stage 1 concatenates B_r with C_r while both last, then reuses C_1
     as filler (the larger design drives the diagonal; inputs are swapped
-    if needed, which swaps the part order too).  Stage 2 appends
-    product_concat(e1, e2) built from strength-(t-1) designs over the
-    same structures; at t = 2 these default to the exact strength-1
-    covers, at t = 1 to empty designs.  Duplicates are kept, so the
-    result has exactly max(b, c) + |e1|*|e2| blocks.
+    if needed, which swaps the part order too).  Stage 2 appends the
+    blocks of product_concat(e1, e2), built from strength-(t-1) designs
+    over the same structures; at t = 2 these default to the exact
+    strength-1 covers, at t = 1 to empty designs.  Duplicates are kept,
+    so the result has exactly max(b, c) + |e1|*|e2| blocks.
     """
     if d1.t != d2.t:
         raise StrengthMismatch(f"strengths differ: {d1.t} vs {d2.t}")
@@ -73,7 +73,7 @@ def product_concat_improved(d1: Design, d2: Design,
     s = PartStructure(d1.structure.v + d2.structure.v,
                       d1.structure.k + d2.structure.k)
     stage1 = tuple(d1.blocks[r] + d2.blocks[r if r < c else 0] for r in range(b))
-    stage2 = product_concat(e1, e2).blocks
+    stage2 = tuple(x + y for x in e1.blocks for y in e2.blocks)
     return Design(s, t, stage1 + stage2)
 
 

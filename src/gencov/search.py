@@ -18,7 +18,8 @@ mask is needed.  The tuples a candidate covers are, per pattern, a
 product of per-part factors.  Greedy, which reads only its picks' masks,
 multiplies them out per pick; the search, which reads one per child,
 builds every candidate's mask from the same factors once greedy has
-missed the root bound.
+missed the root bound, core's lower_schonheim.  The designs it returns
+share their block objects through core's registry on the structure.
 
 Symmetry: permuting the points inside each part maps any block onto the
 first candidate ((1..k_1), ..., (1..k_m)), so some minimum cover holds
@@ -74,8 +75,8 @@ from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import comb, prod
 
-from . import bounds
-from .core import Block, Design, PartStructure, admissible_patterns, as_int, pattern_tuple_count
+from .core import (Block, Design, PartStructure, _shared_design, admissible_patterns, as_int,
+                   lower_schonheim, pattern_tuple_count)
 from .errors import BudgetExhausted, CandidateSpaceTooLarge, StrengthTooLarge
 
 CANDIDATE_CAP = 10 ** 6
@@ -94,14 +95,6 @@ _TIME_CHECK_MASK = 0x3F
 # and 0.70 M pairs, also builds in 0.05 s and must finish at timeout 0, so
 # that greedy's cheap finish still returns a cover.
 _UNTIMED_ENTRIES = 1 << 20
-
-
-def _design(s: PartStructure, t: int, blocks) -> Design:
-    """A design whose blocks come from the structure's shared blocks, so
-    that the designs a caller keeps of one structure share their block
-    objects instead of each holding its own copy of every block."""
-    shared = s._shared_blocks
-    return Design(s, t, tuple(shared.setdefault(b, b) for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -390,7 +383,7 @@ class _Tables:
         return [sum(c) for c in product(*pools)]
 
     def design_from(self, chosen: list[int]) -> Design:
-        return _design(self.s, self.t, [self.block(c) for c in chosen])
+        return _shared_design(self.s, self.t, [self.block(c) for c in chosen])
 
     def remaining_lb(self, uncovered: int, stop: int) -> int:
         """A lower bound on the blocks still needed to cover the tuples
@@ -523,7 +516,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
         return SearchResult(0, Design(s, 0), 0, "proven")
 
     tb = _Tables(s, t, deadline)
-    lower = bounds.lower_schonheim(s, t)
+    lower = lower_schonheim(s, t)
     best = _greedy(tb, deadline)
     if len(best) == lower:
         return SearchResult(lower, tb.design_from(best), 0, "proven")

@@ -29,7 +29,7 @@ from .core import (
     as_int,
     pattern_tuple_count,
 )
-from .errors import NonPositiveEntry, UniverseTooLarge
+from .errors import NonPositiveEntry, PlaceholdersPresent, UniverseTooLarge
 
 DEFICIT_CAP = 1000
 
@@ -155,7 +155,11 @@ def _pattern_scan(d: Design):
     """(pattern, counts) for every admissible pattern in the global order;
     none at strength 0, which carries no obligations.  The caller drops
     each count array before asking for the next, so one is alive at a
-    time."""
+    time.  Anything but a Design, a PlaceholderDesign for one, is refused
+    at every strength."""
+    if not isinstance(d, Design):
+        raise PlaceholdersPresent(
+            f"coverage is counted on a Design, got a {type(d).__name__}; fill it first")
     if d.t == 0:
         return
     global np

@@ -9,6 +9,7 @@ import pytest
 
 import naive_oracle as oracle
 import gencov.bounds
+import gencov.core
 from gencov import (
     BudgetExhausted,
     GencovError,
@@ -61,6 +62,10 @@ def test_lower_schonheim_single_part_is_schonheim():
         for k in range(1, v + 1):
             for t in range(1, k + 1):
                 assert lower_schonheim(PartStructure((v,), (k,)), t) == schonheim(v, k, t)
+
+
+def test_lower_schonheim_lives_in_core():
+    assert gencov.bounds.lower_schonheim is gencov.core.lower_schonheim
 
 
 def test_lower_schonheim_frozen_values():

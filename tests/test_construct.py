@@ -176,6 +176,30 @@ def test_placeholder_block_faults_match_plain_block(plain, placeholder):
         assert str(e.value) == str(want.value)
 
 
+# The non-integer message shows the part itself, so it is left out.
+COUNTED_FAULTS = {f: FAULTS[f] for f in FAULTS if f != "non-integer"}
+
+
+@pytest.mark.parametrize("plain, placeholder", COUNTED_FAULTS.values(), ids=COUNTED_FAULTS)
+def test_iterator_parts_are_checked_like_sequences(plain, placeholder):
+    s = PartStructure((4, 3), (2, 2))
+    with pytest.raises((ProfileExceedsPart, LabelOutOfRange)) as want:
+        make_block(s, plain)
+    for build_one in (lambda: make_block(s, [iter(p) for p in plain]),
+                      lambda: Design(s, 1, ([(x for x in p) for p in plain],)),
+                      lambda: PlaceholderDesign(s, 1, ([iter(p) for p in placeholder],))):
+        with pytest.raises(type(want.value)) as e:
+            build_one()
+        assert str(e.value) == str(want.value)
+
+
+def test_iterator_block_and_parts_are_accepted():
+    s = PartStructure((4, 3), (2, 2))
+    assert make_block(s, iter([(x for x in (3, 1)), iter([2, 3])])) == ((1, 3), (2, 3))
+    pd = PlaceholderDesign(s, 1, (iter([iter([3, STAR]), (x for x in (STAR, 2))]),))
+    assert pd.blocks == (((3, STAR), (2, STAR)),)
+
+
 @pytest.mark.parametrize("lam", [1, 2])
 def test_transforms_check_each_output_block_once(lam, monkeypatch):
     d = Design(fano().structure, 2, fano().blocks, lam)

@@ -15,6 +15,7 @@ from gencov import (
     LengthMismatch,
     NonPositiveEntry,
     NotUnitProfile,
+    ParameterOrderViolated,
     PartStructure,
     ProfileExceedsPart,
     StrengthTooLarge,
@@ -28,6 +29,7 @@ from gencov import (
     exact_min,
     expand_equivalent,
     from_covering_array,
+    greedy_classical_cover,
     greedy_cover,
     make_block,
     make_structure,
@@ -168,6 +170,10 @@ NON_INTEGER_CALLS = {
     "coverage_deficit": (NonPositiveEntry, lambda s, d: coverage_deficit(d, 2.5)),
     "greedy_cover": (StrengthTooLarge, lambda s, d: greedy_cover(s, 2.0)),
     "exact_min": (StrengthTooLarge, lambda s, d: exact_min(s, 2.0)),
+    "greedy_classical_cover str": (ParameterOrderViolated,
+                                   lambda s, d: greedy_classical_cover(5, 2, "2")),
+    "greedy_classical_cover None": (ParameterOrderViolated,
+                                    lambda s, d: greedy_classical_cover(5, 2, None)),
 }
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import gencov.core
 import naive_oracle as oracle
 from fixture_designs import (
     HADAMARD_9_16_RAW,
@@ -138,6 +139,22 @@ def test_improved_validation_errors():
     with pytest.raises(StrengthMismatch):
         product_concat_improved(prod_b(), prod_c(), e_wrong_t,
                                 cover_t1(PartStructure((3, 4), (2, 2))))
+
+
+def test_improved_checks_each_output_block_once(monkeypatch):
+    calls = []
+    real = gencov.core._check_block
+
+    def counting(s, parts, *star):
+        calls.append(parts)
+        return real(s, parts, *star)
+
+    monkeypatch.setattr(gencov.core, "_check_block", counting)
+    d1, d2 = prod_b(), prod_c()
+    e1, e2 = cover_t1(d1.structure), cover_t1(d2.structure)
+    calls.clear()
+    out = product_concat_improved(d1, d2, e1, e2)
+    assert calls == list(out.blocks)
 
 
 def test_improved_strength3_needs_explicit_helpers():

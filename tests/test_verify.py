@@ -14,9 +14,14 @@ from gencov import (
     GencovError,
     NonPositiveEntry,
     PartStructure,
+    PlaceholderDesign,
+    PlaceholdersPresent,
+    construct_minimax,
     coverage_deficit,
+    greedy_classical_cover,
     make_block,
     product_hadamard,
+    prune_redundant,
     verify,
 )
 from util_random import mutate_design, random_block, random_valid_design
@@ -56,6 +61,16 @@ def test_strength_zero_trivially_valid():
     s = PartStructure((4, 3), (2, 1))
     assert verify(Design(s, 0)).valid
     assert verify(Design(s, 0)).checked_tuples == 0
+
+
+@pytest.mark.parametrize("t", [2, 0])
+def test_placeholder_design_is_refused(t):
+    pd = construct_minimax(PartStructure((5, 6, 7), (3, 4, 3)), greedy_classical_cover(7, 3, 2),
+                           keep_placeholders=True)
+    pd = PlaceholderDesign(pd.structure, t, pd.blocks)
+    for call in (verify, coverage_deficit, prune_redundant):
+        with pytest.raises(PlaceholdersPresent, match="PlaceholderDesign"):
+            call(pd)
 
 
 def test_lambda_two():
