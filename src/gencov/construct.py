@@ -16,7 +16,9 @@ are tuples of parts, except that a part may hold core's STAR ("*"), an
 entry that fill() sets to the least label the part lacks.  Its blocks
 take make_block's check, in which each STAR counts toward k_i.  fill,
 delete_points and expand_blocks build sorted blocks and leave the check
-to the output Design, so each block is checked once.  Operations that can
+to the output Design, so each block is checked once.  The transforms
+take a Design and refuse a PlaceholderDesign (core.require_design), as
+verify and the products do.  Operations that can
 map two blocks to one drop the repeats at lambda = 1 only; at larger
 lambda a repeat counts toward the multiplicity and stays.
 """
@@ -25,7 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import STAR, Block, Design, PartStructure, _check_block, as_int, check_strength_lambda
+from .core import (
+    STAR,
+    Block,
+    Design,
+    PartStructure,
+    _check_block,
+    as_int,
+    check_strength_lambda,
+    require_design,
+)
 from .errors import (
     BasePartTooSmall,
     DegenerateRestriction,
@@ -199,6 +210,7 @@ def restrict(d: Design, index_set) -> Design:
 
     Strength drops to the restricted profile sum when that is smaller.
     """
+    require_design(d, "restrict")
     idx = sorted({_check_part_index(d.structure, i) for i in index_set})
     if not idx:
         raise EmptyIndexSet("restriction needs at least one part")
@@ -211,6 +223,7 @@ def restrict(d: Design, index_set) -> Design:
 def drop_full_parts(d: Design) -> Design:
     """Remove every part with v_i = k_i; such parts appear in full in
     every block and impose no constraint."""
+    require_design(d, "drop_full_parts")
     keep = [i + 1 for i in range(d.structure.m) if d.structure.v[i] != d.structure.k[i]]
     if len(keep) == d.structure.m:
         return d
@@ -223,6 +236,7 @@ def drop_full_parts(d: Design) -> Design:
 def add_full_parts(d: Design, sizes) -> Design:
     """Append parts with v_i = k_i = size; every block gains the whole
     new point set, so validity is preserved at the same strength."""
+    require_design(d, "add_full_parts")
     sizes = tuple(as_int(x, NonPositiveEntry, "part size") for x in sizes)
     if any(x < 1 for x in sizes):
         raise NonPositiveEntry(f"part sizes must be positive, got {sizes}")
@@ -238,6 +252,7 @@ def expand_equivalent(d: Design, i: int) -> Design:
     maps to at most min(t, v_i) labels inside part i, so the copy needs
     k_i >= min(t, v_i), which profile >= 2 gives at strength <= 2;
     StrengthTooLarge otherwise."""
+    require_design(d, "expand_equivalent")
     i = _check_part_index(d.structure, i)
     if d.structure.k[i - 1] < 2:
         raise ProfileBelowTwo(f"part {i} has profile {d.structure.k[i - 1]}")
@@ -283,6 +298,7 @@ def delete_points(d: Design, v_hat) -> Design:
     block is replaced by the least surviving label of that part not
     already present (deleted labels processed in ascending order), then
     exact repeats are dropped at lambda = 1."""
+    require_design(d, "delete_points")
     v_hat = _target(d, v_hat, "target size")
     s = PartStructure(v_hat, d.structure.k)
     out = (tuple(_pad([x for x in part if x <= vh], ki) for part, vh, ki in zip(b, v_hat, s.k))
@@ -297,6 +313,7 @@ def expand_blocks(d: Design, k_hat) -> Design:
     admits tuples meeting it in up to t labels, so it also needs
     k_i >= t (StrengthTooLarge otherwise); a part grown to v_i is whole
     in every block."""
+    require_design(d, "expand_blocks")
     if any(ki < 2 for ki in d.structure.k):
         raise ProfileBelowTwo(f"expansion needs every k_i >= 2, got {d.structure.k}")
     k_hat = _target(d, k_hat, "target profile")
@@ -314,6 +331,7 @@ def amalgamate(d: Design, i: int, j: int) -> Design:
     preserved.  A tuple may meet the merged part in up to t labels from
     either side, so each merged part needs k >= min(t, v), which profile
     >= 2 gives at strength <= 2; StrengthTooLarge otherwise."""
+    require_design(d, "amalgamate")
     i = _check_part_index(d.structure, i)
     j = _check_part_index(d.structure, j)
     if i == j:
@@ -330,6 +348,7 @@ def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:
     never help); with greedy_drop, additionally remove blocks whose
     deletion keeps the design valid, trying lexicographically last
     blocks first."""
+    require_design(d, "prune_redundant")
     if not verify(d).valid:
         raise InvalidInput("input design fails verification")
     blocks = _drop_repeats(d.blocks, d.lam)

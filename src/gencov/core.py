@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
-from operator import index
+from operator import index, is_, lt
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
     NonPositiveEntry,
     NotUnitProfile,
     ParameterOrderViolated,
+    PlaceholdersPresent,
     ProfileExceedsPart,
     StrengthTooLarge,
     StructureMismatch,
@@ -103,51 +104,70 @@ def make_structure(v: Sequence[int], k: Sequence[int]) -> PartStructure:
 
 def make_block(structure: PartStructure, parts: Sequence[Sequence[int]]) -> Block:
     """Canonicalize one block against a structure: sort labels and check
-    that part i holds k_i distinct integers in 1..v_i.
+    that part i holds k_i distinct integers in 1..v_i.  Labels are
+    coerced with operator.index, so bools and numpy integers come back as
+    exact ints; anything else, or a block or part that is not iterable,
+    raises LabelOutOfRange.
 
-    A block that is already canonical (a tuple of sorted int tuples) is
-    returned as the same object, so designs built from shared blocks
-    share them.  A block that is itself in the structure's shared-block
-    registry, which holds only canonical blocks that searches built, is
-    returned at once, unchecked; an equal but different object, or an
-    unhashable one, takes the full check.  This check is the one that
-    Design and PlaceholderDesign make on each of their blocks."""
+    A block that is already canonical (a tuple of sorted exact-int
+    tuples) is returned as the same object, so designs built from shared
+    blocks share them.  A block that is itself in the structure's
+    shared-block registry, which holds only canonical blocks that
+    searches built, is returned at once, unchecked; an equal but
+    different object, or an unhashable one, takes the full check.  This
+    check is the one that Design and PlaceholderDesign make on each of
+    their blocks."""
     return _check_block(structure, parts)
 
 
 def _check_block(structure: PartStructure, parts, star=None) -> tuple:
     """make_block's check.  Given the placeholder marker star, a part may
     also hold star entries: each counts toward k_i, and they go after the
-    sorted labels."""
+    sorted labels.
+
+    Each part's labels are read once.  A strictly increasing run of
+    labels is sorted and distinct at once; only a part that fails that
+    test is sorted and tested again.  operator.index returns an exact int
+    as itself, so a part is canonical iff it is a tuple without stars
+    whose entries are its labels, object for object."""
     try:
-        if structure._shared_blocks.get(parts) is parts:
+        # get's default, None, is no block
+        if parts is not None and structure._shared_blocks.get(parts) is parts:
             return parts
     except TypeError:  # unhashable parts, such as lists
         pass
     canonical = type(parts) is tuple
     if not canonical:  # a list or an iterator of parts
-        parts = tuple(parts)
+        try:
+            parts = tuple(parts)
+        except TypeError:
+            raise LabelOutOfRange(f"block must be an iterable of parts, got {parts!r}") from None
     if len(parts) != structure.m:
         raise StructureMismatch(f"block has {len(parts)} parts, structure has {structure.m}")
     out = []
     for i, (vi, ki, raw) in enumerate(zip(structure.v, structure.k, parts), start=1):
         # Counts come from the entries read, so a part may be an iterator.
-        entries, stars = raw, ()
-        if star is not None:
-            read = list(raw)
-            entries = [x for x in read if x != star]
-            stars = (star,) * (len(read) - len(entries))
+        stars = ()
         try:
-            labels = tuple(sorted(map(index, entries)))
+            if star is None:
+                labels = tuple(map(index, raw))
+            else:
+                read = list(raw)
+                labels = tuple(map(index, [x for x in read if x != star]))
+                stars = (star,) * (len(read) - len(labels))
         except TypeError:
             raise LabelOutOfRange(f"part {i} labels must be integers, got {raw!r}") from None
+        increasing = all(map(lt, labels, labels[1:]))
+        if not increasing:
+            labels = tuple(sorted(labels))
+            increasing = all(map(lt, labels, labels[1:]))
         n = len(labels) + len(stars)
-        if n != ki or len(set(labels)) != len(labels):
+        if n != ki or not increasing:
             raise ProfileExceedsPart(f"part {i} holds {n} labels, profile requires {ki} distinct")
         if labels and (labels[0] < 1 or labels[-1] > vi):
             raise LabelOutOfRange(f"part {i} label outside 1..{vi}: {labels}")
-        canonical = (canonical and type(raw) is tuple and raw == labels
-                     and all(type(x) is int for x in raw))
+        canonical = (canonical and type(raw) is tuple and not stars
+                     and all(map(is_, raw, labels)))
         out.append(labels + stars)
     return parts if canonical else tuple(out)
 
@@ -202,6 +222,13 @@ class Design:
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+
+def require_design(d, op: str) -> None:
+    """Raise PlaceholdersPresent unless d is a Design: op, the operation's
+    name, takes filled blocks, not a PlaceholderDesign's or anything else."""
+    if not isinstance(d, Design):
+        raise PlaceholdersPresent(f"{op} takes a Design, got a {type(d).__name__}; fill it first")
 
 
 def admissible_patterns(s: PartStructure, t: int) -> list[Pattern]:

@@ -4,13 +4,13 @@ product_concat concatenates part lists and pairs every block with every
 block.  product_concat_improved pairs blocks diagonally and patches the
 mixed tuples with a product of strength-(t-1) designs, which is usually
 far smaller.  product_hadamard multiplies part sizes pointwise via the
-set lift r + (s-1)v.
+set lift r + (s-1)v.  Each takes Designs and refuses a PlaceholderDesign.
 """
 
 from __future__ import annotations
 
 from .construct import cover_t1
-from .core import Design, PartStructure
+from .core import Design, PartStructure, require_design
 from .errors import (
     InvalidInput,
     LabelOutOfRange,
@@ -24,6 +24,8 @@ from .errors import (
 def product_concat(d1: Design, d2: Design) -> Design:
     """All pairwise concatenations cat(B_i, C_j), row-major in (i, j);
     exactly b*c blocks over the concatenated structure."""
+    for d in (d1, d2):
+        require_design(d, "product_concat")
     if d1.t != d2.t:
         raise StrengthMismatch(f"strengths differ: {d1.t} vs {d2.t}")
     s = PartStructure(d1.structure.v + d2.structure.v,
@@ -45,6 +47,9 @@ def product_concat_improved(d1: Design, d2: Design,
     strength-1 covers, at t = 1 to empty designs.  Duplicates are kept,
     so the result has exactly max(b, c) + |e1|*|e2| blocks.
     """
+    for d in (d1, d2, e1, e2):
+        if d is not None:
+            require_design(d, "product_concat_improved")
     if d1.t != d2.t:
         raise StrengthMismatch(f"strengths differ: {d1.t} vs {d2.t}")
     t = d1.t
@@ -96,6 +101,8 @@ def product_hadamard(d1: Design, d2: Design) -> Design:
     """Pointwise product: part i gets size v_i*w_i and profile k_i*l_i,
     block pairs combine part by part through set_lift.  Row-major in
     (i, j); exactly b*c blocks."""
+    for d in (d1, d2):
+        require_design(d, "product_hadamard")
     if d1.t != 2 or d2.t != 2:
         raise StrengthNotTwo(f"both factors need strength 2, got {d1.t} and {d2.t}")
     if d1.structure.m != d2.structure.m:

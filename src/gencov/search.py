@@ -154,13 +154,33 @@ def _part_incidence(vi: int, ki: int, tis: Collection[int], deadline: float | No
     return {ti: level[ki, ti] for ti in tis}
 
 
-def _spread(x: int, width: int) -> int:
-    """Move bit b of x to bit b * width, so that y * _spread(x, width) is
-    the Kronecker product of bitmasks x and y for any y below 2**width:
-    width - 1 zero digits go between the binary digits of x."""
+def _spread(xs: list[int], width: int) -> list[int]:
+    """Each x of xs with bit b moved to bit b * width, so that y times the
+    spread x is the Kronecker product of bitmasks x and y for any y below
+    2**width: width - 1 zero bits go between the bits of x.  For width 1 that is
+    xs, which is returned as it is, not copied.
+
+    The bits move by halving, with the masks made once for the list: at
+    step h (..., 4, 2, 1) the upper h bits of each run of 2h bits shift up
+    by h * (width - 1), and the mask keeps the h-bit runs that start at
+    multiples of h * width."""
     if width == 1:
-        return x
-    return int(("0" * (width - 1)).join(format(x, "b")), 2)
+        return xs
+    n = max(xs, default=0).bit_length()
+    steps = []
+    h = 1
+    while h < n:
+        run = h * width
+        repunit = ((1 << run * ((n - 1) // h + 1)) - 1) // ((1 << run) - 1)
+        steps.append((h * (width - 1), repunit * ((1 << h) - 1)))
+        h *= 2
+    steps.reverse()
+    out = []
+    for x in xs:
+        for shift, mask in steps:
+            x = (x | x << shift) & mask
+        out.append(x)
+    return out
 
 
 def _kron(xs: list[int], ys: list[int], width: int) -> list[int]:
@@ -170,7 +190,7 @@ def _kron(xs: list[int], ys: list[int], width: int) -> list[int]:
     it is, not copied."""
     if ys == [1] and width == 1:
         return xs
-    return [x * y for x in [_spread(x, width) for x in xs] for y in ys]
+    return [x * y for x in _spread(xs, width) for y in ys]
 
 
 class _Tables:
@@ -281,8 +301,7 @@ class _Tables:
                 _check_deadline(deadline)
                 part_masks, part_holders = incidence[s.v[i], s.k[i]][p[i]]
                 if p[i]:
-                    factors.append((i, [_spread(x, width) for x in part_masks]
-                                    if width > 1 else part_masks))
+                    factors.append((i, _spread(part_masks, width)))
                 holders = _kron(part_holders, holders, stride)
                 width *= len(part_holders)
                 stride *= len(part_masks)

@@ -7,18 +7,19 @@ of its parts' subsets in mixed radix, last part fastest, so rank order is
 the order of core.admissible_tuples.  Ranking follows Kreher & Stinson,
 Combinatorial Algorithms (1999), ch. 2.  Per pattern, each used part's
 rank is split into per-slot terms for every label of every block, radix
-weight and constant included, so a chunk of blocks is ranked by one
-gather per slot summed in place.  Counts take the smallest unsigned type
-that holds the block count (one byte up to 255 blocks).  The whole
-universe is always scanned so the report carries a total deficit count,
-not just the first failure.  numpy is imported by the first count, not
-with the module.
+weight and constant included.  A chunk of blocks is ranked slot by slot,
+summed in place: slot 0 of the lex subsets is nondecreasing, so its terms
+are repeated along their runs, and every later slot takes one gather.
+Counts take the smallest unsigned type that holds the block count (one
+byte up to 255 blocks).  The whole universe is always scanned so the
+report carries a total deficit count, not just the first failure.  numpy
+is imported by the first count, not with the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 from .core import (
     Design,
@@ -28,8 +29,9 @@ from .core import (
     admissible_patterns,
     as_int,
     pattern_tuple_count,
+    require_design,
 )
-from .errors import NonPositiveEntry, PlaceholdersPresent, UniverseTooLarge
+from .errors import NonPositiveEntry, UniverseTooLarge
 
 DEFICIT_CAP = 1000
 
@@ -88,7 +90,8 @@ def _slot_terms(labels: np.ndarray, v: int, t: int, weight: int) -> list[np.ndar
 
 def _slot_columns(k: int, t: int) -> list[np.ndarray]:
     """Slot j of every t-subset of range(k) in lex order, one contiguous
-    array per slot, for 1 <= t <= k."""
+    array per slot, for 1 <= t <= k.  Slot 0 is nondecreasing: position a
+    stands there in one run of C(k - 1 - a, t - 1) subsets."""
     cols = [np.arange(k, dtype=np.intp)]
     for _ in range(1, t):
         # each prefix ending in a is followed by a + 1, ..., k - 1
@@ -108,21 +111,27 @@ def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern) -> n
         raise UniverseTooLarge(f"pattern {p} has {n_tuples} tuples, above cap {PATTERN_TUPLE_CAP}")
     # Part i's rank is weighted by the tuple count of the parts after it
     # (mixed radix, last part fastest), so parts combine by addition.
+    # Slot 0's term is repeated along its runs (see _slot_columns); the
+    # other slots are gathered.
     used = []
     weight = n_tuples
+    width = 1  # sub-tuples per block
     for lab, vi, ti in zip(labels, s.v, p):
         if ti:
             weight //= comb(vi, ti)
-            used.append((_slot_terms(lab, vi, ti, weight), _slot_columns(lab.shape[1], ti)))
+            k = lab.shape[1]
+            width *= comb(k, ti)
+            runs = np.array([comb(k - 1 - a, ti - 1) for a in range(k)], dtype=np.intp)
+            used.append((_slot_terms(lab, vi, ti, weight), runs, _slot_columns(k, ti)[1:]))
     n_blocks = len(labels[0])
     counts = np.zeros(n_tuples, dtype=np.min_scalar_type(n_blocks))
     one = counts.dtype.type(1)  # a Python 1 takes np.add.at off its fast path
-    step = max(1, _CHUNK // prod(len(cols[0]) for _, cols in used))
+    step = max(1, _CHUNK // width)
     for lo in range(0, n_blocks, step):
         ranks = None
-        for terms, cols in used:
-            r = np.take(terms[0][lo:lo + step], cols[0], axis=1)
-            for term, col in zip(terms[1:], cols[1:]):
+        for terms, runs, cols in used:
+            r = np.repeat(terms[0][lo:lo + step], runs, axis=1)
+            for term, col in zip(terms[1:], cols):
                 r += np.take(term[lo:lo + step], col, axis=1)
             ranks = r if ranks is None else (ranks[:, :, None] + r[:, None, :]).reshape(len(r), -1)
         np.add.at(counts, ranks.ravel(), one)
@@ -157,9 +166,7 @@ def _pattern_scan(d: Design):
     each count array before asking for the next, so one is alive at a
     time.  Anything but a Design, a PlaceholderDesign for one, is refused
     at every strength."""
-    if not isinstance(d, Design):
-        raise PlaceholdersPresent(
-            f"coverage is counted on a Design, got a {type(d).__name__}; fill it first")
+    require_design(d, "coverage counting")
     if d.t == 0:
         return
     global np

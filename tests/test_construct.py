@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import gencov.core
@@ -27,6 +28,7 @@ from gencov import (
     ParameterOrderViolated,
     PartStructure,
     PlaceholderDesign,
+    PlaceholdersPresent,
     ProfileBelowTwo,
     ProfileExceedsPart,
     StrengthNotTwo,
@@ -46,6 +48,9 @@ from gencov import (
     greedy_cover,
     lower_t1,
     make_block,
+    product_concat,
+    product_concat_improved,
+    product_hadamard,
     prune_redundant,
     reduce_equivalence,
     restrict,
@@ -198,6 +203,51 @@ def test_iterator_block_and_parts_are_accepted():
     assert make_block(s, iter([(x for x in (3, 1)), iter([2, 3])])) == ((1, 3), (2, 3))
     pd = PlaceholderDesign(s, 1, (iter([iter([3, STAR]), (x for x in (STAR, 2))]),))
     assert pd.blocks == (((3, STAR), (2, STAR)),)
+
+
+def test_placeholder_parts_are_never_kept_as_given():
+    """A part holding a STAR is rebuilt even when it is already in order,
+    and its labels come back as exact ints; a part with a non-iterable
+    entry is refused like a non-integer label."""
+    s = PartStructure((4, 3), (2, 2))
+    raw = ((1, STAR), (2, 3))
+    (out,) = PlaceholderDesign(s, 1, (raw,)).blocks
+    assert out == raw and out is not raw
+    for label in (True, np.int64(1)):
+        (out,) = PlaceholderDesign(s, 1, (((label, STAR), (2, np.int64(3))),)).blocks
+        assert out == ((1, STAR), (2, 3))
+        assert [type(x) for x in out[0][:1] + out[1]] == [int, int, int]
+    for bad in (5, ((1, STAR), 3)):
+        with pytest.raises(LabelOutOfRange):
+            PlaceholderDesign(s, 1, (bad,))
+
+
+# Each transform and product on d, a product's other factor the filled
+# design; given a PlaceholderDesign for d, each refuses it.
+PLACEHOLDER_CALLS = {
+    "restrict": lambda d, filled: restrict(d, (1, 2)),
+    "drop_full_parts": lambda d, filled: drop_full_parts(d),
+    "add_full_parts": lambda d, filled: add_full_parts(d, (2,)),
+    "expand_equivalent": lambda d, filled: expand_equivalent(d, 1),
+    "delete_points": lambda d, filled: delete_points(d, (4, 5, 6)),
+    "expand_blocks": lambda d, filled: expand_blocks(d, (4, 5, 4)),
+    "amalgamate": lambda d, filled: amalgamate(d, 1, 2),
+    "prune_redundant": lambda d, filled: prune_redundant(d),
+    "product_concat": lambda d, filled: product_concat(d, filled),
+    "product_concat_improved": lambda d, filled: product_concat_improved(filled, d),
+    "product_hadamard": lambda d, filled: product_hadamard(filled, d),
+}
+
+
+@pytest.mark.parametrize("call", PLACEHOLDER_CALLS.values(), ids=PLACEHOLDER_CALLS)
+def test_transforms_refuse_placeholder_design(call):
+    pd = construct_minimax(PartStructure((5, 6, 7), (3, 4, 3)), greedy_classical_cover(7, 3, 2),
+                           keep_placeholders=True)
+    assert any(STAR in part for b in pd.blocks for part in b)
+    filled = pd.fill()
+    with pytest.raises(PlaceholdersPresent, match="takes a Design, got a PlaceholderDesign"):
+        call(pd, filled)
+    call(filled, filled)
 
 
 @pytest.mark.parametrize("lam", [1, 2])

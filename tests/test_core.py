@@ -138,8 +138,9 @@ def test_make_block_rejects():
         make_block(s, [[1, 5], [1]])
     with pytest.raises(LabelOutOfRange):
         make_block(s, [[0, 1], [1]])
-    # labels must be integers, not merely convertible to one
-    for raw in ([[1.7, 2.2], [1]], [[1.0, 3], [2]], [["a", 1], [1]], [[1, 2], 1]):
+    # labels must be integers, not merely convertible to one, and a block
+    # or part must be iterable
+    for raw in ([[1.7, 2.2], [1]], [[1.0, 3], [2]], [["a", 1], [1]], [[1, 2], 1], 5, None):
         with pytest.raises(LabelOutOfRange):
             make_block(s, raw)
 

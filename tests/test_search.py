@@ -29,7 +29,7 @@ from gencov import (
     verify,
 )
 from gencov.cli import main
-from gencov.search import TABLE_BITS_CAP, _kron, _Tables, _part_incidence
+from gencov.search import TABLE_BITS_CAP, _kron, _part_incidence, _spread, _Tables
 from util_random import random_structure
 
 
@@ -526,6 +526,19 @@ def test_kron_matches_bits():
         want = [sum(1 << a * width + b for a in range(6) for b in range(width)
                     if x >> a & 1 and y >> b & 1) for x in xs for y in ys]
         assert _kron(xs, ys, width) == want, (xs, ys, width)
+
+
+def test_spread_matches_digit_join():
+    """Spreading puts width - 1 zero digits between the binary digits of
+    each x, for lists of mixed bit lengths; width 1 returns the list."""
+    rng = random.Random(53)
+    for _ in range(500):
+        width = rng.randint(2, 40)
+        xs = [rng.getrandbits(rng.randint(0, 200)) for _ in range(rng.randint(0, 4))]
+        want = [int(("0" * (width - 1)).join(format(x, "b")), 2) for x in xs]
+        assert _spread(xs, width) == want, (xs, width)
+    xs = [5, 0, 3]
+    assert _spread(xs, 1) is xs
 
 
 @pytest.mark.parametrize("v, k", [((6,), (3,)), ((3, 2, 3), (1, 1, 1)), ((2, 4, 3), (1, 2, 2))])

@@ -24,7 +24,7 @@ from gencov import (
     prune_redundant,
     verify,
 )
-from util_random import mutate_design, random_block, random_valid_design
+from util_random import mutate_design, random_block, random_structure, random_valid_design
 
 
 def drop_block(d, r):
@@ -170,6 +170,24 @@ def test_chunking_does_not_change_counts(chunk, monkeypatch):
     # the package's `verify` attribute is the function, not the module
     monkeypatch.setattr(sys.modules["gencov.verify"], "_CHUNK", chunk)
     assert (verify(d), coverage_deficit(d)) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_small_chunks_match_oracle(chunk, monkeypatch):
+    """Multi-part designs at strengths 2 and 3, counted in chunks of fewer
+    blocks than they hold, most with a partial last chunk: each chunk's
+    slot-0 repeat and gathers must meet the same counts."""
+    monkeypatch.setattr(sys.modules["gencov.verify"], "_CHUNK", chunk)
+    rng = random.Random(43)
+    drawn = 0
+    while drawn < 12:
+        s = random_structure(rng, v_sum_max=9, m_max=3)
+        t = 2 + drawn % 2
+        if s.m < 2 or s.k_sum < t:
+            continue
+        blocks = tuple(random_block(rng, s) for _ in range(rng.randint(20, 37)))
+        assert_matches_oracle(Design(s, t, blocks, lam=rng.choice((1, 2))))
+        drawn += 1
 
 
 def test_universe_guard_raises_before_allocating():
