@@ -27,7 +27,6 @@ from math import comb
 from .construct import construct_minimax, cover_t1, minimax_base_size
 from .core import Design, PartStructure, as_int, lower_schonheim
 from .errors import (
-    BudgetExhausted,
     CandidateSpaceTooLarge,
     CertificateInvalid,
     ParameterOrderViolated,
@@ -36,7 +35,7 @@ from .errors import (
     StrengthTooLarge,
     UnitProfilePart,
 )
-from .search import certify_classical, greedy_cover
+from .search import DEFAULT_MAX_NODES, DEFAULT_TIMEOUT, certify_classical, greedy_cover
 from .verify import verify
 
 
@@ -152,30 +151,24 @@ def _certified(name: str, design: Design) -> tuple[int, Design]:
     return len(design.blocks), design
 
 
-def upper_minimax(s: PartStructure, max_nodes: int = 10_000_000,
-                  timeout: float = 60.0, strict: bool = False) -> tuple[int, Design]:
+def upper_minimax(s: PartStructure, *, max_nodes: int = DEFAULT_MAX_NODES,
+                  timeout: float = DEFAULT_TIMEOUT) -> tuple[int, Design]:
     """Certified strength-2 upper bound from one classical base cover.
 
     Computes w = max_j (v_j - (k_j - k_min)), obtains a (w, k_min, 2)
     cover by exact search, lifts it to the full structure, and verifies
-    the result before returning it.  If the search budget runs out the
-    greedy incumbent is lifted instead (the bound stays valid, just not
-    provably tight at the base); strict=True raises in that case, with
-    the fallback certificate attached to the exception.  A timeout that
-    runs out before the base search's tables are built raises
-    BudgetExhausted with no certificate.
+    the result before returning it.  If the search budget runs out, the
+    base search's best design is lifted: the bound stays valid, just not
+    proven tight at the base, which
+    certify_classical(minimax_base_size(s), s.k_min, 2).status tells.  A
+    timeout that runs out before the base search's tables are built, when
+    there is no design yet, raises BudgetExhausted.
     """
     if s.k_min < 2:
         raise UnitProfilePart(f"minimax bound needs every k_i >= 2, got {s.k}")
-    w = minimax_base_size(s)
-    base_result = certify_classical(w, s.k_min, 2, max_nodes=max_nodes, timeout=timeout)
-    n, design = _certified("minimax", construct_minimax(s, base_result.design))
-    if strict and base_result.status != "proven":
-        raise BudgetExhausted(
-            f"base ({w},{s.k_min},2) search stopped at status {base_result.status}",
-            certificate=design,
-        )
-    return n, design
+    base = certify_classical(minimax_base_size(s), s.k_min, 2, max_nodes=max_nodes,
+                             timeout=timeout).design
+    return _certified("minimax", construct_minimax(s, base))
 
 
 def bound_report(s: PartStructure, t: int) -> BoundReport:

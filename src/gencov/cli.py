@@ -190,16 +190,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default=None, metavar="FILE",
                    help="single-part strength-2 base design (default: searched)")
     p.add_argument("--keep-placeholders", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--max-nodes", type=int, default=search.DEFAULT_MAX_NODES)
+    p.add_argument("--timeout", type=float, default=search.DEFAULT_TIMEOUT)
     _add_output_arg(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("search", help="exact minimum block count")
     _add_structure_args(p)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--max-nodes", type=int, default=search.DEFAULT_MAX_NODES)
+    p.add_argument("--timeout", type=float, default=search.DEFAULT_TIMEOUT)
     # Goes once perfbench/workloads.py stops passing it (ROADMAP item 1).
     p.add_argument("--jobs", type=int, default=None,
                    help="accepted for compatibility; no effect on search")

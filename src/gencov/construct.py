@@ -32,8 +32,9 @@ from .core import (
     Block,
     Design,
     PartStructure,
-    _check_block,
+    _check_blocks,
     as_int,
+    as_ints,
     check_strength_lambda,
     require_design,
 )
@@ -87,8 +88,7 @@ class PlaceholderDesign:
         t, lam = check_strength_lambda(self.structure, self.t, self.lam)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "blocks", tuple(
-            _check_block(self.structure, b, STAR) for b in self.blocks))
+        object.__setattr__(self, "blocks", _check_blocks(self.structure, self.blocks, STAR))
 
     def fill(self) -> Design:
         """Replace each placeholder with the least unused label of its
@@ -211,7 +211,8 @@ def restrict(d: Design, index_set) -> Design:
     Strength drops to the restricted profile sum when that is smaller.
     """
     require_design(d, "restrict")
-    idx = sorted({_check_part_index(d.structure, i) for i in index_set})
+    idx = sorted({_check_part_index(d.structure, i)
+                  for i in as_ints(index_set, LabelOutOfRange, "part index")})
     if not idx:
         raise EmptyIndexSet("restriction needs at least one part")
     kI = tuple(d.structure.k[i - 1] for i in idx)
@@ -237,7 +238,7 @@ def add_full_parts(d: Design, sizes) -> Design:
     """Append parts with v_i = k_i = size; every block gains the whole
     new point set, so validity is preserved at the same strength."""
     require_design(d, "add_full_parts")
-    sizes = tuple(as_int(x, NonPositiveEntry, "part size") for x in sizes)
+    sizes = as_ints(sizes, NonPositiveEntry, "part size")
     if any(x < 1 for x in sizes):
         raise NonPositiveEntry(f"part sizes must be positive, got {sizes}")
     s = PartStructure(d.structure.v + sizes, d.structure.k + sizes)
@@ -282,7 +283,7 @@ def reduce_equivalence(s: PartStructure) -> tuple[PartStructure, dict[tuple[int,
 
 def _target(d: Design, target, what: str) -> tuple[int, ...]:
     """target as integers, one per part, with k_i <= target_i <= v_i."""
-    target = tuple(as_int(x, NonPositiveEntry, what) for x in target)
+    target = as_ints(target, NonPositiveEntry, what)
     if len(target) != d.structure.m:
         raise LengthMismatch(f"expected {d.structure.m} entries, got {len(target)}")
     for x, vi, ki in zip(target, d.structure.v, d.structure.k):

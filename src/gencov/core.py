@@ -55,12 +55,8 @@ class PartStructure:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "v", tuple(map(index, self.v)))
-            object.__setattr__(self, "k", tuple(map(index, self.k)))
-        except TypeError:
-            raise NonPositiveEntry(
-                f"entries must be integers, got v={self.v} k={self.k}") from None
+        object.__setattr__(self, "v", as_ints(self.v, NonPositiveEntry, "part size"))
+        object.__setattr__(self, "k", as_ints(self.k, NonPositiveEntry, "profile entry"))
         if len(self.v) == 0 or len(self.v) != len(self.k):
             raise LengthMismatch(f"v has length {len(self.v)}, k has length {len(self.k)}")
         for vi, ki in zip(self.v, self.k):
@@ -99,7 +95,7 @@ class PartStructure:
 
 def make_structure(v: Sequence[int], k: Sequence[int]) -> PartStructure:
     """Validate and build a PartStructure from two integer vectors."""
-    return PartStructure(tuple(v), tuple(k))
+    return PartStructure(v, k)
 
 
 def make_block(structure: PartStructure, parts: Sequence[Sequence[int]]) -> Block:
@@ -172,6 +168,16 @@ def _check_block(structure: PartStructure, parts, star=None) -> tuple:
     return parts if canonical else tuple(out)
 
 
+def _check_blocks(structure: PartStructure, blocks, star=None) -> tuple:
+    """Each of blocks through _check_block; blocks that are not iterable
+    raise LabelOutOfRange, as a block that is not iterable does."""
+    try:
+        blocks = iter(blocks)
+    except TypeError:
+        raise LabelOutOfRange(f"blocks must be an iterable of blocks, got {blocks!r}") from None
+    return tuple([_check_block(structure, b, star) for b in blocks])
+
+
 def _shared_design(s: PartStructure, t: int, blocks) -> Design:
     """A design whose blocks come from the structure's shared blocks, so
     that the designs a caller keeps of one structure share their block
@@ -185,6 +191,15 @@ def as_int(x, error: type[Exception], what: str) -> int:
         return index(x)
     except TypeError:
         raise error(f"{what} must be an integer, got {x!r}") from None
+
+
+def as_ints(xs, error: type[Exception], what: str) -> tuple[int, ...]:
+    """xs as a tuple of ints, each coerced with operator.index; error when
+    xs is not an iterable of integers."""
+    try:
+        return tuple(map(index, xs))
+    except TypeError:
+        raise error(f"each {what} must be an integer, got {xs!r}") from None
 
 
 def check_strength_lambda(s: PartStructure, t, lam) -> tuple[int, int]:
@@ -217,8 +232,7 @@ class Design:
         t, lam = check_strength_lambda(self.structure, self.t, self.lam)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "blocks", tuple(
-            _check_block(self.structure, b) for b in self.blocks))
+        object.__setattr__(self, "blocks", _check_blocks(self.structure, self.blocks))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -257,13 +271,25 @@ def admissible_patterns(s: PartStructure, t: int) -> list[Pattern]:
     return out
 
 
+def _check_pattern(s: PartStructure, p) -> Pattern:
+    """p as integers, one non-negative entry per part of s."""
+    p = as_ints(p, StrengthTooLarge, "pattern entry")
+    if len(p) != s.m:
+        raise LengthMismatch(f"pattern has {len(p)} entries, structure has {s.m} parts")
+    if min(p) < 0:
+        raise StrengthTooLarge(f"pattern entries must be non-negative, got {p}")
+    return p
+
+
 def admissible_tuples(s: PartStructure, p: Pattern) -> Iterator[SetTuple]:
     """Yield every set tuple matching pattern p, ascending lexicographically."""
+    p = _check_pattern(s, p)
     pools = (combinations(range(1, vi + 1), ti) for vi, ti in zip(s.v, p))
     return product(*pools)
 
 
 def pattern_tuple_count(s: PartStructure, p: Pattern) -> int:
+    p = _check_pattern(s, p)
     n = 1
     for vi, ti in zip(s.v, p):
         n *= comb(vi, ti)
@@ -303,9 +329,26 @@ def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> in
 
 def tuple_in_block(T: SetTuple, B: Block) -> bool:
     """Componentwise containment: T_i is a subset of B_i for every part."""
-    if len(T) != len(B):
-        raise StructureMismatch(f"tuple has {len(T)} parts, block has {len(B)}")
-    return all(set(Ti) <= set(Bi) for Ti, Bi in zip(T, B))
+    try:
+        if len(T) != len(B):
+            raise StructureMismatch(f"tuple has {len(T)} parts, block has {len(B)}")
+        return all(set(Ti) <= set(Bi) for Ti, Bi in zip(T, B))
+    except TypeError:
+        raise StructureMismatch(
+            f"tuple and block must be sequences of parts, got {T!r} and {B!r}") from None
+
+
+def _alphabets(alphabets, ncols: int) -> list[list]:
+    """alphabets as ncols lists of symbols, one per column; alphabets that
+    are not sequences raise EntryOutOfAlphabet, as a wrong-sized one does."""
+    try:
+        alphabets = [list(a) for a in alphabets]
+    except TypeError:
+        raise EntryOutOfAlphabet(
+            f"alphabets must be a sequence of symbol sequences, got {alphabets!r}") from None
+    if len(alphabets) != ncols:
+        raise LengthMismatch(f"{len(alphabets)} alphabets for {ncols} columns")
+    return alphabets
 
 
 def from_covering_array(rows: Sequence[Sequence[object]], t: int = 2,
@@ -316,7 +359,10 @@ def from_covering_array(rows: Sequence[Sequence[object]], t: int = 2,
     Column symbols map to labels 1..s_i via the sorted order of the
     distinct symbols seen, unless explicit per-column alphabets are given.
     """
-    rows = [tuple(r) for r in rows]
+    try:
+        rows = [tuple(r) for r in rows]
+    except TypeError:
+        raise LengthMismatch(f"array must be a sequence of rows, got {rows!r}") from None
     if not rows:
         raise LengthMismatch("array has no rows")
     ncols = len(rows[0])
@@ -325,9 +371,7 @@ def from_covering_array(rows: Sequence[Sequence[object]], t: int = 2,
     if alphabets is None:
         alphabets = [sorted({r[i] for r in rows}) for i in range(ncols)]
     else:
-        alphabets = [list(a) for a in alphabets]
-        if len(alphabets) != ncols:
-            raise LengthMismatch(f"{len(alphabets)} alphabets for {ncols} columns")
+        alphabets = _alphabets(alphabets, ncols)
     maps = [{sym: j + 1 for j, sym in enumerate(a)} for a in alphabets]
     for r in rows:
         for i, entry in enumerate(r):
@@ -347,9 +391,7 @@ def to_covering_array(d: Design,
     if any(ki != 1 for ki in d.structure.k):
         raise NotUnitProfile(f"profile must be all ones, got {d.structure.k}")
     if alphabets is not None:
-        alphabets = [list(a) for a in alphabets]
-        if len(alphabets) != d.structure.m:
-            raise LengthMismatch(f"{len(alphabets)} alphabets for {d.structure.m} parts")
+        alphabets = _alphabets(alphabets, d.structure.m)
         for a, vi in zip(alphabets, d.structure.v):
             if len(a) != vi:
                 raise EntryOutOfAlphabet(f"alphabet size {len(a)} does not match part size {vi}")

@@ -69,15 +69,9 @@ class CertificateInvalid(GencovError):
 
 
 class BudgetExhausted(GencovError):
-    """An exact search ran out of budget before proving optimality.
-
-    The exception carries the best verified certificate found so far in
-    the ``certificate`` attribute (an upper bound, just not proven tight).
-    """
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
+    """A search's timeout ran out before it held any design: while its
+    coverage tables were built.  A search that holds a design returns it
+    instead, with status "budget-exhausted"."""
 
 
 # ---- transformations ----

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import Design, PartStructure
-from .errors import StrengthNotTwo
+from .errors import StrengthNotTwo, StructureMismatch
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,18 @@ def join_graph(s: PartStructure) -> Graph:
     return Graph(s.v_sum, tuple(part_of), tuple(local_of), frozenset(edges))
 
 
-def _require_strength_two(d: Design) -> None:
+def _check_design(s: PartStructure, d: Design) -> None:
+    """Raise unless d is a strength-2 design on s itself."""
     if d.t != 2:
         raise StrengthNotTwo(f"graph checks apply to strength 2, got {d.t}")
+    if d.structure != s:
+        raise StructureMismatch(f"design is on {d.structure}, not on {s}")
 
 
 def check_clique_cover(s: PartStructure, d: Design) -> bool:
     """True iff the blocks, read as vertex sets, cover every edge of the
     join graph."""
-    _require_strength_two(d)
+    _check_design(s, d)
     offs = _offsets(s)
     need = set(join_graph(s).edges)
     for block in d.blocks:
@@ -84,7 +87,7 @@ def check_multipartite_cover(s: PartStructure, d: Design) -> bool:
     """True iff (i) every between-part pair lies in some block and
     (ii) for every part with profile >= 2, every within-part pair lies
     in some block's set for that part."""
-    _require_strength_two(d)
+    _check_design(s, d)
     for i, j in combinations(range(s.m), 2):
         for x in range(1, s.v[i] + 1):
             for y in range(1, s.v[j] + 1):

@@ -10,7 +10,7 @@ set lift r + (s-1)v.  Each takes Designs and refuses a PlaceholderDesign.
 from __future__ import annotations
 
 from .construct import cover_t1
-from .core import Design, PartStructure, require_design
+from .core import Design, PartStructure, as_int, as_ints, require_design
 from .errors import (
     InvalidInput,
     LabelOutOfRange,
@@ -88,8 +88,11 @@ def mod1(x: int, v: int) -> int:
 
 
 def set_lift(R, S, v: int) -> set[int]:
-    """{r + (s-1)*v}: |R|*|S| points inside 1..v*max(S)."""
-    R, S = set(R), set(S)
+    """{r + (s-1)*v}: |R|*|S| points inside 1..v*max(S).  Labels and v
+    that are not integers raise LabelOutOfRange."""
+    R = set(as_ints(R, LabelOutOfRange, "lift label"))
+    S = set(as_ints(S, LabelOutOfRange, "lift label"))
+    v = as_int(v, LabelOutOfRange, "lift part size")
     if any(not 1 <= r <= v for r in R):
         raise LabelOutOfRange(f"lift needs R inside 1..{v}")
     if any(s < 1 for s in S):

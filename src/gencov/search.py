@@ -79,6 +79,10 @@ from .core import (Block, Design, PartStructure, _shared_design, admissible_patt
                    lower_schonheim, pattern_tuple_count)
 from .errors import BudgetExhausted, CandidateSpaceTooLarge, StrengthTooLarge
 
+# The default budget of exact_min, certify_classical, bounds.upper_minimax
+# and the CLI's construct and search commands.
+DEFAULT_MAX_NODES = 10_000_000
+DEFAULT_TIMEOUT = 60.0
 CANDIDATE_CAP = 10 ** 6
 # coverers is a dense n_cands x n_tuples bit matrix, the one table greedy
 # allocates, and the search's full cover list is another; tables of more
@@ -233,8 +237,8 @@ class _Tables:
     module docstring).  Its slot groups (_bound_groups) are built on the
     first call, so greedy_cover never builds them.
 
-    Past the deadline, if one is given, the build raises BudgetExhausted
-    with no certificate.  It checks before and after each pattern's
+    Past the deadline, if one is given, the build raises BudgetExhausted,
+    as no design exists yet.  It checks before and after each pattern's
     tables, before each part, and once per size of a part's incidence,
     unless the tables hold fewer than _UNTIMED_ENTRIES (tuple, coverer)
     pairs in all: a small table is always built, so that a spent timeout
@@ -514,17 +518,18 @@ def greedy_cover(s: PartStructure, t: int) -> Design:
     return tb.design_from(_greedy(tb))
 
 
-def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
-              timeout: float = 60.0) -> SearchResult:
+def exact_min(s: PartStructure, t: int, *, max_nodes: int = DEFAULT_MAX_NODES,
+              timeout: float = DEFAULT_TIMEOUT) -> SearchResult:
     """Minimum block count of a GC(s, t), with certificate when one
     exists.  Strength above the profile sum is infeasible and reported
     as optimum 0; status is proven unless a budget cut the search off.
     The timeout covers every phase, and at most max_nodes nodes are
-    searched.  A timeout that runs out before the coverage tables are
-    built raises BudgetExhausted with no certificate, as there is no
-    design to return yet.  Once greedy has a design, the full cover list
-    is built only if greedy misses the root bound; a timeout that runs
-    out while it is built returns greedy's design as budget-exhausted."""
+    searched.  A spent budget shows on the result: once greedy holds a
+    design, the best design found is returned with status
+    budget-exhausted.  Only a timeout that runs out before the coverage
+    tables are built, when there is no design yet, raises
+    BudgetExhausted.  The full cover list is built only if greedy misses
+    the root bound."""
     deadline = time.monotonic() + timeout
     t = as_int(t, StrengthTooLarge, "strength")
     if t < 0:
@@ -596,7 +601,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = 10_000_000,
     return SearchResult(len(best), tb.design_from(best), nodes, status)
 
 
-def certify_classical(v: int, k: int, t: int, *, max_nodes: int = 10_000_000,
-                      timeout: float = 60.0) -> SearchResult:
+def certify_classical(v: int, k: int, t: int, *, max_nodes: int = DEFAULT_MAX_NODES,
+                      timeout: float = DEFAULT_TIMEOUT) -> SearchResult:
     """exact_min on the single-part structure ((v,), (k,))."""
     return exact_min(PartStructure((v,), (k,)), t, max_nodes=max_nodes, timeout=timeout)

@@ -284,12 +284,6 @@ def test_upper_minimax_pathological_structure():
 def test_upper_minimax_strict_budget():
     # k_min = 3 gives w = 11, and the (11,3,2) base needs branching
     # beyond a 5-node budget
-    with pytest.raises(BudgetExhausted) as info:
-        upper_minimax(PartStructure((11, 5), (3, 3)), max_nodes=5, strict=True)
-    cert = info.value.certificate
-    assert cert is not None and verify(cert).valid
-    assert cert.structure == PartStructure((11, 5), (3, 3))
-    # non-strict mode returns the same fallback instead of raising
     n, d = upper_minimax(PartStructure((11, 5), (3, 3)), max_nodes=5)
     assert verify(d).valid and len(d) == n
 

@@ -363,6 +363,12 @@ def test_console_script_entry_point(mixed_file):
     assert "valid: yes" in proc.stdout
 
 
+def test_module_entry_point_runs_bounds():
+    proc = run_python("-m", "gencov.cli", "bounds", "--v", "4,2,2", "--k", "2,1,1", "--t", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "best_lower=6" in proc.stdout.splitlines()
+
+
 def loaded_by_import(module):
     """Whether `import gencov, gencov.cli` loads module in a fresh interpreter."""
     code = f"import sys, gencov, gencov.cli; print({module!r} in sys.modules)"

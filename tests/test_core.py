@@ -11,12 +11,14 @@ from fixture_designs import CA_5_4_2_ROWS, fano, mixed_422
 from gencov import (
     Design,
     EntryOutOfAlphabet,
+    GencovError,
     LabelOutOfRange,
     LengthMismatch,
     NonPositiveEntry,
     NotUnitProfile,
     ParameterOrderViolated,
     PartStructure,
+    PlaceholderDesign,
     ProfileExceedsPart,
     StrengthTooLarge,
     StructureMismatch,
@@ -24,9 +26,12 @@ from gencov import (
     admissible_patterns,
     admissible_tuples,
     amalgamate,
+    check_clique_cover,
+    check_multipartite_cover,
     coverage_deficit,
     delete_points,
     exact_min,
+    expand_blocks,
     expand_equivalent,
     from_covering_array,
     greedy_classical_cover,
@@ -35,6 +40,7 @@ from gencov import (
     make_structure,
     pattern_tuple_count,
     restrict,
+    set_lift,
     to_covering_array,
     tuple_in_block,
 )
@@ -302,3 +308,51 @@ def test_admissible_patterns_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Calls with a vector, a sequence or a structure of the wrong kind, on
+# s = (4,4)/(2,2) and its greedy cover d.  Each raises the GencovError
+# subclass its function raises for a bad element, not a bare TypeError,
+# ValueError or IndexError, and none returns an answer.
+BAD_ARGUMENT_CALLS = {
+    "make_structure int": (NonPositiveEntry, lambda s, d: make_structure(5, (1,))),
+    "restrict int": (LabelOutOfRange, lambda s, d: restrict(d, 1)),
+    "delete_points None": (NonPositiveEntry, lambda s, d: delete_points(d, None)),
+    "expand_blocks int": (NonPositiveEntry, lambda s, d: expand_blocks(d, 3)),
+    "add_full_parts int": (NonPositiveEntry, lambda s, d: add_full_parts(d, 2)),
+    "pattern_tuple_count short": (LengthMismatch, lambda s, d: pattern_tuple_count(s, (1,))),
+    "admissible_tuples short": (LengthMismatch, lambda s, d: admissible_tuples(s, (1,))),
+    "pattern_tuple_count long": (LengthMismatch,
+                                 lambda s, d: pattern_tuple_count(s, (1, 1, 5))),
+    "pattern_tuple_count negative": (StrengthTooLarge,
+                                     lambda s, d: pattern_tuple_count(s, (-1, 2))),
+    "Design int blocks": (LabelOutOfRange, lambda s, d: Design(s, 1, 5)),
+    "PlaceholderDesign None blocks": (LabelOutOfRange,
+                                      lambda s, d: PlaceholderDesign(s, 1, None)),
+    "from_covering_array int": (LengthMismatch, lambda s, d: from_covering_array(5)),
+    "to_covering_array int alphabets": (
+        EntryOutOfAlphabet,
+        lambda s, d: to_covering_array(from_covering_array(CA_5_4_2_ROWS), alphabets=5)),
+    "set_lift int": (LabelOutOfRange, lambda s, d: set_lift(5, (1,), 2)),
+    "set_lift str": (LabelOutOfRange, lambda s, d: set_lift(("a",), (1,), 2)),
+    "set_lift str part size": (LabelOutOfRange, lambda s, d: set_lift((1,), (1,), "2")),
+    "tuple_in_block float": (StructureMismatch, lambda s, d: tuple_in_block(1.5, d.blocks[0])),
+    "check_clique_cover one part": (
+        StructureMismatch, lambda s, d: check_clique_cover(PartStructure((4,), (2,)), d)),
+    "check_multipartite_cover one part": (
+        StructureMismatch, lambda s, d: check_multipartite_cover(PartStructure((4,), (2,)), d)),
+    "check_clique_cover smaller parts": (
+        StructureMismatch, lambda s, d: check_clique_cover(PartStructure((3, 3), (2, 2)), d)),
+    "check_multipartite_cover three parts": (
+        StructureMismatch,
+        lambda s, d: check_multipartite_cover(PartStructure((4, 4, 4), (2, 2, 2)), d)),
+}
+
+
+@pytest.mark.parametrize("error, call", BAD_ARGUMENT_CALLS.values(), ids=BAD_ARGUMENT_CALLS)
+def test_bad_arguments_raise_gencov_errors(error, call):
+    s = PartStructure((4, 4), (2, 2))
+    d = greedy_cover(s, 2)
+    with pytest.raises(GencovError) as info:
+        call(s, d)
+    assert type(info.value) is error

@@ -183,7 +183,6 @@ def test_table_build_honours_the_timeout():
     with pytest.raises(BudgetExhausted) as info:
         exact_min(PartStructure((10, 10), (5, 5)), 3, timeout=0.005)
     assert time.monotonic() - start < 0.5
-    assert info.value.certificate is None
     start = time.monotonic()
     with pytest.raises(BudgetExhausted):
         certify_classical(18, 9, 3, timeout=0.01)
