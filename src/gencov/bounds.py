@@ -20,11 +20,12 @@ tables exceed the search's caps).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb
 
-from .construct import construct_minimax, cover_t1, minimax_base_size
+from .construct import construct_minimax, cover_t1
 from .core import Design, PartStructure, as_int, lower_schonheim
 from .errors import (
     CandidateSpaceTooLarge,
@@ -35,7 +36,7 @@ from .errors import (
     StrengthTooLarge,
     UnitProfilePart,
 )
-from .search import DEFAULT_MAX_NODES, DEFAULT_TIMEOUT, certify_classical, greedy_cover
+from .search import DEFAULT_MAX_NODES, DEFAULT_TIMEOUT, greedy_cover
 from .verify import verify
 
 
@@ -153,22 +154,12 @@ def _certified(name: str, design: Design) -> tuple[int, Design]:
 
 def upper_minimax(s: PartStructure, *, max_nodes: int = DEFAULT_MAX_NODES,
                   timeout: float = DEFAULT_TIMEOUT) -> tuple[int, Design]:
-    """Certified strength-2 upper bound from one classical base cover.
-
-    Computes w = max_j (v_j - (k_j - k_min)), obtains a (w, k_min, 2)
-    cover by exact search, lifts it to the full structure, and verifies
-    the result before returning it.  If the search budget runs out, the
-    base search's best design is lifted: the bound stays valid, just not
-    proven tight at the base, which
-    certify_classical(minimax_base_size(s), s.k_min, 2).status tells.  A
-    timeout that runs out before the base search's tables are built, when
-    there is no design yet, raises BudgetExhausted.
+    """Certified strength-2 upper bound: construct_minimax(s), its base
+    searched under max_nodes and timeout, verified before it is returned.
+    A spent budget still gives a valid bound, just not one proven tight
+    at the base; construct_minimax's errors pass through.
     """
-    if s.k_min < 2:
-        raise UnitProfilePart(f"minimax bound needs every k_i >= 2, got {s.k}")
-    base = certify_classical(minimax_base_size(s), s.k_min, 2, max_nodes=max_nodes,
-                             timeout=timeout).design
-    return _certified("minimax", construct_minimax(s, base))
+    return _certified("minimax", construct_minimax(s, max_nodes=max_nodes, timeout=timeout))
 
 
 def bound_report(s: PartStructure, t: int) -> BoundReport:
@@ -180,8 +171,9 @@ def bound_report(s: PartStructure, t: int) -> BoundReport:
     upper: dict[str, tuple[int, Design]] = {}
     if t == 1:
         upper["t1_formula"] = _certified("t1_formula", cover_t1(s))
-    if t == 2 and s.k_min >= 2:
-        upper["minimax"] = upper_minimax(s)
+    if t == 2:
+        with suppress(UnitProfilePart):
+            upper["minimax"] = upper_minimax(s)
     try:
         upper["greedy"] = _certified("greedy", greedy_cover(s, t))
     except CandidateSpaceTooLarge:

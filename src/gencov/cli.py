@@ -78,15 +78,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_construct(args) -> int:
     s = PartStructure(args.v, args.k)
-    if args.base is not None:
-        base = _load_design(args.base)
-    else:
-        if s.k_min < 2:
-            raise GencovError("construction needs every k_i >= 2; supply --base otherwise")
-        w = construct_mod.minimax_base_size(s)
-        base = search.certify_classical(w, s.k_min, 2, max_nodes=args.max_nodes,
-                                        timeout=args.timeout).design
-    d = construct_mod.construct_minimax(s, base, keep_placeholders=args.keep_placeholders)
+    base = None if args.base is None else _load_design(args.base)
+    d = construct_mod.construct_minimax(s, base, keep_placeholders=args.keep_placeholders,
+                                        max_nodes=args.max_nodes, timeout=args.timeout)
     _write(emit_design(d), args.output)
     return 0
 
@@ -185,10 +179,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("construct", help="lift a classical cover onto every part")
+    p = sub.add_parser("construct", help="lift a classical cover onto every part; "
+                                         "needs every k_i >= 2")
     _add_structure_args(p)
     p.add_argument("--base", default=None, metavar="FILE",
-                   help="single-part strength-2 base design (default: searched)")
+                   help="single-part strength-2 base design (default: searched "
+                        "under --max-nodes and --timeout)")
     p.add_argument("--keep-placeholders", action="store_true")
     p.add_argument("--max-nodes", type=int, default=search.DEFAULT_MAX_NODES)
     p.add_argument("--timeout", type=float, default=search.DEFAULT_TIMEOUT)

@@ -53,8 +53,9 @@ from .errors import (
     StructureMismatch,
     TargetBelowProfile,
     TargetExceedsPart,
+    UnitProfilePart,
 )
-from .search import greedy_cover
+from .search import DEFAULT_MAX_NODES, DEFAULT_TIMEOUT, certify_classical, greedy_cover
 from .verify import verify
 
 
@@ -128,9 +129,15 @@ def minimax_base_size(s: PartStructure) -> int:
     return max(vj - (kj - s.k_min) for vj, kj in zip(s.v, s.k))
 
 
-def construct_minimax(s: PartStructure, base: Design,
-                      keep_placeholders: bool = False) -> Design | PlaceholderDesign:
+def construct_minimax(s: PartStructure, base: Design | None = None,
+                      keep_placeholders: bool = False, *, max_nodes: int = DEFAULT_MAX_NODES,
+                      timeout: float = DEFAULT_TIMEOUT) -> Design | PlaceholderDesign:
     """Lift a single-part (w, k_min, 2) cover to a GC(v, k, 2).
+
+    Every k_i must be at least 2 (UnitProfilePart).  Without a base, the
+    base is certify_classical(minimax_base_size(s), s.k_min, 2)'s design,
+    searched under max_nodes and timeout (BudgetExhausted if it holds no
+    design yet); a base given must be a Design.
 
     Each part receives a copy of the base blocks.  Parts needing fewer
     points than the base provides have surplus labels turned into
@@ -140,8 +147,12 @@ def construct_minimax(s: PartStructure, base: Design,
     unused label per part (or retained when keep_placeholders is set)
     and duplicate blocks are dropped.
     """
-    if any(ki < 2 for ki in s.k):
-        raise ProfileBelowTwo(f"lift needs every k_i >= 2, got {s.k}")
+    if s.k_min < 2:
+        raise UnitProfilePart(f"lift needs every k_i >= 2, got {s.k}")
+    if base is None:
+        base = certify_classical(minimax_base_size(s), s.k_min, 2, max_nodes=max_nodes,
+                                 timeout=timeout).design
+    require_design(base, "construct_minimax")
     if base.structure.m != 1 or base.structure.k[0] != s.k_min:
         raise StructureMismatch(
             f"base must be single-part with profile ({s.k_min},), got {base.structure}"

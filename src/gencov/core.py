@@ -358,6 +358,8 @@ def from_covering_array(rows: Sequence[Sequence[object]], t: int = 2,
 
     Column symbols map to labels 1..s_i via the sorted order of the
     distinct symbols seen, unless explicit per-column alphabets are given.
+    Symbols that cannot be hashed, or sorted when there are no alphabets,
+    raise EntryOutOfAlphabet.
     """
     try:
         rows = [tuple(r) for r in rows]
@@ -368,15 +370,18 @@ def from_covering_array(rows: Sequence[Sequence[object]], t: int = 2,
     ncols = len(rows[0])
     if ncols == 0 or any(len(r) != ncols for r in rows):
         raise LengthMismatch("rows must be nonempty and of equal length")
-    if alphabets is None:
-        alphabets = [sorted({r[i] for r in rows}) for i in range(ncols)]
-    else:
-        alphabets = _alphabets(alphabets, ncols)
-    maps = [{sym: j + 1 for j, sym in enumerate(a)} for a in alphabets]
-    for r in rows:
-        for i, entry in enumerate(r):
-            if entry not in maps[i]:
-                raise EntryOutOfAlphabet(f"entry {entry!r} not in column {i + 1} alphabet")
+    try:
+        if alphabets is None:
+            alphabets = [sorted({r[i] for r in rows}) for i in range(ncols)]
+        else:
+            alphabets = _alphabets(alphabets, ncols)
+        maps = [{sym: j + 1 for j, sym in enumerate(a)} for a in alphabets]
+        for r in rows:
+            for i, entry in enumerate(r):
+                if entry not in maps[i]:
+                    raise EntryOutOfAlphabet(f"entry {entry!r} not in column {i + 1} alphabet")
+    except TypeError as e:
+        raise EntryOutOfAlphabet(f"array symbols must be hashable and sortable: {e}") from None
     s = make_structure(tuple(len(a) for a in alphabets), (1,) * ncols)
     blocks = tuple(tuple((maps[i][r[i]],) for i in range(ncols)) for r in rows)
     return Design(s, t, blocks, lam)
@@ -388,6 +393,7 @@ def to_covering_array(d: Design,
 
     Without alphabets, rows carry the 1-based labels themselves.
     """
+    require_design(d, "to_covering_array")
     if any(ki != 1 for ki in d.structure.k):
         raise NotUnitProfile(f"profile must be all ones, got {d.structure.k}")
     if alphabets is not None:

@@ -60,10 +60,6 @@ class StrengthExceedsParts(GencovError):
     """The nested-ceiling bound needs t <= m."""
 
 
-class UnitProfilePart(GencovError):
-    """The minimax upper bound needs every k_i >= 2."""
-
-
 class CertificateInvalid(GencovError):
     """A design built to certify an upper bound failed verification."""
 
@@ -78,6 +74,10 @@ class BudgetExhausted(GencovError):
 
 class ProfileBelowTwo(GencovError):
     """Operation requires the touched profile entries to be >= 2."""
+
+
+class UnitProfilePart(ProfileBelowTwo):
+    """The minimax lift, so also the minimax upper bound, needs every k_i >= 2."""
 
 
 class BasePartTooSmall(GencovError):

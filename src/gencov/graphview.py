@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Design, PartStructure
+from .core import Design, PartStructure, require_design
 from .errors import StrengthNotTwo, StructureMismatch
 
 
@@ -60,8 +60,9 @@ def join_graph(s: PartStructure) -> Graph:
     return Graph(s.v_sum, tuple(part_of), tuple(local_of), frozenset(edges))
 
 
-def _check_design(s: PartStructure, d: Design) -> None:
-    """Raise unless d is a strength-2 design on s itself."""
+def _check_design(s: PartStructure, d: Design, op: str) -> None:
+    """Raise unless d is a strength-2 Design on s itself; op names the check."""
+    require_design(d, op)
     if d.t != 2:
         raise StrengthNotTwo(f"graph checks apply to strength 2, got {d.t}")
     if d.structure != s:
@@ -71,7 +72,7 @@ def _check_design(s: PartStructure, d: Design) -> None:
 def check_clique_cover(s: PartStructure, d: Design) -> bool:
     """True iff the blocks, read as vertex sets, cover every edge of the
     join graph."""
-    _check_design(s, d)
+    _check_design(s, d, "check_clique_cover")
     offs = _offsets(s)
     need = set(join_graph(s).edges)
     for block in d.blocks:
@@ -87,7 +88,7 @@ def check_multipartite_cover(s: PartStructure, d: Design) -> bool:
     """True iff (i) every between-part pair lies in some block and
     (ii) for every part with profile >= 2, every within-part pair lies
     in some block's set for that part."""
-    _check_design(s, d)
+    _check_design(s, d, "check_multipartite_cover")
     for i, j in combinations(range(s.m), 2):
         for x in range(1, s.v[i] + 1):
             for y in range(1, s.v[j] + 1):

@@ -15,6 +15,7 @@ from gencov import (
     GencovError,
     ParameterOrderViolated,
     PartStructure,
+    ProfileBelowTwo,
     SinglePart,
     StrengthExceedsParts,
     StrengthTooLarge,
@@ -266,6 +267,13 @@ def test_lower_sound_against_brute_force():
             continue  # needs a bigger family than the brute-force cap
         assert lower_best(s, t).best_lower <= opt
         done += 1
+
+
+def test_upper_minimax_unit_profile_is_profile_below_two():
+    # the lift refuses the profile before its base search
+    with pytest.raises(ProfileBelowTwo) as info:
+        upper_minimax(PartStructure((4, 2), (2, 1)), max_nodes=0, timeout=0)
+    assert type(info.value) is UnitProfilePart
 
 
 def test_upper_minimax_small():

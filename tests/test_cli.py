@@ -20,7 +20,7 @@ from fixture_designs import (
 )
 import gencov
 from gencov import (Design, PartStructure, construct_minimax, emit_design, parse_design,
-                    product_concat, verify)
+                    product_concat, upper_minimax, verify)
 from gencov.cli import main
 
 
@@ -143,6 +143,27 @@ def test_construct_unit_profile_needs_base(capsys):
     code, _, err = run(capsys, "construct", "--v", "4,2", "--k", "2,1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("v, k", [((5, 6, 7), (3, 4, 3)), ((9, 5), (7, 2))])
+def test_construct_without_base_is_the_minimax_bound(v, k, capsys):
+    # one lift: the library call, the bound's certificate and the command
+    s = PartStructure(v, k)
+    d = construct_minimax(s)
+    assert upper_minimax(s)[1] == d
+    code, out, _ = run(capsys, "construct", "--v", ",".join(map(str, v)),
+                       "--k", ",".join(map(str, k)))
+    assert code == 0
+    assert out == emit_design(d)
+
+
+def test_construct_unit_profile_same_error_with_base(tmp_path, capsys):
+    base = tmp_path / "fano.gcd"
+    base.write_text(emit_design(fano()))
+    argv = ["construct", "--v", "4,2", "--k", "2,1"]
+    without = run(capsys, *argv)
+    assert without == (2, "", "error: lift needs every k_i >= 2, got (2, 1)\n")
+    assert run(capsys, *argv, "--base", str(base)) == without
 
 
 def test_search_proven(tmp_path, capsys):

@@ -36,8 +36,11 @@ from gencov import (
     StructureMismatch,
     TargetBelowProfile,
     TargetExceedsPart,
+    UnitProfilePart,
     add_full_parts,
     amalgamate,
+    check_clique_cover,
+    check_multipartite_cover,
     construct_minimax,
     cover_t1,
     delete_points,
@@ -55,6 +58,7 @@ from gencov import (
     reduce_equivalence,
     restrict,
     schonheim,
+    to_covering_array,
     verify,
 )
 from util_random import random_structure
@@ -250,6 +254,24 @@ def test_transforms_refuse_placeholder_design(call):
     call(filled, filled)
 
 
+# The readers of a Design, given a PlaceholderDesign d, refuse it too.
+PLACEHOLDER_READS = {
+    "to_covering_array": to_covering_array,
+    "check_clique_cover": lambda d: check_clique_cover(d.structure, d),
+    "check_multipartite_cover": lambda d: check_multipartite_cover(d.structure, d),
+}
+
+
+@pytest.mark.parametrize("read", PLACEHOLDER_READS.values(), ids=PLACEHOLDER_READS)
+def test_readers_refuse_placeholder_design(read):
+    # unit profile, so that to_covering_array reads the filled design
+    pd = PlaceholderDesign(PartStructure((2, 2), (1, 1)), 2,
+                           (((1,), (STAR,)), ((1,), (2,)), ((2,), (1,)), ((2,), (2,))))
+    with pytest.raises(PlaceholdersPresent, match="takes a Design, got a PlaceholderDesign"):
+        read(pd)
+    assert read(pd.fill())
+
+
 @pytest.mark.parametrize("lam", [1, 2])
 def test_transforms_check_each_output_block_once(lam, monkeypatch):
     d = Design(fano().structure, 2, fano().blocks, lam)
@@ -324,6 +346,24 @@ def test_minimax_preconditions():
                                   ((3, 5, 6),), ((1, 2, 6),), ((3, 4, 5),)))
     with pytest.raises(BasePartTooSmall):
         construct_minimax(s, small)
+
+
+def test_minimax_refuses_placeholder_base():
+    s = PartStructure((5, 6, 7), (3, 4, 3))
+    # fano's first block is (1, 2, 4), so filling the STAR gives fano back
+    pd = PlaceholderDesign(fano().structure, 2, (((STAR, 2, 4),), *fano().blocks[1:]))
+    assert pd.fill() == fano()
+    with pytest.raises(PlaceholdersPresent, match="construct_minimax takes a Design"):
+        construct_minimax(s, pd)
+    assert construct_minimax(s, pd.fill()) == minimax_567()
+
+
+def test_minimax_refuses_unit_profile_before_the_base():
+    # neither a base search nor a base check runs first
+    s = PartStructure((4, 2), (2, 1))
+    for base in (None, fano(), 5):
+        with pytest.raises(UnitProfilePart, match=r"lift needs every k_i >= 2, got \(2, 1\)"):
+            construct_minimax(s, base, max_nodes=0, timeout=0)
 
 
 def test_minimax_never_larger_than_base():

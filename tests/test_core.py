@@ -330,6 +330,13 @@ BAD_ARGUMENT_CALLS = {
     "PlaceholderDesign None blocks": (LabelOutOfRange,
                                       lambda s, d: PlaceholderDesign(s, 1, None)),
     "from_covering_array int": (LengthMismatch, lambda s, d: from_covering_array(5)),
+    "from_covering_array unsortable symbols": (
+        EntryOutOfAlphabet, lambda s, d: from_covering_array([(1, "a"), (2, 3)])),
+    "from_covering_array unhashable symbols": (
+        EntryOutOfAlphabet, lambda s, d: from_covering_array([([1], 2), ([1], 3)])),
+    "from_covering_array unhashable entry": (
+        EntryOutOfAlphabet,
+        lambda s, d: from_covering_array([([1], 2)], alphabets=[[1], [2]])),
     "to_covering_array int alphabets": (
         EntryOutOfAlphabet,
         lambda s, d: to_covering_array(from_covering_array(CA_5_4_2_ROWS), alphabets=5)),
