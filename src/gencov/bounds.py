@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .construct import construct_minimax, cover_t1
-from .core import Design, PartStructure, as_int, lower_schonheim
+from .core import Design, PartStructure, as_int, lower_schonheim, require_structure
 from .errors import (
     CandidateSpaceTooLarge,
     CertificateInvalid,
@@ -124,6 +124,7 @@ def lower_best(s: PartStructure, t: int) -> BoundReport:
     the module docstring).  Strength above the profile sum is impossible
     and reported as infeasible with value 0.
     """
+    require_structure(s, "lower_best")
     t = as_int(t, StrengthTooLarge, "strength")
     if t > s.k_sum:
         return BoundReport(lower={}, infeasible=True)
@@ -164,6 +165,7 @@ def upper_minimax(s: PartStructure, *, max_nodes: int = DEFAULT_MAX_NODES,
 
 def bound_report(s: PartStructure, t: int) -> BoundReport:
     """Lower rules plus whatever certified uppers apply at this strength."""
+    require_structure(s, "bound_report")
     t = as_int(t, StrengthTooLarge, "strength")
     base = lower_best(s, t)
     if base.infeasible:

@@ -37,6 +37,7 @@ from .core import (
     as_ints,
     check_strength_lambda,
     require_design,
+    require_structure,
 )
 from .errors import (
     BasePartTooSmall,
@@ -56,7 +57,7 @@ from .errors import (
     UnitProfilePart,
 )
 from .search import DEFAULT_MAX_NODES, DEFAULT_TIMEOUT, certify_classical, greedy_cover
-from .verify import verify
+from .verify import _part_labels, _scan
 
 
 def _pad(labels, k: int) -> tuple[int, ...]:
@@ -147,6 +148,7 @@ def construct_minimax(s: PartStructure, base: Design | None = None,
     unused label per part (or retained when keep_placeholders is set)
     and duplicate blocks are dropped.
     """
+    require_structure(s, "construct_minimax")
     if s.k_min < 2:
         raise UnitProfilePart(f"lift needs every k_i >= 2, got {s.k}")
     if base is None:
@@ -359,16 +361,23 @@ def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:
     """Drop exact duplicate blocks (at lambda = 1, where a duplicate can
     never help); with greedy_drop, additionally remove blocks whose
     deletion keeps the design valid, trying lexicographically last
-    blocks first."""
+    blocks first.  The input must verify (InvalidInput otherwise).
+
+    The labels of the deduplicated blocks are built once (verify's
+    _part_labels), and the input and every trial are checked by verify's
+    scan of them, a trial by the rows of the blocks it keeps; the output
+    is the only Design built."""
     require_design(d, "prune_redundant")
-    if not verify(d).valid:
-        raise InvalidInput("input design fails verification")
+    s = d.structure
     blocks = _drop_repeats(d.blocks, d.lam)
+    labels = _part_labels(s, blocks)
+    if not _scan(labels, s, d.t, d.lam).valid:
+        raise InvalidInput("input design fails verification")
     if greedy_drop:
         kept = set(range(len(blocks)))
         for r in sorted(kept, key=lambda q: blocks[q], reverse=True):
-            trial = tuple(blocks[q] for q in sorted(kept - {r}))
-            if verify(Design(d.structure, d.t, trial, d.lam)).valid:
+            rows = sorted(kept - {r})
+            if _scan([lab[rows] for lab in labels], s, d.t, d.lam).valid:
                 kept.discard(r)
         blocks = [blocks[q] for q in sorted(kept)]
-    return Design(d.structure, d.t, tuple(blocks), d.lam)
+    return Design(s, d.t, tuple(blocks), d.lam)

@@ -205,6 +205,7 @@ def as_ints(xs, error: type[Exception], what: str) -> tuple[int, ...]:
 def check_strength_lambda(s: PartStructure, t, lam) -> tuple[int, int]:
     """(t, lam) as integers with 0 <= t <= k_sum and lam >= 1, the checks
     every design of structure s makes."""
+    require_structure(s, "a design")
     t = as_int(t, StrengthTooLarge, "strength")
     if t < 0:
         raise StrengthTooLarge(f"strength must be non-negative, got {t}")
@@ -236,6 +237,13 @@ class Design:
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+
+def require_structure(s, op: str) -> None:
+    """Raise StructureMismatch unless s is a PartStructure: op, the
+    operation's name, takes one."""
+    if not isinstance(s, PartStructure):
+        raise StructureMismatch(f"{op} takes a PartStructure, got a {type(s).__name__}")
 
 
 def require_design(d, op: str) -> None:
@@ -305,6 +313,7 @@ def lower_schonheim(s: PartStructure, t: int) -> int:
     L(v,k,t) = max_i ceil(v_i/k_i L(v-e_i, k-e_i, t-1)), with
     L(v,k,1) = max_i ceil(v_i/k_i).  For m = 1 this is bounds.schonheim().
     """
+    require_structure(s, "lower_schonheim")
     t = as_int(t, StrengthTooLarge, "strength")
     if not 1 <= t <= s.k_sum:
         raise ParameterOrderViolated(f"need 1 <= t <= k_sum = {s.k_sum}, got t={t}")

@@ -29,7 +29,9 @@ class StrengthTooLarge(GencovError):
 
 
 class StructureMismatch(GencovError):
-    """Two objects that must share a part structure do not."""
+    """Two objects that must share a part structure do not, or an
+    operation that takes a PartStructure (or emit_design, which takes a
+    design) is given some other object."""
 
 
 class LabelOutOfRange(GencovError):

@@ -26,7 +26,8 @@ import re
 
 from .construct import PlaceholderDesign
 from .core import STAR, Design, PartStructure, check_strength_lambda
-from .errors import DesignSemanticError, DesignSyntaxError, GencovError, StrengthTooLarge
+from .errors import (DesignSemanticError, DesignSyntaxError, GencovError, StrengthTooLarge,
+                     StructureMismatch)
 
 _HEADER = "gcd 1"
 _KEYS = ("t", "lambda", "v", "k")
@@ -49,7 +50,10 @@ def _parse_int(token: str, lineno: int, text: str, offset: int) -> int:
 
 def _significant_lines(text: str) -> list[tuple[int, str, int]]:
     """(line number, content, 0-based column of the content) of each line,
-    comments and blanks removed."""
+    comments and blanks removed.  Anything but a str raises
+    DesignSyntaxError."""
+    if not isinstance(text, str):
+        raise DesignSyntaxError(f"document must be text, got a {type(text).__name__}")
     rows = []
     for n, raw in enumerate(text.splitlines(), start=1):
         head = raw.split("#", 1)[0]
@@ -152,7 +156,11 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
 
 
 def emit_design(d: Design | PlaceholderDesign) -> str:
-    """Canonical document text; parse_design(emit_design(d)) == d."""
+    """Canonical document text; parse_design(emit_design(d)) == d.
+    Anything but a Design or a PlaceholderDesign raises StructureMismatch."""
+    if not isinstance(d, (Design, PlaceholderDesign)):
+        raise StructureMismatch(
+            f"emit_design takes a Design or a PlaceholderDesign, got a {type(d).__name__}")
     s = d.structure
     lines = [_HEADER, f"t: {d.t}", f"lambda: {d.lam}",
              "v: " + " ".join(map(str, s.v)),

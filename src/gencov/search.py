@@ -76,7 +76,7 @@ from itertools import accumulate, combinations, product
 from math import comb, prod
 
 from .core import (Block, Design, PartStructure, _shared_design, admissible_patterns, as_int,
-                   lower_schonheim, pattern_tuple_count)
+                   lower_schonheim, pattern_tuple_count, require_structure)
 from .errors import BudgetExhausted, CandidateSpaceTooLarge, StrengthTooLarge
 
 # The default budget of exact_min, certify_classical, bounds.upper_minimax
@@ -512,6 +512,7 @@ def _greedy(tb: _Tables, deadline: float | None = None) -> list[int]:
 def greedy_cover(s: PartStructure, t: int) -> Design:
     """Repeatedly add the candidate covering the most uncovered tuples,
     breaking ties toward the lexicographically least block."""
+    require_structure(s, "greedy_cover")
     if t == 0:
         return Design(s, 0)
     tb = _Tables(s, t)
@@ -531,6 +532,7 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = DEFAULT_MAX_NODES,
     BudgetExhausted.  The full cover list is built only if greedy misses
     the root bound."""
     deadline = time.monotonic() + timeout
+    require_structure(s, "exact_min")
     t = as_int(t, StrengthTooLarge, "strength")
     if t < 0:
         raise StrengthTooLarge(f"strength must be nonnegative, got {t}")

@@ -12,8 +12,13 @@ summed in place: slot 0 of the lex subsets is nondecreasing, so its terms
 are repeated along their runs, and every later slot takes one gather.
 Counts take the smallest unsigned type that holds the block count (one
 byte up to 255 blocks).  The whole universe is always scanned so the
-report carries a total deficit count, not just the first failure.  numpy
-is imported by the first count, not with the module.
+report carries a total deficit count, not just the first failure.
+
+Coverage is counted by one scan of per-part label arrays (_part_labels),
+which verify, coverage_deficit and construct's prune_redundant share.  A
+prune builds the arrays of its blocks once and scans row subsets of
+them, one per trial.  numpy is imported by the first label build, not
+with the module.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (
+    Block,
     Design,
     Pattern,
     PartStructure,
@@ -44,7 +50,7 @@ PATTERN_TUPLE_CAP = 1 << 26
 # Sub-tuple ranks added per np.add.at call; bounds the transient memory.
 _CHUNK = 1 << 16
 
-# Bound by the first call of verify or coverage_deficit.
+# Bound by the first _part_labels call.
 np = None
 
 
@@ -60,11 +66,16 @@ class VerificationReport:
         return self.valid
 
 
-def _part_labels(d: Design) -> list[np.ndarray]:
-    """Zero-based labels of every block, one (n_blocks, k_i) array per part."""
-    n = len(d.blocks)
-    return [np.array([b[i] for b in d.blocks], dtype=np.intp).reshape(n, ki) - 1
-            for i, ki in enumerate(d.structure.k)]
+def _part_labels(s: PartStructure, blocks: tuple[Block, ...]) -> list[np.ndarray]:
+    """Zero-based labels of blocks, canonical blocks of s, one
+    (n_blocks, k_i) array per part.  Binds numpy first, at every
+    strength, so that the scan may use it."""
+    global np
+    import numpy as np
+
+    n = len(blocks)
+    return [np.array([b[i] for b in blocks], dtype=np.intp).reshape(n, ki) - 1
+            for i, ki in enumerate(s.k)]
 
 
 def _binom(x: np.ndarray, j: int) -> np.ndarray:
@@ -160,36 +171,27 @@ def _unrank(s: PartStructure, p: Pattern, rank: int) -> SetTuple:
     return tuple(reversed(parts))
 
 
-def _pattern_scan(d: Design):
-    """(pattern, counts) for every admissible pattern in the global order;
-    none at strength 0, which carries no obligations.  The caller drops
-    each count array before asking for the next, so one is alive at a
-    time.  Anything but a Design, a PlaceholderDesign for one, is refused
-    at every strength."""
-    require_design(d, "coverage counting")
-    if d.t == 0:
+def _pattern_scan(labels: list[np.ndarray], s: PartStructure, t: int):
+    """(pattern, counts) for every admissible pattern of strength t in the
+    global order, counted over labels (see _part_labels); none at strength
+    0, which carries no obligations.  The caller drops each count array
+    before asking for the next, so one is alive at a time."""
+    if t == 0:
         return
-    global np
-    import numpy as np
-
-    labels = _part_labels(d)
-    for p in admissible_patterns(d.structure, d.t):
-        yield p, _pattern_counts(labels, d.structure, p)
+    for p in admissible_patterns(s, t):
+        yield p, _pattern_counts(labels, s, p)
 
 
-def verify(d: Design) -> VerificationReport:
-    """Full-universe check that every admissible tuple lies in >= lambda blocks.
-
-    first_uncovered is the first failing tuple in the global
-    (pattern, tuple) enumeration order.  Strength 0 is always valid.
-    """
+def _scan(labels: list[np.ndarray], s: PartStructure, t: int, lam: int) -> VerificationReport:
+    """The report of the blocks whose labels are given (see _part_labels),
+    taken as a design of strength t and multiplicity lam on s."""
     patterns = checked = deficit = 0
     first: SetTuple | None = None
-    for p, counts in _pattern_scan(d):
-        bad = counts < d.lam
+    for p, counts in _pattern_scan(labels, s, t):
+        bad = counts < lam
         n_bad = int(np.count_nonzero(bad))
         if n_bad and first is None:
-            first = _unrank(d.structure, p, int(bad.argmax()))
+            first = _unrank(s, p, int(bad.argmax()))
         patterns += 1
         checked += len(counts)
         deficit += n_bad
@@ -203,14 +205,27 @@ def verify(d: Design) -> VerificationReport:
     )
 
 
+def verify(d: Design) -> VerificationReport:
+    """Full-universe check that every admissible tuple lies in >= lambda blocks.
+
+    first_uncovered is the first failing tuple in the global
+    (pattern, tuple) enumeration order.  Strength 0 is always valid.
+    Anything but a Design, a PlaceholderDesign for one, is refused at
+    every strength.
+    """
+    require_design(d, "verify")
+    return _scan(_part_labels(d.structure, d.blocks), d.structure, d.t, d.lam)
+
+
 def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, int]]:
     """Up to cap under-covered tuples with their actual multiplicities,
     in the global enumeration order."""
     cap = as_int(cap, NonPositiveEntry, "cap")
     if cap < 1:
         raise NonPositiveEntry(f"cap must be >= 1, got {cap}")
+    require_design(d, "coverage_deficit")
     out: list[tuple[SetTuple, int]] = []
-    for p, counts in _pattern_scan(d):
+    for p, counts in _pattern_scan(_part_labels(d.structure, d.blocks), d.structure, d.t):
         for rank in np.flatnonzero(counts < d.lam)[:cap - len(out)]:
             out.append((_unrank(d.structure, p, int(rank)), int(counts[rank])))
         if len(out) >= cap:

@@ -406,3 +406,13 @@ def test_import_does_not_load_numpy():
     """numpy is imported by the first count, not by the package."""
     assert not loaded_by_import("numpy")
     assert not loaded_by_import("concurrent.futures")
+
+
+def test_strength_zero_prune_first_in_a_fresh_interpreter(tmp_path):
+    """A prune builds its label arrays at every strength, so it binds numpy
+    even at t = 0, where no count follows; every block goes."""
+    src = tmp_path / "zero.gcd"
+    src.write_text("gcd 1\nt: 0\nlambda: 1\nv: 3\nk: 2\nblocks:\n1 2\n2 3\n")
+    proc = run_python("-m", "gencov.cli", "transform", "prune", str(src), "--greedy-drop")
+    assert proc.returncode == 0, proc.stderr
+    assert parse_design(proc.stdout).blocks == ()

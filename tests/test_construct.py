@@ -61,7 +61,7 @@ from gencov import (
     to_covering_array,
     verify,
 )
-from util_random import random_structure
+from util_random import random_block, random_structure
 
 
 def blocks_of(d):
@@ -683,6 +683,81 @@ def test_prune_rejects_invalid():
 def test_prune_all_blocks_triangle():
     allb = build((3,), (2,), 2, (((1, 2),), ((1, 3),), ((2, 3),)))
     assert len(prune_redundant(allb, greedy_drop=True)) == 3
+
+
+def reference_prune(d, greedy_drop):
+    """prune_redundant's contract spelled out: one Design and one verify
+    per trial, lexicographically last blocks tried first."""
+    if not verify(d).valid:
+        raise InvalidInput("input design fails verification")
+    blocks = tuple(dict.fromkeys(d.blocks)) if d.lam == 1 else d.blocks
+    kept = list(range(len(blocks)))
+    if greedy_drop:
+        for r in sorted(kept, key=lambda q: blocks[q], reverse=True):
+            trial = [q for q in kept if q != r]
+            if verify(Design(d.structure, d.t, tuple(blocks[q] for q in trial), d.lam)).valid:
+                kept = trial
+    return Design(d.structure, d.t, tuple(blocks[q] for q in kept), d.lam)
+
+
+def random_prune_input(rng):
+    """A design on m <= 3 parts of at most 7 points at strength 0..3 and
+    lambda 1 or 2: lambda copies of a greedy cover, some random blocks
+    and repeats of its own blocks, shuffled.  Some are invalid."""
+    while True:
+        m = rng.randint(1, 3)
+        v = tuple(rng.randint(1, 7) for _ in range(m))
+        s = PartStructure(v, tuple(rng.randint(1, vi) for vi in v))
+        if s.block_count_possible() <= 2000:
+            break
+    t = rng.randint(0, min(3, s.k_sum))
+    lam = rng.choice((1, 2))
+    blocks = list(greedy_cover(s, t).blocks * lam)
+    blocks += [random_block(rng, s) for _ in range(rng.randint(0, 4))]
+    blocks += [rng.choice(blocks) for _ in range(rng.randint(0, 3))] if blocks else []
+    rng.shuffle(blocks)
+    if blocks and rng.random() < 0.1:
+        del blocks[rng.randrange(len(blocks))]
+    return Design(s, t, tuple(blocks), lam)
+
+
+def test_prune_matches_reference_loop():
+    rng = random.Random(53)
+    pruned = refused = 0
+    for _ in range(150):
+        d = random_prune_input(rng)
+        for greedy_drop in (False, True):
+            try:
+                want = reference_prune(d, greedy_drop)
+            except InvalidInput:
+                with pytest.raises(InvalidInput):
+                    prune_redundant(d, greedy_drop=greedy_drop)
+                refused += 1
+                continue
+            assert prune_redundant(d, greedy_drop=greedy_drop) == want, (d, greedy_drop)
+            pruned += 1
+    assert pruned >= 200 and refused >= 4
+
+
+def test_greedy_drop_builds_no_trial_designs(monkeypatch):
+    """Each trial is a scan of rows of the input's labels, so the prune
+    checks blocks for its output design only, whatever their number."""
+    s = PartStructure((7, 7), (2, 2))
+    d = greedy_cover(s, 2)
+    rng = random.Random(59)
+    d = Design(s, 2, d.blocks + tuple(random_block(rng, s) for _ in range(10)))
+    assert len(set(d.blocks)) >= 20
+    calls = []
+    check_blocks = gencov.core._check_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return check_blocks(*args)
+
+    monkeypatch.setattr(gencov.core, "_check_blocks", counting)
+    out = prune_redundant(d, greedy_drop=True)
+    assert len(calls) <= 2
+    assert len(out) < len(d) and verify(out).valid
 
 
 # ---------------------------------------------------- randomized validity

@@ -10,6 +10,7 @@ import naive_oracle as oracle
 from fixture_designs import CA_5_4_2_ROWS, fano, mixed_422
 from gencov import (
     Design,
+    DesignSyntaxError,
     EntryOutOfAlphabet,
     GencovError,
     LabelOutOfRange,
@@ -26,23 +27,30 @@ from gencov import (
     admissible_patterns,
     admissible_tuples,
     amalgamate,
+    bound_report,
     check_clique_cover,
     check_multipartite_cover,
     coverage_deficit,
+    construct_minimax,
     delete_points,
+    emit_design,
     exact_min,
     expand_blocks,
     expand_equivalent,
     from_covering_array,
     greedy_classical_cover,
     greedy_cover,
+    lower_best,
+    lower_schonheim,
     make_block,
     make_structure,
+    parse_design,
     pattern_tuple_count,
     restrict,
     set_lift,
     to_covering_array,
     tuple_in_block,
+    upper_minimax,
 )
 from util_random import random_structure
 
@@ -313,7 +321,7 @@ def test_admissible_patterns_leaves_no_garbage():
 # Calls with a vector, a sequence or a structure of the wrong kind, on
 # s = (4,4)/(2,2) and its greedy cover d.  Each raises the GencovError
 # subclass its function raises for a bad element, not a bare TypeError,
-# ValueError or IndexError, and none returns an answer.
+# ValueError, IndexError or AttributeError, and none returns an answer.
 BAD_ARGUMENT_CALLS = {
     "make_structure int": (NonPositiveEntry, lambda s, d: make_structure(5, (1,))),
     "restrict int": (LabelOutOfRange, lambda s, d: restrict(d, 1)),
@@ -353,6 +361,21 @@ BAD_ARGUMENT_CALLS = {
     "check_multipartite_cover three parts": (
         StructureMismatch,
         lambda s, d: check_multipartite_cover(PartStructure((4, 4, 4), (2, 2, 2)), d)),
+    "exact_min int": (StructureMismatch, lambda s, d: exact_min(5, 2)),
+    "greedy_cover int": (StructureMismatch, lambda s, d: greedy_cover(5, 2)),
+    "greedy_cover int at strength 0": (StructureMismatch, lambda s, d: greedy_cover(5, 0)),
+    "lower_best int": (StructureMismatch, lambda s, d: lower_best(5, 2)),
+    "lower_schonheim int": (StructureMismatch, lambda s, d: lower_schonheim(5, 2)),
+    "bound_report int": (StructureMismatch, lambda s, d: bound_report(5, 2)),
+    "upper_minimax int": (StructureMismatch, lambda s, d: upper_minimax(5)),
+    "construct_minimax int": (StructureMismatch, lambda s, d: construct_minimax(5)),
+    "Design int structure": (StructureMismatch, lambda s, d: Design(5, 1)),
+    "PlaceholderDesign int structure": (StructureMismatch,
+                                        lambda s, d: PlaceholderDesign(5, 1)),
+    "emit_design int": (StructureMismatch, lambda s, d: emit_design(5)),
+    "emit_design structure": (StructureMismatch, lambda s, d: emit_design(s)),
+    "parse_design int": (DesignSyntaxError, lambda s, d: parse_design(5)),
+    "parse_design bytes": (DesignSyntaxError, lambda s, d: parse_design(b"gcd 1\n")),
 }
 
 
