@@ -16,7 +16,7 @@ from . import construct as construct_mod
 from . import graphview, product, search
 from .core import PartStructure, from_covering_array, to_covering_array
 from .errors import BudgetExhausted, GencovError, PlaceholdersPresent
-from .io import emit_design, parse_array, parse_design
+from .io import emit_design, parse_array, parse_design, parse_design_arrays
 from .verify import verify
 
 
@@ -32,8 +32,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_design(path: str):
-    d = parse_design(_read(path))
+def _load_design(path: str, parse=parse_design):
+    d = parse(_read(path))
     if isinstance(d, construct_mod.PlaceholderDesign):
         raise PlaceholdersPresent(f"{path} contains placeholder entries; fill them first")
     return d
@@ -52,7 +52,7 @@ def _format_tuple(tup) -> str:
 
 
 def _cmd_verify(args) -> int:
-    d = _load_design(args.file)
+    d = _load_design(args.file, parse_design_arrays)
     report = verify(d)
     print(f"valid: {'yes' if report.valid else 'no'}")
     print(f"checked patterns: {report.checked_patterns}")

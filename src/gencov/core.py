@@ -178,6 +178,48 @@ def _check_blocks(structure: PartStructure, blocks, star=None) -> tuple:
     return tuple([_check_block(structure, b, star) for b in blocks])
 
 
+def _check_labels(structure: PartStructure, labels) -> bool:
+    """Whether labels, one-based, one (n_blocks, k_i) integer array per
+    part of structure, hold n_blocks blocks by _check_block's rules: k_i
+    labels per part per block, strictly increasing, in 1..v_i.  As
+    _check_block sorts a part that is not increasing, each array's rows
+    are sorted in place first.  Array methods only: core does not import
+    numpy."""
+    if len(labels) != structure.m:
+        return False
+    n = len(labels[0])
+    for lab, vi, ki in zip(labels, structure.v, structure.k):
+        if lab.dtype.kind != "i" or lab.shape != (n, ki):
+            return False
+        lab.sort(axis=1)
+        if n and not (lab[:, 0].min() >= 1 and lab[:, -1].max() <= vi
+                      and (lab[:, 1:] > lab[:, :-1]).all()):
+            return False
+    return True
+
+
+def _design_from_labels(s: PartStructure, t, lam, labels) -> Design | None:
+    """The Design of strength t and multiplicity lam on s whose blocks are
+    the rows of labels, as _check_labels takes them; None when it refuses
+    them.  The blocks come from the arrays' tolist(), so Design's
+    per-block check is not made a second time.  The arrays themselves,
+    made zero-based in place and read-only, are kept on the design as
+    _labels, which verify counts from."""
+    t, lam = check_strength_lambda(s, t, lam)
+    if not _check_labels(s, labels):
+        return None
+    # One flat list per part, cut into rows by zip: no list per row.
+    blocks = tuple(zip(*(zip(*[iter(lab.ravel().tolist())] * lab.shape[1]) for lab in labels)))
+    for lab in labels:
+        lab -= 1
+        lab.flags.writeable = False
+    d = object.__new__(Design)
+    for name, value in (("structure", s), ("t", t), ("blocks", blocks), ("lam", lam),
+                        ("_labels", labels)):
+        object.__setattr__(d, name, value)
+    return d
+
+
 def _shared_design(s: PartStructure, t: int, blocks) -> Design:
     """A design whose blocks come from the structure's shared blocks, so
     that the designs a caller keeps of one structure share their block
@@ -228,6 +270,10 @@ class Design:
     t: int
     blocks: tuple[Block, ...] = field(default=())
     lam: int = 1
+    # Zero-based label arrays, one per part, of a design that
+    # _design_from_labels built; not a field, so equality, hashing, repr
+    # and dataclasses.replace do not see it.
+    _labels = None
 
     def __post_init__(self):
         t, lam = check_strength_lambda(self.structure, self.t, self.lam)

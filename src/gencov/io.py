@@ -16,6 +16,15 @@ which makes make_block's check on each block once.  Emission is
 canonical: labels ascending, placeholders last, parts joined by ` | `,
 headers in the order shown.
 
+parse_design reads the block lines one by one and does not load numpy.
+`gencov verify` loads through parse_design_arrays instead, which reads
+a block section of plain decimal labels as one (n_blocks, k_i) label
+array per part with one numpy read, checks them in bulk
+(core._check_labels), and keeps them on the Design for verify to count
+from.  Any other block section, a `*`, a bad token or a bad label
+included, falls back to parse_design's route, and so to its result and
+errors.
+
 Covering-array files (parse_array) share the comment and blank-line
 rules: one row of integer entries per line.
 """
@@ -23,9 +32,10 @@ rules: one row of integer entries per line.
 from __future__ import annotations
 
 import re
+import warnings
 
 from .construct import PlaceholderDesign
-from .core import STAR, Design, PartStructure, check_strength_lambda
+from .core import STAR, Design, PartStructure, _design_from_labels, check_strength_lambda
 from .errors import (DesignSemanticError, DesignSyntaxError, GencovError, StrengthTooLarge,
                      StructureMismatch)
 
@@ -81,8 +91,9 @@ def _block_tokens(lineno: int, body: str, col: int) -> tuple[tuple, ...]:
                  for chunk in body.split("|"))
 
 
-def parse_design(text: str) -> Design | PlaceholderDesign:
-    """Parse document text; placeholder entries yield a PlaceholderDesign."""
+def _parse_head(text: str) -> tuple[PartStructure, int, int, list[tuple[int, str, int]]]:
+    """(structure, t, lambda, block rows) of a document, the headers
+    checked; the rows are _significant_lines' rows after 'blocks:'."""
     rows = _significant_lines(text)
     if not rows:
         raise DesignSyntaxError("empty document", line=1)
@@ -134,8 +145,12 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
     except GencovError as e:
         key = "t" if isinstance(e, StrengthTooLarge) else "lambda"
         raise DesignSemanticError(str(e), line=fields[key][0]) from e
+    return s, t, lam, rows[pos:]
 
-    lines = rows[pos:]
+
+def _parse_blocks(s: PartStructure, t: int, lam: int,
+                  lines: list[tuple[int, str, int]]) -> Design | PlaceholderDesign:
+    """The design of the block rows lines, read line by line."""
     kind = PlaceholderDesign if any(STAR in body for _, body, _ in lines) else Design
     # The constructor checks each block once.  Only on a failure are the
     # lines read so far checked one by one, each as a one-block design of
@@ -153,6 +168,63 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
             except GencovError as e:
                 raise DesignSemanticError(str(e), line=n) from e
         raise
+
+
+def parse_design(text: str) -> Design | PlaceholderDesign:
+    """Parse document text; placeholder entries yield a PlaceholderDesign."""
+    return _parse_blocks(*_parse_head(text))
+
+
+def _label_arrays(s: PartStructure, lines: list[tuple[int, str, int]]) -> list | None:
+    """The labels of the block rows lines, one-based, one (n_blocks, k_i)
+    int64 view per part, read by one np.fromstring; None where that read
+    cannot stand for _block_tokens.
+
+    Only ASCII digits, spaces, tabs and bars are read: a sign, an
+    underscore, a non-ASCII digit or space or a `*` is left to
+    _block_tokens, as are part sizes of 2^62 or more, at which a label
+    saturated to 2^63 - 1 could pass the range check.  Each line must
+    hold m - 1 bars.  Each bar and each line end then reads as a 0, and
+    the read is reshaped to (n_blocks, k_sum + m), a 0 after each part's
+    labels.  If some line holds other than k_i labels in part i, one of
+    those n_blocks * m 0s lands among the labels, and core._check_labels
+    refuses it, as it refuses any label below 1."""
+    import numpy as np
+
+    if (not lines or max(s.v) >= 1 << 62
+            or any(body.count("|") != s.m - 1 for _, body, _ in lines)):
+        return None
+    text = " 0 ".join([body.replace("|", " 0 ") for _, body, _ in lines]) + " 0"
+    if text.encode().translate(None, b"0123456789 \t"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x warns of unread data where numpy 2 raises
+            warnings.simplefilter("error", DeprecationWarning)
+            flat = np.fromstring(text, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if flat.size != len(lines) * (s.k_sum + s.m):
+        return None
+    flat = flat.reshape(len(lines), s.k_sum + s.m)
+    labels, start = [], 0
+    for ki in s.k:
+        labels.append(flat[:, start:start + ki])
+        start += ki + 1
+    return labels
+
+
+def parse_design_arrays(text: str) -> Design | PlaceholderDesign:
+    """parse_design(text), with the block section read as label arrays
+    where it can be: the Design then keeps them for verify and
+    coverage_deficit to count from.  Loads numpy.  Any block section
+    the array read or core._check_labels does not vouch for, such as a
+    `*`, a bad token or a bad label, is read by parse_design's line by
+    line route, so the result and every error are parse_design's."""
+    s, t, lam, lines = _parse_head(text)
+    labels = _label_arrays(s, lines)
+    d = None if labels is None else _design_from_labels(s, t, lam, labels)
+    return _parse_blocks(s, t, lam, lines) if d is None else d
 
 
 def emit_design(d: Design | PlaceholderDesign) -> str:

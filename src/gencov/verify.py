@@ -17,8 +17,10 @@ report carries a total deficit count, not just the first failure.
 Coverage is counted by one scan of per-part label arrays (_part_labels),
 which verify, coverage_deficit and construct's prune_redundant share.  A
 prune builds the arrays of its blocks once and scans row subsets of
-them, one per trial.  numpy is imported by the first label build, not
-with the module.
+them, one per trial.  A design that io.parse_design_arrays loaded, as
+`gencov verify` does, carries the arrays its block section was read
+into, and verify and coverage_deficit count from those.  numpy is
+imported by the first label build or count, not with the module.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ PATTERN_TUPLE_CAP = 1 << 26
 # Sub-tuple ranks added per np.add.at call; bounds the transient memory.
 _CHUNK = 1 << 16
 
-# Bound by the first _part_labels call.
+# Bound by _bind_numpy, before any label build or count.
 np = None
 
 
@@ -66,13 +68,16 @@ class VerificationReport:
         return self.valid
 
 
+def _bind_numpy() -> None:
+    global np
+    import numpy as np
+
+
 def _part_labels(s: PartStructure, blocks: tuple[Block, ...]) -> list[np.ndarray]:
     """Zero-based labels of blocks, canonical blocks of s, one
     (n_blocks, k_i) array per part.  Binds numpy first, at every
     strength, so that the scan may use it."""
-    global np
-    import numpy as np
-
+    _bind_numpy()
     n = len(blocks)
     return [np.array([b[i] for b in blocks], dtype=np.intp).reshape(n, ki) - 1
             for i, ki in enumerate(s.k)]
@@ -205,6 +210,15 @@ def _scan(labels: list[np.ndarray], s: PartStructure, t: int, lam: int) -> Verif
     )
 
 
+def _design_labels(d: Design) -> list[np.ndarray]:
+    """d's labels as _part_labels gives them: those its loader kept (see
+    core._design_from_labels), else built from its blocks."""
+    if d._labels is None:
+        return _part_labels(d.structure, d.blocks)
+    _bind_numpy()
+    return d._labels
+
+
 def verify(d: Design) -> VerificationReport:
     """Full-universe check that every admissible tuple lies in >= lambda blocks.
 
@@ -214,7 +228,7 @@ def verify(d: Design) -> VerificationReport:
     every strength.
     """
     require_design(d, "verify")
-    return _scan(_part_labels(d.structure, d.blocks), d.structure, d.t, d.lam)
+    return _scan(_design_labels(d), d.structure, d.t, d.lam)
 
 
 def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, int]]:
@@ -225,7 +239,7 @@ def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, 
         raise NonPositiveEntry(f"cap must be >= 1, got {cap}")
     require_design(d, "coverage_deficit")
     out: list[tuple[SetTuple, int]] = []
-    for p, counts in _pattern_scan(_part_labels(d.structure, d.blocks), d.structure, d.t):
+    for p, counts in _pattern_scan(_design_labels(d), d.structure, d.t):
         for rank in np.flatnonzero(counts < d.lam)[:cap - len(out)]:
             out.append((_unrank(d.structure, p, int(rank)), int(counts[rank])))
         if len(out) >= cap:

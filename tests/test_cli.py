@@ -408,6 +408,36 @@ def test_import_does_not_load_numpy():
     assert not loaded_by_import("concurrent.futures")
 
 
+FILE_COMMANDS = {
+    "product": ("product", "concat", "b.gcd", "c.gcd"),
+    "convert-gc2ca": ("convert", "gc2ca", "unit.gcd"),
+    "convert-ca2gc": ("convert", "ca2gc", "rows.txt"),
+    "transform-restrict": ("transform", "restrict", "b.gcd", "--parts", "1"),
+    "transform-expand-equivalent": ("transform", "expand-equivalent", "c.gcd", "--part", "1"),
+    "construct-base": ("construct", "--v", "5,6,7", "--k", "3,4,3", "--base", "fano.gcd"),
+    "search": ("search", "--v", "4,2,2", "--k", "2,1,1", "--t", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS.values(), ids=FILE_COMMANDS)
+def test_file_commands_do_not_load_numpy(argv, tmp_path):
+    """Only counting coverage loads numpy: these commands, each run in a
+    fresh interpreter, leave it out of sys.modules."""
+    for name, text in [("b.gcd", emit_design(prod_b())), ("c.gcd", emit_design(prod_c())),
+                       ("fano.gcd", emit_design(fano())),
+                       ("unit.gcd", "gcd 1\nt: 2\nlambda: 1\nv: 2 2 2\nk: 1 1 1\nblocks:\n"
+                                    "1 | 1 | 1\n2 | 2 | 1\n2 | 1 | 2\n1 | 2 | 2\n"),
+                       ("rows.txt", "0 0 0\n1 1 0\n1 0 1\n0 1 1\n")]:
+        (tmp_path / name).write_text(text)
+    code = ("import sys; from gencov.cli import main; rc = main(sys.argv[1:]); "
+            "print('numpy' in sys.modules, file=sys.stderr); sys.exit(rc)")
+    args = [str(tmp_path / a) if a.endswith((".gcd", ".txt")) else a for a in argv]
+    proc = run_python("-c", code, *args, "-o", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+    assert (tmp_path / "out").read_text()
+
+
 def test_strength_zero_prune_first_in_a_fresh_interpreter(tmp_path):
     """A prune builds its label arrays at every strength, so it binds numpy
     even at t = 0, where no count follows; every block goes."""

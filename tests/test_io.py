@@ -1,9 +1,12 @@
 """Design file format: parsing, emission, diagnostics."""
 
+import random
+
 import pytest
 
 from fixture_designs import fano, minimax_567, mixed_422, strength2_fixtures
 from gencov import (
+    Design,
     DesignSemanticError,
     DesignSyntaxError,
     PartStructure,
@@ -12,6 +15,8 @@ from gencov import (
     emit_design,
     parse_design,
 )
+from gencov.io import parse_design_arrays
+from util_random import random_structure
 
 MIXED_TEXT = (
     "gcd 1\n"
@@ -231,3 +236,135 @@ def test_error_column_counts_within_the_line():
     with pytest.raises(DesignSyntaxError) as e:
         parse_design(MIXED_TEXT.replace(plain, "   1 y"))
     assert (e.value.line, e.value.column) == (_line_of(plain), 6)
+
+
+def _outcome(parse, text):
+    """parse(text) as something comparable: the design and its repr, or
+    the error's type, message, line and column."""
+    try:
+        d = parse(text)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
+    return type(d), d, repr(d)
+
+
+def _digits(token, zero):
+    return "".join(chr(ord(zero) + int(c)) if c.isdigit() else c for c in token)
+
+
+# Mutations after which a valid document's block section is still plain
+# decimal labels, which the verify load must read as arrays.
+PLAIN = {"shuffle", "leading-zero", "tab", "comment", "comment-line"}
+
+
+def _token_mutation(rng, doc):
+    """Change one token of a random block part, or move one to another
+    line's same part; doc's v list may grow a huge part size.  Returns
+    the mutation's name."""
+    blocks = doc["blocks"]
+    b, i = rng.choice([(b, i) for b, block in enumerate(blocks)
+                       for i, part in enumerate(block) if part])
+    part = blocks[b][i]
+    j = rng.randrange(len(part))
+    op = rng.choice(["shuffle", "duplicate", "zero", "negative", "above", "balance", "plus",
+                     "leading-zero", "underscore", "arabic", "huge", "star", "sign-token",
+                     "split-sign", "nul"])
+    if op == "shuffle":
+        rng.shuffle(part)
+    elif op == "duplicate":
+        part.append(part[0]) if len(part) == 1 else part.__setitem__(1, part[0])
+    elif op == "zero":
+        part[j] = "0"
+    elif op == "negative":
+        part[j] = "-" + part[j]
+    elif op == "above":
+        part[j] = str(doc["v"][i] + 1)
+    elif op == "balance":
+        # one line of the part loses a label and another gains one, so
+        # the part's total stays right
+        other = blocks[rng.randrange(len(blocks))][i]
+        other.append(part.pop(j))
+    elif op == "plus":
+        part[j] = "+" + part[j]
+    elif op == "leading-zero":
+        part[j] = "0" + part[j]
+    elif op == "underscore":
+        part[j] = f"{part[j][0]}_{part[j][1:]}" if len(part[j]) > 1 else "0_" + part[j]
+    elif op == "arabic":
+        part[j] = _digits(part[j], "٠")
+    elif op == "huge":
+        part[j] = "99999999999999999999"
+        doc["v"][i] = rng.choice([doc["v"][i], 10 ** 20, 2 ** 62, 2 ** 62 - 1, 2 ** 63])
+    elif op == "star":
+        part[j] = "*"
+    elif op == "sign-token":
+        part.insert(rng.randint(0, len(part)), rng.choice("+-"))
+    elif op == "split-sign":
+        part[j] = rng.choice("+-") + " " + part[j]
+    else:
+        part[j] = part[j] + "\0"
+    return op
+
+
+def _line_mutation(rng, lines, first):
+    """Change the bars, spaces or comments of one line at or after
+    first.  Returns the mutation's name."""
+    n = rng.randrange(first, len(lines))
+    line = lines[n]
+    op = rng.choice(["missing-bar", "extra-bar", "rewrap", "nbsp", "tab", "comment",
+                     "comment-line"])
+    if op == "missing-bar" and "|" in line:
+        lines[n] = line.replace("|", " ", 1)
+    elif op == "rewrap" and n + 1 < len(lines):
+        # the parts of two lines cut at another bar: the section holds the
+        # same parts in the same order, and one line has too many
+        parts = (line + " | " + lines[n + 1]).split("|")
+        cut = rng.randrange(1, len(parts))
+        lines[n:n + 2] = ["|".join(parts[:cut]), "|".join(parts[cut:])]
+    elif op == "extra-bar":
+        cut = rng.choice([m for m, c in enumerate(line + " ") if c == " "])
+        lines[n] = line[:cut] + " |" + line[cut:]
+    elif op == "nbsp" and " " in line:
+        lines[n] = line.replace(" ", "\xa0", 1)
+    elif op == "tab":
+        lines[n] = "\t" + line.replace(" ", rng.choice(["\t", " \t "]))
+    elif op == "comment":
+        lines[n] = line + rng.choice(["  # 1 2 | 3", "#", "# *"])
+    else:
+        lines.insert(n, "   # a comment line")
+    return op
+
+
+def _random_document(rng):
+    s = random_structure(rng, v_sum_max=12, m_max=3)
+    doc = {"v": list(s.v), "blocks": [
+        [[str(x) for x in sorted(rng.sample(range(1, vi + 1), ki))]
+         for vi, ki in zip(s.v, s.k)]
+        for _ in range(rng.randint(0, 6))]}
+    t = rng.choice([0, rng.randint(0, s.k_sum)])
+    applied = set()
+    if doc["blocks"] and rng.random() < 0.7:
+        for _ in range(rng.randint(1, 2)):
+            applied.add(_token_mutation(rng, doc))
+    lines = ["gcd 1", f"t: {t}", f"lambda: {rng.choice((1, 2))}",
+             "v: " + " ".join(map(str, doc["v"])), "k: " + " ".join(map(str, s.k)), "blocks:"]
+    lines += [" | ".join(" ".join(part) for part in b) for b in doc["blocks"]]
+    if len(lines) > 6 and rng.random() < 0.4:
+        applied.add(_line_mutation(rng, lines, 6))
+    return ("\r\n" if rng.random() < 0.2 else "\n").join(lines) + "\n", applied <= PLAIN
+
+
+def test_verify_load_matches_parse_design():
+    """The verify load, which reads a block section as label arrays where
+    it can, returns parse_design's design or raises its error, with the
+    same message, line and column, on valid and damaged documents."""
+    rng = random.Random(31)
+    read_as_arrays = 0
+    for _ in range(1500):
+        text, plain = _random_document(rng)
+        got = _outcome(parse_design_arrays, text)
+        assert got == _outcome(parse_design, text), text
+        if isinstance(got[1], Design) and got[1].blocks:
+            assert (got[1]._labels is not None) >= plain, text
+            read_as_arrays += got[1]._labels is not None
+    assert read_as_arrays > 300

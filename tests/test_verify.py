@@ -1,5 +1,6 @@
 """Coverage verification against the naive oracle."""
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -8,7 +9,8 @@ import tracemalloc
 import pytest
 
 import naive_oracle as oracle
-from fixture_designs import cover_852, fano, hadamard_base, mixed_422, strength2_fixtures
+from fixture_designs import (cover_852, fano, hadamard_9_16, hadamard_base, mixed_422,
+                            strength2_fixtures)
 from gencov import (
     Design,
     GencovError,
@@ -18,12 +20,14 @@ from gencov import (
     PlaceholdersPresent,
     construct_minimax,
     coverage_deficit,
+    emit_design,
     greedy_classical_cover,
     make_block,
     product_hadamard,
     prune_redundant,
     verify,
 )
+from gencov.io import parse_design_arrays
 from util_random import mutate_design, random_block, random_structure, random_valid_design
 
 
@@ -205,9 +209,7 @@ def test_counter_memory_is_bounded():
     """The Hadamard 5th power's largest pattern, (0, 2), has C(1024, 2) =
     523,776 tuples; one verify peaks below a single int64 count array of
     that size, since its 243 blocks are counted in one byte a tuple."""
-    d = hadamard_base()
-    for _ in range(4):
-        d = product_hadamard(d, hadamard_base())
+    d = hadamard_fifth_power()
     verify(fano())  # imports numpy outside the traced region
     tracemalloc.start()
     try:
@@ -217,3 +219,56 @@ def test_counter_memory_is_bounded():
         tracemalloc.stop()
     assert rep.valid and rep.checked_tuples == 802_011
     assert peak < 8 * 523_776
+
+
+def hadamard_fifth_power():
+    d = hadamard_base()
+    for _ in range(4):
+        d = product_hadamard(d, hadamard_base())
+    return d
+
+
+def loaded(d):
+    """d written out and read back by the verify load, as label arrays."""
+    back = parse_design_arrays(emit_design(d))
+    assert back._labels is not None
+    return back
+
+
+@pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in strength2_fixtures()])
+def test_loaded_design_counts_as_its_blocks(d):
+    for d in (d, drop_block(d, 0), Design(d.structure, d.t, d.blocks, lam=2)):
+        got = loaded(d)
+        plain = Design(got.structure, got.t, got.blocks, got.lam)
+        assert plain._labels is None
+        assert (verify(got), coverage_deficit(got)) == (verify(plain), coverage_deficit(plain))
+
+
+def test_loaded_hadamard_power_counts_as_its_blocks():
+    d = drop_block(hadamard_fifth_power(), 100)
+    got = loaded(d)
+    rep = verify(got)
+    assert not rep.valid
+    assert rep == verify(d)
+    assert coverage_deficit(got, cap=50) == coverage_deficit(d, cap=50)
+
+
+def test_kept_labels_are_read_only_and_not_part_of_the_design():
+    d = hadamard_9_16()
+    got = loaded(d)
+    want = sys.modules["gencov.verify"]._part_labels(d.structure, d.blocks)
+    assert [lab.tolist() for lab in got._labels] == [lab.tolist() for lab in want]
+    for lab in got._labels:
+        assert not lab.flags.writeable
+        with pytest.raises(ValueError):
+            lab[0, 0] = 0
+    assert got == d and hash(got) == hash(d) and repr(got) == repr(d)
+    assert dataclasses.replace(got)._labels is None
+    assert dataclasses.replace(got, lam=2)._labels is None
+
+
+def test_loaded_design_is_counted_from_its_kept_labels(monkeypatch):
+    got = loaded(drop_block(fano(), 0))
+    monkeypatch.setattr(sys.modules["gencov.verify"], "_part_labels", None)
+    assert not verify(got).valid
+    assert coverage_deficit(got, cap=1) == [(((1, 2),), 0)]
