@@ -57,7 +57,7 @@ from .errors import (
     UnitProfilePart,
 )
 from .search import DEFAULT_MAX_NODES, DEFAULT_TIMEOUT, certify_classical, greedy_cover
-from .verify import _part_labels, _scan
+from .verify import _scan, _scan_input
 
 
 def _pad(labels, k: int) -> tuple[int, ...]:
@@ -363,21 +363,21 @@ def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:
     deletion keeps the design valid, trying lexicographically last
     blocks first.  The input must verify (InvalidInput otherwise).
 
-    The labels of the deduplicated blocks are built once (verify's
-    _part_labels), and the input and every trial are checked by verify's
-    scan of them, a trial by the rows of the blocks it keeps; the output
-    is the only Design built."""
+    The patterns and the labels of the deduplicated blocks are made
+    once (verify's _scan_input), and the input and every trial are
+    checked by verify's scan of them, a trial by the rows of the blocks
+    it keeps; the output is the only Design built."""
     require_design(d, "prune_redundant")
     s = d.structure
     blocks = _drop_repeats(d.blocks, d.lam)
-    labels = _part_labels(s, blocks)
-    if not _scan(labels, s, d.t, d.lam).valid:
+    patterns, labels = _scan_input(s, d.t, blocks)
+    if not _scan(labels, s, patterns, d.lam).valid:
         raise InvalidInput("input design fails verification")
     if greedy_drop:
         kept = set(range(len(blocks)))
         for r in sorted(kept, key=lambda q: blocks[q], reverse=True):
             rows = sorted(kept - {r})
-            if _scan([lab[rows] for lab in labels], s, d.t, d.lam).valid:
+            if _scan([lab[rows] for lab in labels], s, patterns, d.lam).valid:
                 kept.discard(r)
         blocks = [blocks[q] for q in sorted(kept)]
     return Design(s, d.t, tuple(blocks), d.lam)

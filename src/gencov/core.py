@@ -198,28 +198,6 @@ def _check_labels(structure: PartStructure, labels) -> bool:
     return True
 
 
-def _design_from_labels(s: PartStructure, t, lam, labels) -> Design | None:
-    """The Design of strength t and multiplicity lam on s whose blocks are
-    the rows of labels, as _check_labels takes them; None when it refuses
-    them.  The blocks come from the arrays' tolist(), so Design's
-    per-block check is not made a second time.  The arrays themselves,
-    made zero-based in place and read-only, are kept on the design as
-    _labels, which verify counts from."""
-    t, lam = check_strength_lambda(s, t, lam)
-    if not _check_labels(s, labels):
-        return None
-    # One flat list per part, cut into rows by zip: no list per row.
-    blocks = tuple(zip(*(zip(*[iter(lab.ravel().tolist())] * lab.shape[1]) for lab in labels)))
-    for lab in labels:
-        lab -= 1
-        lab.flags.writeable = False
-    d = object.__new__(Design)
-    for name, value in (("structure", s), ("t", t), ("blocks", blocks), ("lam", lam),
-                        ("_labels", labels)):
-        object.__setattr__(d, name, value)
-    return d
-
-
 def _shared_design(s: PartStructure, t: int, blocks) -> Design:
     """A design whose blocks come from the structure's shared blocks, so
     that the designs a caller keeps of one structure share their block
@@ -270,10 +248,6 @@ class Design:
     t: int
     blocks: tuple[Block, ...] = field(default=())
     lam: int = 1
-    # Zero-based label arrays, one per part, of a design that
-    # _design_from_labels built; not a field, so equality, hashing, repr
-    # and dataclasses.replace do not see it.
-    _labels = None
 
     def __post_init__(self):
         t, lam = check_strength_lambda(self.structure, self.t, self.lam)

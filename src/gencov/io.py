@@ -17,13 +17,13 @@ canonical: labels ascending, placeholders last, parts joined by ` | `,
 headers in the order shown.
 
 parse_design reads the block lines one by one and does not load numpy.
-`gencov verify` loads through parse_design_arrays instead, which reads
-a block section of plain decimal labels as one (n_blocks, k_i) label
-array per part with one numpy read, checks them in bulk
-(core._check_labels), and keeps them on the Design for verify to count
-from.  Any other block section, a `*`, a bad token or a bad label
-included, falls back to parse_design's route, and so to its result and
-errors.
+`gencov verify` loads through parse_label_arrays instead, which reads a
+block section of plain decimal labels as one (n_blocks, k_i) label
+array per part with one numpy read and checks them in bulk
+(core._check_labels); verify counts those arrays, and no Design is
+built.  For any other block section, a `*`, a bad token or a bad label
+included, it returns None, and the command falls back to parse_design,
+and so to its result and errors.
 
 Covering-array files (parse_array) share the comment and blank-line
 rules: one row of integer entries per line.
@@ -35,7 +35,7 @@ import re
 import warnings
 
 from .construct import PlaceholderDesign
-from .core import STAR, Design, PartStructure, _design_from_labels, check_strength_lambda
+from .core import STAR, Design, PartStructure, _check_labels, check_strength_lambda
 from .errors import (DesignSemanticError, DesignSyntaxError, GencovError, StrengthTooLarge,
                      StructureMismatch)
 
@@ -214,17 +214,19 @@ def _label_arrays(s: PartStructure, lines: list[tuple[int, str, int]]) -> list |
     return labels
 
 
-def parse_design_arrays(text: str) -> Design | PlaceholderDesign:
-    """parse_design(text), with the block section read as label arrays
-    where it can be: the Design then keeps them for verify and
-    coverage_deficit to count from.  Loads numpy.  Any block section
-    the array read or core._check_labels does not vouch for, such as a
-    `*`, a bad token or a bad label, is read by parse_design's line by
-    line route, so the result and every error are parse_design's."""
+def parse_label_arrays(text: str) -> tuple[PartStructure, int, int, list] | None:
+    """(structure, t, lambda, labels) of document text, labels zero-based,
+    one (n_blocks, k_i) int64 array per part as verify's _part_labels
+    builds them; None for a block section the array read or
+    core._check_labels does not vouch for, such as none or one with a
+    `*`, a bad token or a bad label.  Header errors are parse_design's."""
     s, t, lam, lines = _parse_head(text)
     labels = _label_arrays(s, lines)
-    d = None if labels is None else _design_from_labels(s, t, lam, labels)
-    return _parse_blocks(s, t, lam, lines) if d is None else d
+    if labels is None or not _check_labels(s, labels):
+        return None
+    for lab in labels:
+        lab -= 1
+    return s, t, lam, labels
 
 
 def emit_design(d: Design | PlaceholderDesign) -> str:

@@ -17,10 +17,11 @@ report carries a total deficit count, not just the first failure.
 Coverage is counted by one scan of per-part label arrays (_part_labels),
 which verify, coverage_deficit and construct's prune_redundant share.  A
 prune builds the arrays of its blocks once and scans row subsets of
-them, one per trial.  A design that io.parse_design_arrays loaded, as
-`gencov verify` does, carries the arrays its block section was read
-into, and verify and coverage_deficit count from those.  numpy is
-imported by the first label build or count, not with the module.
+them, one per trial.  `gencov verify` scans the arrays that
+io.parse_label_arrays read its block section into.  Every pattern's
+tuple count is checked against PATTERN_TUPLE_CAP (_patterns) before any
+array is built.  numpy is imported by the first label build or count,
+not with the module.
 """
 
 from __future__ import annotations
@@ -73,10 +74,32 @@ def _bind_numpy() -> None:
     import numpy as np
 
 
+def _patterns(s: PartStructure, t: int) -> list[tuple[Pattern, int]]:
+    """(pattern, tuple count) of every admissible pattern of strength t in
+    the global order, none at strength 0; UniverseTooLarge for a count
+    above PATTERN_TUPLE_CAP.  The one cap check, made before any label
+    array is built: a pattern taking 1 <= t_i < v_i points of part i has
+    at least v_i tuples, so labels too large for int64 are refused too."""
+    out = []
+    for p in (admissible_patterns(s, t) if t else ()):
+        n_tuples = pattern_tuple_count(s, p)
+        if n_tuples > PATTERN_TUPLE_CAP:
+            raise UniverseTooLarge(
+                f"pattern {p} has {n_tuples} tuples, above cap {PATTERN_TUPLE_CAP}")
+        out.append((p, n_tuples))
+    return out
+
+
+def _scan_input(s: PartStructure, t: int, blocks: tuple[Block, ...]) -> tuple[list, list]:
+    """(patterns, labels) for _scan of blocks at strength t: _patterns
+    first, then _part_labels, or no labels where there is no pattern."""
+    patterns = _patterns(s, t)
+    return patterns, _part_labels(s, blocks) if patterns else []
+
+
 def _part_labels(s: PartStructure, blocks: tuple[Block, ...]) -> list[np.ndarray]:
     """Zero-based labels of blocks, canonical blocks of s, one
-    (n_blocks, k_i) array per part.  Binds numpy first, at every
-    strength, so that the scan may use it."""
+    (n_blocks, k_i) array per part."""
     _bind_numpy()
     n = len(blocks)
     return [np.array([b[i] for b in blocks], dtype=np.intp).reshape(n, ki) - 1
@@ -119,12 +142,11 @@ def _slot_columns(k: int, t: int) -> list[np.ndarray]:
     return cols
 
 
-def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern) -> np.ndarray:
-    """How many blocks hold each tuple of pattern p, indexed by tuple rank,
-    in the smallest unsigned type that holds the block count."""
-    n_tuples = pattern_tuple_count(s, p)
-    if n_tuples > PATTERN_TUPLE_CAP:
-        raise UniverseTooLarge(f"pattern {p} has {n_tuples} tuples, above cap {PATTERN_TUPLE_CAP}")
+def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern,
+                    n_tuples: int) -> np.ndarray:
+    """How many blocks hold each of the n_tuples tuples of pattern p,
+    indexed by tuple rank, in the smallest unsigned type that holds the
+    block count."""
     # Part i's rank is weighted by the tuple count of the parts after it
     # (mixed radix, last part fastest), so parts combine by addition.
     # Slot 0's term is repeated along its runs (see _slot_columns); the
@@ -176,47 +198,38 @@ def _unrank(s: PartStructure, p: Pattern, rank: int) -> SetTuple:
     return tuple(reversed(parts))
 
 
-def _pattern_scan(labels: list[np.ndarray], s: PartStructure, t: int):
-    """(pattern, counts) for every admissible pattern of strength t in the
-    global order, counted over labels (see _part_labels); none at strength
-    0, which carries no obligations.  The caller drops each count array
+def _pattern_scan(labels: list[np.ndarray], s: PartStructure, patterns: list):
+    """(pattern, counts) for each of patterns, from _patterns, counted
+    over labels (see _part_labels).  The caller drops each count array
     before asking for the next, so one is alive at a time."""
-    if t == 0:
-        return
-    for p in admissible_patterns(s, t):
-        yield p, _pattern_counts(labels, s, p)
+    _bind_numpy()
+    for p, n_tuples in patterns:
+        yield p, _pattern_counts(labels, s, p, n_tuples)
 
 
-def _scan(labels: list[np.ndarray], s: PartStructure, t: int, lam: int) -> VerificationReport:
+def _scan(labels: list[np.ndarray], s: PartStructure, patterns: list,
+          lam: int) -> VerificationReport:
     """The report of the blocks whose labels are given (see _part_labels),
-    taken as a design of strength t and multiplicity lam on s."""
-    patterns = checked = deficit = 0
+    taken as a design on s of multiplicity lam that must cover the tuples
+    of patterns (see _patterns)."""
+    n_patterns = checked = deficit = 0
     first: SetTuple | None = None
-    for p, counts in _pattern_scan(labels, s, t):
+    for p, counts in _pattern_scan(labels, s, patterns):
         bad = counts < lam
         n_bad = int(np.count_nonzero(bad))
         if n_bad and first is None:
             first = _unrank(s, p, int(bad.argmax()))
-        patterns += 1
+        n_patterns += 1
         checked += len(counts)
         deficit += n_bad
         del counts, bad
     return VerificationReport(
         valid=deficit == 0,
-        checked_patterns=patterns,
+        checked_patterns=n_patterns,
         checked_tuples=checked,
         first_uncovered=first,
         deficient_count=min(deficit, DEFICIT_CAP),
     )
-
-
-def _design_labels(d: Design) -> list[np.ndarray]:
-    """d's labels as _part_labels gives them: those its loader kept (see
-    core._design_from_labels), else built from its blocks."""
-    if d._labels is None:
-        return _part_labels(d.structure, d.blocks)
-    _bind_numpy()
-    return d._labels
 
 
 def verify(d: Design) -> VerificationReport:
@@ -228,7 +241,8 @@ def verify(d: Design) -> VerificationReport:
     every strength.
     """
     require_design(d, "verify")
-    return _scan(_design_labels(d), d.structure, d.t, d.lam)
+    patterns, labels = _scan_input(d.structure, d.t, d.blocks)
+    return _scan(labels, d.structure, patterns, d.lam)
 
 
 def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, int]]:
@@ -238,8 +252,9 @@ def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, 
     if cap < 1:
         raise NonPositiveEntry(f"cap must be >= 1, got {cap}")
     require_design(d, "coverage_deficit")
+    patterns, labels = _scan_input(d.structure, d.t, d.blocks)
     out: list[tuple[SetTuple, int]] = []
-    for p, counts in _pattern_scan(_design_labels(d), d.structure, d.t):
+    for p, counts in _pattern_scan(labels, d.structure, patterns):
         for rank in np.flatnonzero(counts < d.lam)[:cap - len(out)]:
             out.append((_unrank(d.structure, p, int(rank)), int(counts[rank])))
         if len(out) >= cap:

@@ -15,7 +15,9 @@ from gencov import (
     emit_design,
     parse_design,
 )
-from gencov.io import parse_design_arrays
+from gencov.io import parse_label_arrays
+from gencov.verify import _part_labels
+from cli_routes import verify_routes
 from util_random import random_structure
 
 MIXED_TEXT = (
@@ -354,17 +356,33 @@ def _random_document(rng):
     return ("\r\n" if rng.random() < 0.2 else "\n").join(lines) + "\n", applied <= PLAIN
 
 
-def test_verify_load_matches_parse_design():
+def test_verify_load_matches_parse_design(tmp_path, monkeypatch):
     """The verify load, which reads a block section as label arrays where
-    it can, returns parse_design's design or raises its error, with the
-    same message, line and column, on valid and damaged documents."""
+    it can, declines a document or returns the labels of parse_design's
+    blocks, and raises parse_design's header errors; and `gencov verify`
+    prints what verify(parse_design(text)) gives, with the same exit code,
+    on valid and damaged documents."""
     rng = random.Random(31)
+    path = tmp_path / "d.gcd"
     read_as_arrays = 0
     for _ in range(1500):
         text, plain = _random_document(rng)
-        got = _outcome(parse_design_arrays, text)
-        assert got == _outcome(parse_design, text), text
-        if isinstance(got[1], Design) and got[1].blocks:
-            assert (got[1]._labels is not None) >= plain, text
-            read_as_arrays += got[1]._labels is not None
+        want = _outcome(parse_design, text)
+        try:
+            arrays = parse_label_arrays(text)
+        except Exception:
+            assert _outcome(parse_label_arrays, text) == want, text
+            arrays = None
+        if arrays is not None:
+            s, t, lam, labels = arrays
+            d = want[1]
+            assert want[0] is Design and (s, t, lam) == (d.structure, d.t, d.lam), text
+            assert ([lab.tolist() for lab in labels]
+                    == [lab.tolist() for lab in _part_labels(s, d.blocks)]), text
+        if want[0] is Design and want[1].blocks:
+            assert (arrays is not None) >= plain, text
+            read_as_arrays += arrays is not None
+        path.write_text(text, encoding="utf-8", newline="")
+        loaded, fallback = verify_routes(path, monkeypatch)
+        assert loaded == fallback, text
     assert read_as_arrays > 300

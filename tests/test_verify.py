@@ -1,6 +1,5 @@
 """Coverage verification against the naive oracle."""
 
-import dataclasses
 import itertools
 import random
 import sys
@@ -9,8 +8,7 @@ import tracemalloc
 import pytest
 
 import naive_oracle as oracle
-from fixture_designs import (cover_852, fano, hadamard_9_16, hadamard_base, mixed_422,
-                            strength2_fixtures)
+from fixture_designs import cover_852, fano, hadamard_base, mixed_422, strength2_fixtures
 from gencov import (
     Design,
     GencovError,
@@ -18,6 +16,7 @@ from gencov import (
     PartStructure,
     PlaceholderDesign,
     PlaceholdersPresent,
+    UniverseTooLarge,
     construct_minimax,
     coverage_deficit,
     emit_design,
@@ -27,7 +26,9 @@ from gencov import (
     prune_redundant,
     verify,
 )
-from gencov.io import parse_design_arrays
+from gencov.io import parse_label_arrays
+from gencov.verify import PATTERN_TUPLE_CAP
+from cli_routes import verify_routes
 from util_random import mutate_design, random_block, random_structure, random_valid_design
 
 
@@ -205,6 +206,53 @@ def test_universe_guard_raises_before_allocating():
         coverage_deficit(d)
 
 
+HUGE = 10 ** 20  # labels that do not fit in int64
+
+
+def cap_designs(t):
+    """One-block designs whose patterns are over PATTERN_TUPLE_CAP at
+    t >= 1: (2^40,)/(2,), whose labels fit in int64, at t = 2, and
+    (10^20,)/(1,), whose labels do not, at t."""
+    wide, huge = PartStructure((1 << 40,), (2,)), PartStructure((HUGE,), (1,))
+    return [Design(wide, 2, (((1, 1 << 40),),)), Design(huge, t, (((HUGE - 1,),),))]
+
+
+def traced_peak(call, *args):
+    """(what call(*args) returns or raises, the peak memory it traced)."""
+    verify(fano())  # imports numpy outside the traced region
+    tracemalloc.start()
+    try:
+        try:
+            got = call(*args)
+        except UniverseTooLarge as e:
+            got = e
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call", [verify, coverage_deficit, prune_redundant])
+def test_tuple_cap_is_checked_before_labels_are_built(call):
+    """Each over-cap design raises UniverseTooLarge, the 10^20 one too,
+    and without memory in proportion to the universe."""
+    for d in cap_designs(1):
+        got, peak = traced_peak(call, d)
+        assert isinstance(got, UniverseTooLarge), d
+        assert f"above cap {PATTERN_TUPLE_CAP}" in str(got)
+        assert peak < 1 << 20
+
+
+def test_strength_zero_builds_no_labels():
+    """At t = 0 there are no patterns, so labels that do not fit in int64
+    are never built, and the design is valid."""
+    d = cap_designs(0)[1]
+    rep, peak = traced_peak(verify, d)
+    assert rep.valid and (rep.checked_patterns, rep.checked_tuples) == (0, 0)
+    assert peak < 1 << 20
+    assert coverage_deficit(d) == []
+    assert prune_redundant(d) == d
+
+
 def test_counter_memory_is_bounded():
     """The Hadamard 5th power's largest pattern, (0, 2), has C(1024, 2) =
     523,776 tuples; one verify peaks below a single int64 count array of
@@ -228,47 +276,27 @@ def hadamard_fifth_power():
     return d
 
 
-def loaded(d):
-    """d written out and read back by the verify load, as label arrays."""
-    back = parse_design_arrays(emit_design(d))
-    assert back._labels is not None
-    return back
+def routes_on(d, tmp_path, monkeypatch):
+    """verify_routes on d written out, which the verify load reads as
+    label arrays."""
+    path = tmp_path / "d.gcd"
+    path.write_text(emit_design(d))
+    assert parse_label_arrays(path.read_text()) is not None
+    return verify_routes(path, monkeypatch)
 
 
 @pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in strength2_fixtures()])
-def test_loaded_design_counts_as_its_blocks(d):
+def test_loaded_design_counts_as_its_blocks(d, tmp_path, monkeypatch):
     for d in (d, drop_block(d, 0), Design(d.structure, d.t, d.blocks, lam=2)):
-        got = loaded(d)
-        plain = Design(got.structure, got.t, got.blocks, got.lam)
-        assert plain._labels is None
-        assert (verify(got), coverage_deficit(got)) == (verify(plain), coverage_deficit(plain))
+        loaded, fallback = routes_on(d, tmp_path, monkeypatch)
+        assert loaded == fallback
+        assert loaded[0] == (0 if verify(d).valid else 1)
 
 
-def test_loaded_hadamard_power_counts_as_its_blocks():
+def test_loaded_hadamard_power_counts_as_its_blocks(tmp_path, monkeypatch):
     d = drop_block(hadamard_fifth_power(), 100)
-    got = loaded(d)
-    rep = verify(got)
-    assert not rep.valid
-    assert rep == verify(d)
-    assert coverage_deficit(got, cap=50) == coverage_deficit(d, cap=50)
-
-
-def test_kept_labels_are_read_only_and_not_part_of_the_design():
-    d = hadamard_9_16()
-    got = loaded(d)
-    want = sys.modules["gencov.verify"]._part_labels(d.structure, d.blocks)
-    assert [lab.tolist() for lab in got._labels] == [lab.tolist() for lab in want]
-    for lab in got._labels:
-        assert not lab.flags.writeable
-        with pytest.raises(ValueError):
-            lab[0, 0] = 0
-    assert got == d and hash(got) == hash(d) and repr(got) == repr(d)
-    assert dataclasses.replace(got)._labels is None
-    assert dataclasses.replace(got, lam=2)._labels is None
-
-
-def test_loaded_design_is_counted_from_its_kept_labels(monkeypatch):
-    got = loaded(drop_block(fano(), 0))
-    monkeypatch.setattr(sys.modules["gencov.verify"], "_part_labels", None)
-    assert not verify(got).valid
-    assert coverage_deficit(got, cap=1) == [(((1, 2),), 0)]
+    loaded, fallback = routes_on(d, tmp_path, monkeypatch)
+    assert loaded == fallback
+    rep = verify(d)
+    assert not rep.valid and loaded[0] == 1
+    assert f"deficient tuples: {rep.deficient_count}" in loaded[1]
