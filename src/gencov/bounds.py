@@ -14,8 +14,8 @@ Every upper bound is witnessed by an explicitly stored design that has
 passed verification; values are never quoted from external tables.  The
 upper entries are t1_formula (strength 1, of the minimum size),
 minimax (strength 2 with every k_i >= 2, a base cover lifted to every
-part) and greedy (every strength, unless the structure's coverage
-tables exceed the search's caps).
+part) and greedy (every strength); minimax and greedy are absent past
+the search's caps.
 """
 
 from __future__ import annotations
@@ -170,14 +170,14 @@ def bound_report(s: PartStructure, t: int) -> BoundReport:
     base = lower_best(s, t)
     if base.infeasible:
         return base
-    upper: dict[str, tuple[int, Design]] = {}
-    if t == 1:
-        upper["t1_formula"] = _certified("t1_formula", cover_t1(s))
+    builds = {"t1_formula": lambda: cover_t1(s)} if t == 1 else {}
     if t == 2:
-        with suppress(UnitProfilePart):
-            upper["minimax"] = upper_minimax(s)
-    try:
-        upper["greedy"] = _certified("greedy", greedy_cover(s, t))
-    except CandidateSpaceTooLarge:
-        pass
+        builds["minimax"] = lambda: construct_minimax(s)
+    builds["greedy"] = lambda: greedy_cover(s, t)
+    upper: dict[str, tuple[int, Design]] = {}
+    for name, build in builds.items():
+        # An entry past the search's caps, or minimax on a part of
+        # profile 1, is absent.
+        with suppress(CandidateSpaceTooLarge, UnitProfilePart):
+            upper[name] = _certified(name, build())
     return BoundReport(lower=base.lower, upper=upper)

@@ -179,21 +179,16 @@ def _check_blocks(structure: PartStructure, blocks, star=None) -> tuple:
 
 
 def _check_labels(structure: PartStructure, labels) -> bool:
-    """Whether labels, one-based, one (n_blocks, k_i) integer array per
-    part of structure, hold n_blocks blocks by _check_block's rules: k_i
-    labels per part per block, strictly increasing, in 1..v_i.  As
-    _check_block sorts a part that is not increasing, each array's rows
-    are sorted in place first.  Array methods only: core does not import
-    numpy."""
-    if len(labels) != structure.m:
-        return False
-    n = len(labels[0])
-    for lab, vi, ki in zip(labels, structure.v, structure.k):
-        if lab.dtype.kind != "i" or lab.shape != (n, ki):
-            return False
+    """Whether labels, the label arrays of verify's module docstring
+    (labels as written, one-based) of at least one block of structure,
+    hold blocks by _check_block's rules: labels strictly increasing, in
+    1..v_i.  As _check_block sorts a part that is not increasing, each
+    array's rows are sorted in place first; nothing else is checked or
+    converted.  Array methods only: core does not import numpy."""
+    for lab, vi in zip(labels, structure.v):
         lab.sort(axis=1)
-        if n and not (lab[:, 0].min() >= 1 and lab[:, -1].max() <= vi
-                      and (lab[:, 1:] > lab[:, :-1]).all()):
+        if not (lab[:, 0].min() >= 1 and lab[:, -1].max() <= vi
+                and (lab[:, 1:] > lab[:, :-1]).all()):
             return False
     return True
 

@@ -18,12 +18,13 @@ headers in the order shown.
 
 parse_design reads the block lines one by one and does not load numpy.
 `gencov verify` loads through parse_label_arrays instead, which reads a
-block section of plain decimal labels as one (n_blocks, k_i) label
-array per part with one numpy read and checks them in bulk
-(core._check_labels); verify counts those arrays, and no Design is
-built.  For any other block section, a `*`, a bad token or a bad label
-included, it returns None, and the command falls back to parse_design,
-and so to its result and errors.
+block section of plain decimal labels with one numpy read into the
+label arrays of verify's module docstring, one (n_blocks, k_i) array
+per part holding the labels as written, and checks them in bulk
+(core._check_labels); verify counts those arrays as read, after its
+one size rule (verify._patterns), and no Design is built.  For any other block section, a `*`, a bad token or a
+bad label included, it returns None, and the command falls back to
+parse_design, and so to its result and errors.
 
 Covering-array files (parse_array) share the comment and blank-line
 rules: one row of integer entries per line.
@@ -175,33 +176,37 @@ def parse_design(text: str) -> Design | PlaceholderDesign:
     return _parse_blocks(*_parse_head(text))
 
 
-def _label_arrays(s: PartStructure, lines: list[tuple[int, str, int]]) -> list | None:
-    """The labels of the block rows lines, one-based, one (n_blocks, k_i)
-    int64 view per part, read by one np.fromstring; None where that read
-    cannot stand for _block_tokens.
+def parse_label_arrays(text: str) -> tuple[PartStructure, int, int, list] | None:
+    """(structure, t, lambda, labels) of document text, labels the label
+    arrays of verify's module docstring, one-based (n_blocks, k_i) int64
+    views, read by one np.fromstring and checked by core._check_labels;
+    None for a block section that read or check does not vouch for,
+    such as none or one with a `*`, a bad token or a bad label.  Header
+    errors are parse_design's.
 
     Only ASCII digits, spaces, tabs and bars are read: a sign, an
     underscore, a non-ASCII digit or space or a `*` is left to
-    _block_tokens, as are part sizes of 2^62 or more, at which a label
+    parse_design, as are part sizes of 2^62 or more, at which a label
     saturated to 2^63 - 1 could pass the range check.  Each line must
     hold m - 1 bars.  Each bar and each line end then reads as a 0, and
     the read is reshaped to (n_blocks, k_sum + m), a 0 after each part's
     labels.  If some line holds other than k_i labels in part i, one of
     those n_blocks * m 0s lands among the labels, and core._check_labels
     refuses it, as it refuses any label below 1."""
+    s, t, lam, lines = _parse_head(text)
     import numpy as np
 
     if (not lines or max(s.v) >= 1 << 62
             or any(body.count("|") != s.m - 1 for _, body, _ in lines)):
         return None
-    text = " 0 ".join([body.replace("|", " 0 ") for _, body, _ in lines]) + " 0"
-    if text.encode().translate(None, b"0123456789 \t"):
+    blocks = " 0 ".join([body.replace("|", " 0 ") for _, body, _ in lines]) + " 0"
+    if blocks.encode().translate(None, b"0123456789 \t"):
         return None
     try:
         with warnings.catch_warnings():
             # numpy 1.x warns of unread data where numpy 2 raises
             warnings.simplefilter("error", DeprecationWarning)
-            flat = np.fromstring(text, dtype=np.int64, sep=" ")
+            flat = np.fromstring(blocks, dtype=np.int64, sep=" ")
     except (ValueError, DeprecationWarning):
         return None
     if flat.size != len(lines) * (s.k_sum + s.m):
@@ -211,22 +216,7 @@ def _label_arrays(s: PartStructure, lines: list[tuple[int, str, int]]) -> list |
     for ki in s.k:
         labels.append(flat[:, start:start + ki])
         start += ki + 1
-    return labels
-
-
-def parse_label_arrays(text: str) -> tuple[PartStructure, int, int, list] | None:
-    """(structure, t, lambda, labels) of document text, labels zero-based,
-    one (n_blocks, k_i) int64 array per part as verify's _part_labels
-    builds them; None for a block section the array read or
-    core._check_labels does not vouch for, such as none or one with a
-    `*`, a bad token or a bad label.  Header errors are parse_design's."""
-    s, t, lam, lines = _parse_head(text)
-    labels = _label_arrays(s, lines)
-    if labels is None or not _check_labels(s, labels):
-        return None
-    for lab in labels:
-        lab -= 1
-    return s, t, lam, labels
+    return (s, t, lam, labels) if _check_labels(s, labels) else None
 
 
 def emit_design(d: Design | PlaceholderDesign) -> str:

@@ -14,14 +14,19 @@ Counts take the smallest unsigned type that holds the block count (one
 byte up to 255 blocks).  The whole universe is always scanned so the
 report carries a total deficit count, not just the first failure.
 
-Coverage is counted by one scan of per-part label arrays (_part_labels),
-which verify, coverage_deficit and construct's prune_redundant share.  A
-prune builds the arrays of its blocks once and scans row subsets of
-them, one per trial.  `gencov verify` scans the arrays that
-io.parse_label_arrays read its block section into.  Every pattern's
-tuple count is checked against PATTERN_TUPLE_CAP (_patterns) before any
-array is built.  numpy is imported by the first label build or count,
-not with the module.
+Coverage is counted by one scan of per-part label arrays, which verify,
+coverage_deficit and construct's prune_redundant share.  The label
+arrays are one (n_blocks, k_i) integer array per part, holding the
+labels exactly as blocks and files write them, one-based; _part_labels
+builds them from blocks, io.parse_label_arrays reads them from a file's
+block section and core._check_labels checks them against the block
+rules, and none of these converts them.  A prune builds the arrays of
+its blocks once and scans row subsets of them, one per trial.
+`gencov verify` scans the arrays that io.parse_label_arrays read.  One
+size rule (_patterns) is checked before any array is built: no pattern
+may have more than PATTERN_TUPLE_CAP tuples, nor tuples of more than
+PATTERN_TUPLE_CAP labels, so every label fits in an array.  numpy is
+imported by the first label build or count, not with the module.
 """
 
 from __future__ import annotations
@@ -76,10 +81,15 @@ def _bind_numpy() -> None:
 
 def _patterns(s: PartStructure, t: int) -> list[tuple[Pattern, int]]:
     """(pattern, tuple count) of every admissible pattern of strength t in
-    the global order, none at strength 0; UniverseTooLarge for a count
-    above PATTERN_TUPLE_CAP.  The one cap check, made before any label
-    array is built: a pattern taking 1 <= t_i < v_i points of part i has
-    at least v_i tuples, so labels too large for int64 are refused too."""
+    the global order, none at strength 0.  The one size rule, checked
+    before any label array is built: UniverseTooLarge for a pattern of
+    more than PATTERN_TUPLE_CAP tuples, or, when no count is above the
+    cap, for tuples of more than PATTERN_TUPLE_CAP labels (t above it).
+
+    So at t >= 1 every structure passed has every v_i <= PATTERN_TUPLE_CAP,
+    and labels too large for an array are refused too: some pattern takes
+    t_i = min(k_i, t) >= 1 points of part i, and either t_i < v_i, and
+    that pattern has at least v_i tuples, or t_i = v_i <= t."""
     out = []
     for p in (admissible_patterns(s, t) if t else ()):
         n_tuples = pattern_tuple_count(s, p)
@@ -87,6 +97,9 @@ def _patterns(s: PartStructure, t: int) -> list[tuple[Pattern, int]]:
             raise UniverseTooLarge(
                 f"pattern {p} has {n_tuples} tuples, above cap {PATTERN_TUPLE_CAP}")
         out.append((p, n_tuples))
+    if t > PATTERN_TUPLE_CAP:
+        raise UniverseTooLarge(
+            f"tuples of strength {t} hold {t} labels, above cap {PATTERN_TUPLE_CAP}")
     return out
 
 
@@ -98,11 +111,11 @@ def _scan_input(s: PartStructure, t: int, blocks: tuple[Block, ...]) -> tuple[li
 
 
 def _part_labels(s: PartStructure, blocks: tuple[Block, ...]) -> list[np.ndarray]:
-    """Zero-based labels of blocks, canonical blocks of s, one
-    (n_blocks, k_i) array per part."""
+    """The label arrays (see the module docstring) of blocks, canonical
+    blocks of s."""
     _bind_numpy()
     n = len(blocks)
-    return [np.array([b[i] for b in blocks], dtype=np.intp).reshape(n, ki) - 1
+    return [np.array([b[i] for b in blocks], dtype=np.intp).reshape(n, ki)
             for i, ki in enumerate(s.k)]
 
 
@@ -117,12 +130,12 @@ def _binom(x: np.ndarray, j: int) -> np.ndarray:
 def _slot_terms(labels: np.ndarray, v: int, t: int, weight: int) -> list[np.ndarray]:
     """Slot j's share of the rank, times weight, for every entry of labels.
 
-    A sorted t-subset a_0 < ... < a_{t-1} of range(v) has lex rank
-    C(v, t) - 1 - sum_j C(v - 1 - a_j, t - j); term j holds the j-th
+    A sorted t-subset a_0 < ... < a_{t-1} of 1..v has lex rank
+    C(v, t) - 1 - sum_j C(v - a_j, t - j); term j holds the j-th
     summand with its sign, the constant folded into term 0.  Entries that
     cannot stand in slot j hold values no gather reads.
     """
-    x = v - 1 - labels
+    x = v - labels
     return ([weight * (comb(v, t) - 1 - _binom(x, t))]
             + [-weight * _binom(x, t - j) for j in range(1, t)])
 
@@ -200,7 +213,7 @@ def _unrank(s: PartStructure, p: Pattern, rank: int) -> SetTuple:
 
 def _pattern_scan(labels: list[np.ndarray], s: PartStructure, patterns: list):
     """(pattern, counts) for each of patterns, from _patterns, counted
-    over labels (see _part_labels).  The caller drops each count array
+    over the label arrays labels.  The caller drops each count array
     before asking for the next, so one is alive at a time."""
     _bind_numpy()
     for p, n_tuples in patterns:
@@ -209,9 +222,9 @@ def _pattern_scan(labels: list[np.ndarray], s: PartStructure, patterns: list):
 
 def _scan(labels: list[np.ndarray], s: PartStructure, patterns: list,
           lam: int) -> VerificationReport:
-    """The report of the blocks whose labels are given (see _part_labels),
-    taken as a design on s of multiplicity lam that must cover the tuples
-    of patterns (see _patterns)."""
+    """The report of the blocks of the label arrays labels, taken as a
+    design on s of multiplicity lam that must cover the tuples of
+    patterns (see _patterns)."""
     n_patterns = checked = deficit = 0
     first: SetTuple | None = None
     for p, counts in _pattern_scan(labels, s, patterns):

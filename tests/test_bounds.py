@@ -328,13 +328,17 @@ def test_greedy_upper_on_census():
         assert rep.best_upper <= s.block_count_possible(), (s, t)
 
 
-def test_bound_report_without_greedy_tables():
+@pytest.mark.parametrize("v, k, t", [((24,), (6,), 5), ((40,), (20,), 2)],
+                         ids=["v24-k6-t5", "v40-k20-t2"])
+def test_bound_report_without_greedy_tables(v, k, t):
     # the coverage tables of (24)/(6) t=5 exceed the search's cap, so
-    # greedy is refused before it allocates anything
+    # greedy is refused before it allocates anything; at (40)/(20) t=2
+    # minimax's base search is refused the same way
     start = time.perf_counter()
-    rep = bound_report(PartStructure((24,), (6,)), 5)
+    rep = bound_report(PartStructure(v, k), t)
     assert time.perf_counter() - start < 0.5
     assert rep.upper == {} and rep.best_upper is None
+    assert rep.lower
 
 
 def test_bound_report_infeasible():

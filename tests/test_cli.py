@@ -74,13 +74,17 @@ def test_verify_universe_too_large(tmp_path, capsys):
 
 def test_verify_labels_beyond_int64(tmp_path, capsys):
     """Labels too large for int64 are refused by the tuple cap, with one
-    error line, and at t = 0 the design is valid."""
+    error line, as is a part of 10^20 points that every pattern takes
+    whole; and at t = 0 the design is valid."""
     p = tmp_path / "huge.gcd"
     text = "gcd 1\nt: 1\nlambda: 1\nv: 100000000000000000000\nk: 1\nblocks:\n99999999999999999999\n"
-    p.write_text(text)
-    code, out, err = run(capsys, "verify", str(p))
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "above cap" in err and err.count("\n") == 1
+    whole = ("gcd 1\nt: 100000000000000000000\nlambda: 1\nv: 100000000000000000000\n"
+             "k: 100000000000000000000\nblocks:\n")
+    for doc in (text, whole):
+        p.write_text(doc)
+        code, out, err = run(capsys, "verify", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "above cap" in err and err.count("\n") == 1
     p.write_text(text.replace("t: 1", "t: 0"))
     assert run(capsys, "verify", str(p))[:2] == (0, "valid: yes\nchecked patterns: 0\nchecked tuples: 0\n")
 

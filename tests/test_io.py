@@ -377,8 +377,9 @@ def test_verify_load_matches_parse_design(tmp_path, monkeypatch):
             s, t, lam, labels = arrays
             d = want[1]
             assert want[0] is Design and (s, t, lam) == (d.structure, d.t, d.lam), text
-            assert ([lab.tolist() for lab in labels]
-                    == [lab.tolist() for lab in _part_labels(s, d.blocks)]), text
+            read = [lab.tolist() for lab in labels]
+            assert read == [[list(b[i]) for b in d.blocks] for i in range(s.m)], text
+            assert read == [lab.tolist() for lab in _part_labels(s, d.blocks)], text
         if want[0] is Design and want[1].blocks:
             assert (arrays is not None) >= plain, text
             read_as_arrays += arrays is not None

@@ -27,7 +27,7 @@ from gencov import (
     verify,
 )
 from gencov.io import parse_label_arrays
-from gencov.verify import PATTERN_TUPLE_CAP
+from gencov.verify import PATTERN_TUPLE_CAP, _part_labels
 from cli_routes import verify_routes
 from util_random import mutate_design, random_block, random_structure, random_valid_design
 
@@ -43,6 +43,14 @@ def test_fixtures_valid():
         assert bool(rep)
         assert rep.first_uncovered is None
         assert rep.deficient_count == 0
+
+
+def test_part_labels_are_the_blocks_labels():
+    """The label arrays hold the labels as the blocks write them."""
+    for _, d in strength2_fixtures():
+        s = d.structure
+        assert ([lab.tolist() for lab in _part_labels(s, d.blocks)]
+                == [[list(b[i]) for b in d.blocks] for i in range(s.m)])
 
 
 def test_report_counts():
@@ -233,9 +241,12 @@ def traced_peak(call, *args):
 
 @pytest.mark.parametrize("call", [verify, coverage_deficit, prune_redundant])
 def test_tuple_cap_is_checked_before_labels_are_built(call):
-    """Each over-cap design raises UniverseTooLarge, the 10^20 one too,
-    and without memory in proportion to the universe."""
-    for d in cap_designs(1):
+    """Each over-cap design raises UniverseTooLarge, the 10^20 ones too,
+    and without memory in proportion to the universe.  The zero-block
+    (10^20,)/(10^20,) design at t = 10^20 has one pattern of one tuple,
+    but of 10^20 labels."""
+    whole = Design(PartStructure((HUGE,), (HUGE,)), HUGE, ())
+    for d in cap_designs(1) + [whole]:
         got, peak = traced_peak(call, d)
         assert isinstance(got, UniverseTooLarge), d
         assert f"above cap {PATTERN_TUPLE_CAP}" in str(got)
