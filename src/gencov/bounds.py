@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from .construct import construct_minimax, cover_t1
@@ -93,22 +93,30 @@ def lower_edges_multipartite(s: PartStructure) -> int:
 def lower_nested_ceiling(s: PartStructure, t: int) -> int:
     """Max over ordered t-subsets of parts of the nested ratio ceiling.
 
-    The value depends on the nesting order, so all orderings of each
-    subset are tried (t! per subset; fine at small t).
+    The value depends on the nesting order.  It is nondecreasing in its
+    inner factor, so the best order of a set S puts outermost the part i
+    of S that maximizes ceil(v_i f(S - i) / k_i), f the best value of the
+    rest (_nested_rec); no ordering is listed.
     """
     t = as_int(t, StrengthTooLarge, "strength")
     if t < 1:
         raise ParameterOrderViolated(f"nested-ceiling bound needs t >= 1, got t={t}")
     if t > s.m:
         raise StrengthExceedsParts(f"nested-ceiling bound needs t <= m, got t={t}, m={s.m}")
-    best = 0
-    for subset in combinations(range(s.m), t):
-        for order in permutations(subset):
-            x = 1
-            for i in reversed(order):
-                x = -(s.v[i] * x // -s.k[i])
-            best = max(best, x)
-    return best
+    memo: dict = {}
+    return max(_nested_rec(S, memo) for S in combinations(sorted(zip(s.v, s.k)), t))
+
+
+def _nested_rec(parts: tuple[tuple[int, int], ...], memo: dict) -> int:
+    """The best nested ceiling of every ordering of parts, sorted (v_i, k_i)
+    pairs, so that equal multisets share memo entries, as in core's
+    _schonheim_rec.  The memo lives for one lower_nested_ceiling call."""
+    if not parts:
+        return 1
+    if parts not in memo:
+        memo[parts] = max(-(vi * _nested_rec(parts[:i] + parts[i + 1:], memo) // -ki)
+                          for i, (vi, ki) in enumerate(parts))
+    return memo[parts]
 
 
 def lower_restriction_single(s: PartStructure) -> int:

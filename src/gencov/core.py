@@ -18,7 +18,7 @@ then construct, then bounds, product and io, then cli.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 from operator import index, is_, lt
 from typing import Iterator, Sequence
@@ -275,23 +275,39 @@ def admissible_patterns(s: PartStructure, t: int) -> list[Pattern]:
     examples use; e.g. k=(2,1,1), t=2 gives (2,0,0), (1,1,0), (1,0,1),
     (0,1,1).
     """
+    return list(_walk_patterns(s, t))
+
+
+def _walk_patterns(s: PartStructure, t: int) -> Iterator[Pattern]:
+    """admissible_patterns one at a time, so that a caller can refuse a
+    pattern before the rest are made; t is checked on the first call of
+    next().  A depth-first walk that holds one descending range of
+    choices per part, not the choices themselves."""
     t = as_int(t, StrengthTooLarge, "strength")
     if t < 0 or t > s.k_sum:
         raise StrengthTooLarge(f"strength {t} not in 0..{s.k_sum}")
-    # Room left in the parts after position i; pushing the choices for part
-    # i in ascending order pops them in descending order.
-    room = [sum(s.k[i + 1:]) for i in range(s.m)]
-    out: list[Pattern] = []
-    stack: list[Pattern] = [()]
+    # Room left in the parts after position i.
+    room = list(accumulate(reversed(s.k[1:]), initial=0))[::-1]
+
+    def choices(i: int, rem: int) -> Iterator[int]:
+        return iter(range(min(s.k[i], rem), max(0, rem - room[i]) - 1, -1))
+
+    head: list[int] = []
+    rem = t
+    # stack[i] holds part i's choices left; there is one more than head.
+    stack = [choices(0, t)]
     while stack:
-        head = stack.pop()
-        i = len(head)
-        if i == s.m:
-            out.append(head)
-            continue
-        rem = t - sum(head)
-        stack.extend(head + (x,) for x in range(max(0, rem - room[i]), min(s.k[i], rem) + 1))
-    return out
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+            if head:
+                rem += head.pop()
+        elif len(stack) == s.m:
+            yield (*head, x)
+        else:
+            head.append(x)
+            rem -= x
+            stack.append(choices(len(stack), rem))
 
 
 def _check_pattern(s: PartStructure, p) -> Pattern:
@@ -326,20 +342,31 @@ def lower_schonheim(s: PartStructure, t: int) -> int:
     strength t-1 on (v - e_i, k - e_i), where a part whose profile drops
     to 0 disappears.  Each block holds k_i points of part i, so
     L(v,k,t) = max_i ceil(v_i/k_i L(v-e_i, k-e_i, t-1)), with
-    L(v,k,1) = max_i ceil(v_i/k_i).  For m = 1 this is bounds.schonheim().
+    L(v,k,1) = max_i ceil(v_i/k_i).  For m = 1 this is bounds.schonheim(),
+    computed in a loop.  Two or more parts recurse once per unit of t, and
+    a depth the interpreter cannot take raises StrengthTooLarge.
     """
     require_structure(s, "lower_schonheim")
     t = as_int(t, StrengthTooLarge, "strength")
     if not 1 <= t <= s.k_sum:
         raise ParameterOrderViolated(f"need 1 <= t <= k_sum = {s.k_sum}, got t={t}")
-    return _schonheim_rec(tuple(sorted(zip(s.v, s.k))), t, {})
+    try:
+        return _schonheim_rec(tuple(sorted(zip(s.v, s.k))), t, {})
+    except RecursionError:
+        raise StrengthTooLarge(
+            f"the Schönheim recursion on {s.m} parts at strength {t} is deeper than "
+            "the interpreter allows") from None
 
 
 def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> int:
     """lower_schonheim on sorted (v_i, k_i) pairs, so that identical parts
-    share memo entries.  The memo lives for one lower_schonheim call."""
+    share memo entries.  The memo lives for one lower_schonheim call.  One
+    part is the plain nested ceiling (_schonheim_single), so only two or
+    more parts recurse, once per unit of t."""
     if t == 1:
         return max(-(vi // -ki) for vi, ki in parts)
+    if len(parts) == 1:
+        return _schonheim_single(*parts[0], t)
     if (parts, t) not in memo:
         best = 0
         for i, (vi, ki) in enumerate(parts):
@@ -349,6 +376,15 @@ def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> in
             best = max(best, -(vi * _schonheim_rec(rest, t - 1, memo) // -ki))
         memo[parts, t] = best
     return memo[parts, t]
+
+
+def _schonheim_single(v: int, k: int, t: int) -> int:
+    """The recursion on the one part (v, k), t <= k, in a loop of t
+    steps: ceil(v/k ceil((v-1)/(k-1) ... ceil((v-t+1)/(k-t+1))))."""
+    x = 1
+    for j in reversed(range(t)):
+        x = -((v - j) * x // -(k - j))
+    return x
 
 
 def tuple_in_block(T: SetTuple, B: Block) -> bool:

@@ -16,7 +16,9 @@ class LengthMismatch(GencovError):
 
 
 class NonPositiveEntry(GencovError):
-    """A part size, profile entry, lambda or count is not a positive integer."""
+    """A part size, profile entry, lambda or count is not a positive integer,
+    or a search budget is not a number: a node count that is not an
+    integer, or a timeout that is not a real number or is NaN."""
 
 
 class ProfileExceedsPart(GencovError):

@@ -74,10 +74,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import comb, prod
+from numbers import Real
 
-from .core import (Block, Design, PartStructure, _shared_design, admissible_patterns, as_int,
+from .core import (Block, Design, PartStructure, _shared_design, _walk_patterns, as_int,
                    lower_schonheim, pattern_tuple_count, require_structure)
-from .errors import BudgetExhausted, CandidateSpaceTooLarge, StrengthTooLarge
+from .errors import BudgetExhausted, CandidateSpaceTooLarge, NonPositiveEntry, StrengthTooLarge
 
 # The default budget of exact_min, certify_classical, bounds.upper_minimax
 # and the CLI's construct and search commands.
@@ -249,15 +250,21 @@ class _Tables:
         n_cands = s.block_count_possible()
         if n_cands > CANDIDATE_CAP:
             raise CandidateSpaceTooLarge(f"{n_cands} candidate blocks exceed cap {CANDIDATE_CAP}")
-        patterns = admissible_patterns(s, t)
-        sizes = [pattern_tuple_count(s, p) for p in patterns]
-        bits = n_cands * sum(sizes)
-        if bits > TABLE_BITS_CAP:
-            raise CandidateSpaceTooLarge(
-                f"coverage tables of {bits} bits exceed cap {TABLE_BITS_CAP}"
-            )
+        # The patterns are walked one at a time, and the tables refused
+        # once the bits of those so far pass the cap.
+        patterns, sizes = [], []
+        bits = 0
+        for p in _walk_patterns(s, t):
+            patterns.append(p)
+            sizes.append(pattern_tuple_count(s, p))
+            bits += n_cands * sizes[-1]
+            if bits > TABLE_BITS_CAP:
+                raise CandidateSpaceTooLarge(
+                    f"coverage tables of at least {bits} bits exceed cap {TABLE_BITS_CAP}"
+                )
         self.s = s
         self.t = t
+        self.patterns = patterns
         self.n_cands = n_cands
         self._pools = [list(combinations(range(1, vi + 1), ki)) for vi, ki in zip(s.v, s.k)]
 
@@ -371,12 +378,11 @@ class _Tables:
         spans with their caps, then one group per part i.  A point's cap
         in part i's group is the span's cap * p_i / k_i."""
         s = self.s
-        patterns = admissible_patterns(s, self.t)
         groups = [(1, [[(((1 << (end - start)) - 1) << start, cap)
                          for start, end, cap in self.spans]])]
         for i, (vi, ki) in enumerate(zip(s.v, s.k)):
             points: list[list[tuple[int, int]]] = [[] for _ in range(vi)]
-            for p, (start, end, cap) in zip(patterns, self.spans):
+            for p, (start, end, cap) in zip(self.patterns, self.spans):
                 if not p[i]:
                     continue
                 # Tuples of p are mixed radix over the per-part subsets,
@@ -530,7 +536,11 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = DEFAULT_MAX_NODES,
     budget-exhausted.  Only a timeout that runs out before the coverage
     tables are built, when there is no design yet, raises
     BudgetExhausted.  The full cover list is built only if greedy misses
-    the root bound."""
+    the root bound.  max_nodes must be an integer and timeout a real
+    number of seconds, not NaN (NonPositiveEntry otherwise)."""
+    max_nodes = as_int(max_nodes, NonPositiveEntry, "max_nodes")
+    if not isinstance(timeout, Real) or timeout != timeout:
+        raise NonPositiveEntry(f"timeout must be a real number of seconds, got {timeout!r}")
     deadline = time.monotonic() + timeout
     require_structure(s, "exact_min")
     t = as_int(t, StrengthTooLarge, "strength")

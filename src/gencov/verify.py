@@ -20,13 +20,20 @@ arrays are one (n_blocks, k_i) integer array per part, holding the
 labels exactly as blocks and files write them, one-based; _part_labels
 builds them from blocks, io.parse_label_arrays reads them from a file's
 block section and core._check_labels checks them against the block
-rules, and none of these converts them.  A prune builds the arrays of
-its blocks once and scans row subsets of them, one per trial.
-`gencov verify` scans the arrays that io.parse_label_arrays read.  One
-size rule (_patterns) is checked before any array is built: no pattern
-may have more than PATTERN_TUPLE_CAP tuples, nor tuples of more than
-PATTERN_TUPLE_CAP labels, so every label fits in an array.  numpy is
-imported by the first label build or count, not with the module.
+rules, and none of these converts them.  `gencov verify` scans the
+arrays that io.parse_label_arrays read.  One size rule (_patterns) is
+checked before any array is built: no pattern may have more than
+PATTERN_TUPLE_CAP tuples, nor tuples of more than PATTERN_TUPLE_CAP
+labels, so every label fits in an array.  numpy is imported by the first
+label build or count, not with the module.
+
+A pattern's count is split in two: a set-up built from the label arrays
+(_pattern_setup: slot terms, slot-0 run lengths, slot columns, chunk
+step and count dtype), and the count itself (_pattern_counts), over all
+blocks or over a subset of their rows.  verify, coverage_deficit and
+`gencov verify` build one pattern's set-up at a time and drop it once it
+is counted.  A prune builds its blocks' label arrays and every pattern's
+set-up once, and counts the rows each trial keeps (_row_scan).
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .core import (
     Pattern,
     PartStructure,
     SetTuple,
-    admissible_patterns,
+    _walk_patterns,
     as_int,
     pattern_tuple_count,
     require_design,
@@ -89,9 +96,12 @@ def _patterns(s: PartStructure, t: int) -> list[tuple[Pattern, int]]:
     So at t >= 1 every structure passed has every v_i <= PATTERN_TUPLE_CAP,
     and labels too large for an array are refused too: some pattern takes
     t_i = min(k_i, t) >= 1 points of part i, and either t_i < v_i, and
-    that pattern has at least v_i tuples, or t_i = v_i <= t."""
+    that pattern has at least v_i tuples, or t_i = v_i <= t.
+
+    The patterns are walked one at a time, so a refusal comes before the
+    patterns after it are made."""
     out = []
-    for p in (admissible_patterns(s, t) if t else ()):
+    for p in (_walk_patterns(s, t) if t else ()):
         n_tuples = pattern_tuple_count(s, p)
         if n_tuples > PATTERN_TUPLE_CAP:
             raise UniverseTooLarge(
@@ -155,15 +165,15 @@ def _slot_columns(k: int, t: int) -> list[np.ndarray]:
     return cols
 
 
-def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern,
-                    n_tuples: int) -> np.ndarray:
-    """How many blocks hold each of the n_tuples tuples of pattern p,
-    indexed by tuple rank, in the smallest unsigned type that holds the
-    block count."""
+def _pattern_setup(labels: list[np.ndarray], s: PartStructure, p: Pattern,
+                   n_tuples: int) -> tuple:
+    """What _pattern_counts needs to count the n_tuples tuples of pattern
+    p over the label arrays labels, built from the labels once: per used
+    part its slot terms, slot-0 run lengths and later slot columns, then
+    the tuple count, the block count, the chunk step in blocks and the
+    count dtype, the smallest unsigned type that holds the block count."""
     # Part i's rank is weighted by the tuple count of the parts after it
     # (mixed radix, last part fastest), so parts combine by addition.
-    # Slot 0's term is repeated along its runs (see _slot_columns); the
-    # other slots are gathered.
     used = []
     weight = n_tuples
     width = 1  # sub-tuples per block
@@ -175,15 +185,26 @@ def _pattern_counts(labels: list[np.ndarray], s: PartStructure, p: Pattern,
             runs = np.array([comb(k - 1 - a, ti - 1) for a in range(k)], dtype=np.intp)
             used.append((_slot_terms(lab, vi, ti, weight), runs, _slot_columns(k, ti)[1:]))
     n_blocks = len(labels[0])
-    counts = np.zeros(n_tuples, dtype=np.min_scalar_type(n_blocks))
+    return used, n_tuples, n_blocks, max(1, _CHUNK // width), np.min_scalar_type(n_blocks)
+
+
+def _pattern_counts(setup: tuple, rows: np.ndarray | None = None) -> np.ndarray:
+    """How many of the blocks at rows, an index array, or of all blocks
+    if None, hold each tuple of a pattern, indexed by tuple rank; setup
+    is the pattern's _pattern_setup."""
+    # Slot 0's term is repeated along its runs (see _slot_columns); the
+    # other slots are gathered.
+    used, n_tuples, n_blocks, step, dtype = setup
+    counts = np.zeros(n_tuples, dtype=dtype)
     one = counts.dtype.type(1)  # a Python 1 takes np.add.at off its fast path
-    step = max(1, _CHUNK // width)
-    for lo in range(0, n_blocks, step):
+    n = n_blocks if rows is None else len(rows)
+    for lo in range(0, n, step):
+        pick = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
         ranks = None
         for terms, runs, cols in used:
-            r = np.repeat(terms[0][lo:lo + step], runs, axis=1)
+            r = np.repeat(terms[0][pick], runs, axis=1)
             for term, col in zip(terms[1:], cols):
-                r += np.take(term[lo:lo + step], col, axis=1)
+                r += np.take(term[pick], col, axis=1)
             ranks = r if ranks is None else (ranks[:, :, None] + r[:, None, :]).reshape(len(r), -1)
         np.add.at(counts, ranks.ravel(), one)
     return counts
@@ -213,21 +234,20 @@ def _unrank(s: PartStructure, p: Pattern, rank: int) -> SetTuple:
 
 def _pattern_scan(labels: list[np.ndarray], s: PartStructure, patterns: list):
     """(pattern, counts) for each of patterns, from _patterns, counted
-    over the label arrays labels.  The caller drops each count array
-    before asking for the next, so one is alive at a time."""
+    over the label arrays labels.  Each pattern's set-up is dropped once
+    it is counted, and the caller drops each count array before asking
+    for the next, so one of each is alive at a time."""
     _bind_numpy()
     for p, n_tuples in patterns:
-        yield p, _pattern_counts(labels, s, p, n_tuples)
+        yield p, _pattern_counts(_pattern_setup(labels, s, p, n_tuples))
 
 
-def _scan(labels: list[np.ndarray], s: PartStructure, patterns: list,
-          lam: int) -> VerificationReport:
-    """The report of the blocks of the label arrays labels, taken as a
-    design on s of multiplicity lam that must cover the tuples of
-    patterns (see _patterns)."""
+def _report(s: PartStructure, counted, lam: int) -> VerificationReport:
+    """The report of a design on s of multiplicity lam whose coverage
+    counted gives as (pattern, counts) pairs, in pattern order."""
     n_patterns = checked = deficit = 0
     first: SetTuple | None = None
-    for p, counts in _pattern_scan(labels, s, patterns):
+    for p, counts in counted:
         bad = counts < lam
         n_bad = int(np.count_nonzero(bad))
         if n_bad and first is None:
@@ -243,6 +263,24 @@ def _scan(labels: list[np.ndarray], s: PartStructure, patterns: list,
         first_uncovered=first,
         deficient_count=min(deficit, DEFICIT_CAP),
     )
+
+
+def _scan(labels: list[np.ndarray], s: PartStructure, patterns: list,
+          lam: int) -> VerificationReport:
+    """The report of the blocks of the label arrays labels, taken as a
+    design on s of multiplicity lam that must cover the tuples of
+    patterns (see _patterns)."""
+    return _report(s, _pattern_scan(labels, s, patterns), lam)
+
+
+def _row_scan(setups: list, s: PartStructure, lam: int, rows=None) -> VerificationReport:
+    """_scan's report of the blocks at rows, indices into the label
+    arrays that setups, (pattern, _pattern_setup) pairs, were built
+    from, or of all their blocks if None."""
+    if rows is not None:
+        _bind_numpy()
+        rows = np.array(rows, dtype=np.intp)
+    return _report(s, ((p, _pattern_counts(setup, rows)) for p, setup in setups), lam)
 
 
 def verify(d: Design) -> VerificationReport:

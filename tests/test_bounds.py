@@ -65,6 +65,54 @@ def test_lower_schonheim_single_part_is_schonheim():
                 assert lower_schonheim(PartStructure((v,), (k,)), t) == schonheim(v, k, t)
 
 
+def test_single_part_loop_matches_recursion():
+    """One part is computed as the nested ceiling in a loop; at small t it
+    is the recursion L(v,k,t) = ceil(v/k L(v-1,k-1,t-1)), L(v,k,1) =
+    ceil(v/k), spelled out here."""
+    def recursion(v, k, t):
+        inner = 1 if t == 1 else recursion(v - 1, k - 1, t - 1)
+        return -(-v * inner // k)
+
+    for v in range(1, 16):
+        for k in range(1, v + 1):
+            for t in range(1, k + 1):
+                want = recursion(v, k, t)
+                assert gencov.core._schonheim_single(v, k, t) == want
+                assert lower_schonheim(PartStructure((v,), (k,)), t) == want
+
+
+def test_lower_schonheim_past_the_recursion_depth():
+    """One part takes any t; two parts that would recurse deeper than the
+    interpreter allows raise a GencovError, at once, before a memo that
+    grows as t^2 is built."""
+    assert schonheim(2000, 2000, 1500) == 1
+    assert lower_schonheim(PartStructure((3000,), (1500,)), 1200) == \
+        gencov.core._schonheim_single(3000, 1500, 1200)
+    assert lower_best(PartStructure((2000,), (2000,)), 1500).best_lower == 1
+    assert bound_report(PartStructure((2000,), (2000,)), 1500).best_lower == 1
+    n = 1 << 18
+    start = time.monotonic()
+    with pytest.raises(StrengthTooLarge):
+        lower_schonheim(PartStructure((n, n), (n, n)), n)
+    assert time.monotonic() - start < 1.0
+
+
+def test_nested_ceiling_matches_every_ordering():
+    from itertools import combinations, permutations
+    rng = random.Random(43)
+    for _ in range(200):
+        s = random_structure(rng, v_sum_max=30, m_max=6)
+        for t in range(1, s.m + 1):
+            want = 0
+            for subset in combinations(range(s.m), t):
+                for order in permutations(subset):
+                    x = 1
+                    for i in reversed(order):
+                        x = -(s.v[i] * x // -s.k[i])
+                    want = max(want, x)
+            assert lower_nested_ceiling(s, t) == want, (s, t)
+
+
 def test_lower_schonheim_lives_in_core():
     assert gencov.bounds.lower_schonheim is gencov.core.lower_schonheim
 

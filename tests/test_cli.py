@@ -117,6 +117,20 @@ def test_bounds_infeasible(capsys):
     assert "infeasible=true" in out
 
 
+def test_bounds_single_part_past_the_recursion_depth(capsys):
+    """One part is the nested ceiling in a loop, whatever t; two parts
+    that recurse deeper than the interpreter allows exit 2 with one
+    error line."""
+    code, out, err = run(capsys, "bounds", "--v", "2000", "--k", "2000", "--t", "1500")
+    assert (code, err) == (0, "")
+    assert "best_lower=1" in out.splitlines()
+    code, out, err = run(capsys, "bounds", "--v", "3000", "--k", "1500", "--t", "1200")
+    assert code == 0 and "best_upper=" in out.splitlines()
+    code, out, err = run(capsys, "bounds", "--v", "3000,3000", "--k", "1500,1500", "--t", "1200")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_construct_default_base(capsys):
     # the internally searched base need not match any published labeling,
     # but the lift must be a valid 7-block design
@@ -200,6 +214,12 @@ def test_search_budget_exhausted(capsys):
     assert code == 3
     assert "status=budget-exhausted" in err
     assert parse_design(out).structure.v == (11,)
+
+
+def test_search_nan_timeout_is_refused(capsys):
+    code, out, err = run(capsys, "search", "--v", "5", "--k", "2", "--t", "2", "--timeout", "nan")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "search"])

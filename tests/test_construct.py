@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from gencov import (
     TargetExceedsPart,
     UnitProfilePart,
     add_full_parts,
+    admissible_patterns,
     amalgamate,
     check_clique_cover,
     check_multipartite_cover,
@@ -757,6 +759,29 @@ def test_greedy_drop_builds_no_trial_designs(monkeypatch):
     monkeypatch.setattr(gencov.core, "_check_blocks", counting)
     out = prune_redundant(d, greedy_drop=True)
     assert len(calls) <= 2
+    assert len(out) < len(d) and verify(out).valid
+
+
+def test_greedy_drop_builds_each_pattern_setup_once(monkeypatch):
+    """Each pattern's slot terms are built once per prune, from the input's
+    labels, not once per trial."""
+    s = PartStructure((7, 4, 3), (2, 2, 1))
+    d = greedy_cover(s, 2)
+    rng = random.Random(61)
+    d = Design(s, 2, d.blocks + tuple(random_block(rng, s) for _ in range(10)))
+    assert len(set(d.blocks)) >= 20
+    calls = []
+    verify_module = sys.modules["gencov.verify"]  # gencov.verify is the function
+    slot_terms = verify_module._slot_terms
+
+    def counting(labels, v, t, weight):
+        calls.append((v, t))
+        return slot_terms(labels, v, t, weight)
+
+    monkeypatch.setattr(verify_module, "_slot_terms", counting)
+    out = prune_redundant(d, greedy_drop=True)
+    used_parts = sum(ti > 0 for p in admissible_patterns(s, 2) for ti in p)
+    assert len(calls) <= used_parts
     assert len(out) < len(d) and verify(out).valid
 
 

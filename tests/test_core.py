@@ -28,6 +28,7 @@ from gencov import (
     admissible_tuples,
     amalgamate,
     bound_report,
+    certify_classical,
     check_clique_cover,
     check_multipartite_cover,
     coverage_deficit,
@@ -362,6 +363,18 @@ BAD_ARGUMENT_CALLS = {
         StructureMismatch,
         lambda s, d: check_multipartite_cover(PartStructure((4, 4, 4), (2, 2, 2)), d)),
     "exact_min int": (StructureMismatch, lambda s, d: exact_min(5, 2)),
+    "exact_min str max_nodes": (NonPositiveEntry, lambda s, d: exact_min(s, 2, max_nodes="5")),
+    "exact_min float max_nodes": (NonPositiveEntry,
+                                  lambda s, d: exact_min(s, 2, max_nodes=2.5)),
+    "exact_min str timeout": (NonPositiveEntry, lambda s, d: exact_min(s, 2, timeout="x")),
+    "exact_min nan timeout": (NonPositiveEntry,
+                              lambda s, d: exact_min(s, 2, timeout=float("nan"))),
+    "certify_classical nan timeout": (
+        NonPositiveEntry, lambda s, d: certify_classical(7, 3, 2, timeout=float("nan"))),
+    "construct_minimax str max_nodes": (
+        NonPositiveEntry, lambda s, d: construct_minimax(s, max_nodes="5")),
+    "upper_minimax nan timeout": (NonPositiveEntry,
+                                  lambda s, d: upper_minimax(s, timeout=float("nan"))),
     "greedy_cover int": (StructureMismatch, lambda s, d: greedy_cover(5, 2)),
     "greedy_cover int at strength 0": (StructureMismatch, lambda s, d: greedy_cover(5, 0)),
     "lower_best int": (StructureMismatch, lambda s, d: lower_best(5, 2)),

@@ -10,6 +10,7 @@ import pytest
 import naive_oracle as oracle
 from fixture_designs import cover_852, fano, hadamard_base, mixed_422, strength2_fixtures
 from gencov import (
+    CandidateSpaceTooLarge,
     Design,
     GencovError,
     NonPositiveEntry,
@@ -20,7 +21,9 @@ from gencov import (
     construct_minimax,
     coverage_deficit,
     emit_design,
+    exact_min,
     greedy_classical_cover,
+    greedy_cover,
     make_block,
     product_hadamard,
     prune_redundant,
@@ -251,6 +254,32 @@ def test_tuple_cap_is_checked_before_labels_are_built(call):
         assert isinstance(got, UniverseTooLarge), d
         assert f"above cap {PATTERN_TUPLE_CAP}" in str(got)
         assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("call, error", [
+    (verify, UniverseTooLarge),
+    (coverage_deficit, UniverseTooLarge),
+    (prune_redundant, UniverseTooLarge),
+    (lambda d: greedy_cover(d.structure, d.t), CandidateSpaceTooLarge),
+    (lambda d: exact_min(d.structure, d.t), CandidateSpaceTooLarge),
+], ids=["verify", "coverage_deficit", "prune_redundant", "greedy_cover", "exact_min"])
+def test_patterns_are_refused_before_they_are_all_listed(call, error):
+    """(2^11, 2^11)/(2^11, 2^11) at t = 2^11 has 2049 patterns, and its
+    second is past verify's cap and its third past the search's.  Each
+    refusal comes before the rest are made, in a few KB whatever the
+    exponent; listing the patterns first takes about 140 KB, and sizing
+    them all, as the search did, 1.1 MB."""
+    n = 1 << 11
+    d = Design(PartStructure((n, n), (n, n)), n, ())
+    verify(fano())  # imports numpy outside the traced region
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_strength_zero_builds_no_labels():
