@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -93,24 +94,26 @@ def lower_edges_multipartite(s: PartStructure) -> int:
 def lower_nested_ceiling(s: PartStructure, t: int) -> int:
     """Max over ordered t-subsets of parts of the nested ratio ceiling.
 
-    The value depends on the nesting order.  It is nondecreasing in its
-    inner factor, so the best order of a set S puts outermost the part i
-    of S that maximizes ceil(v_i f(S - i) / k_i), f the best value of the
-    rest (_nested_rec); no ordering is listed.
+    Each factor ceil(v_i x / k_i) depends on part i only through v_i/k_i
+    and is nondecreasing in it and in x, so only the set S of the t parts
+    of largest v_i/k_i is nested.  Its best order puts outermost the part
+    i of S that maximizes ceil(v_i f(S - i) / k_i), f the best value of
+    the rest (_nested_rec); no ordering is listed, but t distinct parts
+    still take all 2^t subsets of S.
     """
     t = as_int(t, StrengthTooLarge, "strength")
     if t < 1:
         raise ParameterOrderViolated(f"nested-ceiling bound needs t >= 1, got t={t}")
     if t > s.m:
         raise StrengthExceedsParts(f"nested-ceiling bound needs t <= m, got t={t}, m={s.m}")
-    memo: dict = {}
-    return max(_nested_rec(S, memo) for S in combinations(sorted(zip(s.v, s.k)), t))
+    top = sorted(zip(s.v, s.k), key=lambda vk: Fraction(*vk))[s.m - t:]
+    return _nested_rec(tuple(sorted(top)), {})
 
 
 def _nested_rec(parts: tuple[tuple[int, int], ...], memo: dict) -> int:
     """The best nested ceiling of every ordering of parts, sorted (v_i, k_i)
     pairs, so that equal multisets share memo entries, as in core's
-    _schonheim_rec.  The memo lives for one lower_nested_ceiling call."""
+    _schonheim_rec."""
     if not parts:
         return 1
     if parts not in memo:

@@ -57,7 +57,7 @@ from .errors import (
     UnitProfilePart,
 )
 from .search import DEFAULT_MAX_NODES, DEFAULT_TIMEOUT, certify_classical, greedy_cover
-from .verify import _pattern_setup, _row_scan, _scan_input
+from .verify import _block_labels, _report, _setups
 
 
 def _pad(labels, k: int) -> tuple[int, ...]:
@@ -363,22 +363,21 @@ def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:
     deletion keeps the design valid, trying lexicographically last
     blocks first.  The input must verify (InvalidInput otherwise).
 
-    The patterns and the label arrays of the deduplicated blocks are
-    made once (verify's _scan_input), and from them each pattern's
-    counting set-up (verify's _pattern_setup).  The input and every
-    trial are checked by counting with those set-ups, a trial over the
-    rows of the blocks it keeps; the output is the only Design built."""
+    The label arrays of the deduplicated blocks are made once (verify's
+    _block_labels), and from them each pattern's counting set-up, listed
+    once (verify's _setups).  The input and every trial are reported on
+    from those set-ups (verify's _report), a trial over the rows of the
+    blocks it keeps; the output is the only Design built."""
     require_design(d, "prune_redundant")
     s = d.structure
     blocks = _drop_repeats(d.blocks, d.lam)
-    patterns, labels = _scan_input(s, d.t, blocks)
-    setups = [(p, _pattern_setup(labels, s, p, n_tuples)) for p, n_tuples in patterns]
-    if not _row_scan(setups, s, d.lam).valid:
+    setups = list(_setups(s, d.t, _block_labels(s, d.t, blocks)))
+    if not _report(s, setups, d.lam).valid:
         raise InvalidInput("input design fails verification")
     if greedy_drop:
         kept = set(range(len(blocks)))
         for r in sorted(kept, key=lambda q: blocks[q], reverse=True):
-            if _row_scan(setups, s, d.lam, sorted(kept - {r})).valid:
+            if _report(s, setups, d.lam, sorted(kept - {r})).valid:
                 kept.discard(r)
         blocks = [blocks[q] for q in sorted(kept)]
     return Design(s, d.t, tuple(blocks), d.lam)

@@ -21,10 +21,10 @@ parse_design reads the block lines one by one and does not load numpy.
 block section of plain decimal labels with one numpy read into the
 label arrays of verify's module docstring, one (n_blocks, k_i) array
 per part holding the labels as written, and checks them in bulk
-(core._check_labels); verify counts those arrays as read, after its
-one size rule (verify._patterns), and no Design is built.  For any other block section, a `*`, a bad token or a
-bad label included, it returns None, and the command falls back to
-parse_design, and so to its result and errors.
+(core._check_labels); verify's counting flow counts them as read, and
+no Design is built.  For any other block section, a `*`, a bad token
+or a bad label included, it returns None, and the command falls back
+to parse_design, and so to its result and errors.
 
 Covering-array files (parse_array) share the comment and blank-line
 rules: one row of integer entries per line.

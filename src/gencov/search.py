@@ -87,8 +87,10 @@ DEFAULT_TIMEOUT = 60.0
 CANDIDATE_CAP = 10 ** 6
 # coverers is a dense n_cands x n_tuples bit matrix, the one table greedy
 # allocates, and the search's full cover list is another; tables of more
-# bits than this are refused before either is allocated.
+# bits than this are refused before either is allocated.  A row of
+# coverers is an int object: 36 bytes or more with its list slot.
 TABLE_BITS_CAP = 1 << 30
+_ROW_BITS = 36 * 8
 # The search reads the clock every 64 nodes.
 _TIME_CHECK_MASK = 0x3F
 # Coverage tables of fewer (tuple, coverer) pairs than this are always
@@ -227,7 +229,8 @@ class _Tables:
     coverers, and the list covers() builds, are n_cands x n_tuples bit
     matrices, so each takes n_cands * n_tuples / 8 bytes whatever its
     density, and more than TABLE_BITS_CAP bits raise
-    CandidateSpaceTooLarge before either is built.  Lists of the
+    CandidateSpaceTooLarge before either is built; a row of coverers
+    counts at least _ROW_BITS, its int object.  Lists of the
     coverers' indices were smaller only where a tuple lies in under 1/64
     of the candidates.
 
@@ -257,7 +260,7 @@ class _Tables:
         for p in _walk_patterns(s, t):
             patterns.append(p)
             sizes.append(pattern_tuple_count(s, p))
-            bits += n_cands * sizes[-1]
+            bits += max(n_cands, _ROW_BITS) * sizes[-1]
             if bits > TABLE_BITS_CAP:
                 raise CandidateSpaceTooLarge(
                     f"coverage tables of at least {bits} bits exceed cap {TABLE_BITS_CAP}"

@@ -15,25 +15,26 @@ byte up to 255 blocks).  The whole universe is always scanned so the
 report carries a total deficit count, not just the first failure.
 
 Coverage is counted by one scan of per-part label arrays, which verify,
-coverage_deficit and construct's prune_redundant share.  The label
-arrays are one (n_blocks, k_i) integer array per part, holding the
-labels exactly as blocks and files write them, one-based; _part_labels
-builds them from blocks, io.parse_label_arrays reads them from a file's
-block section and core._check_labels checks them against the block
-rules, and none of these converts them.  `gencov verify` scans the
-arrays that io.parse_label_arrays read.  One size rule (_patterns) is
-checked before any array is built: no pattern may have more than
-PATTERN_TUPLE_CAP tuples, nor tuples of more than PATTERN_TUPLE_CAP
-labels, so every label fits in an array.  numpy is imported by the first
-label build or count, not with the module.
+coverage_deficit, `gencov verify` and construct's prune_redundant
+share.  The label arrays are one (n_blocks, k_i) integer array per
+part, holding the labels exactly as blocks and files write them,
+one-based; _part_labels builds them from blocks, io.parse_label_arrays
+reads them from a file's block section and core._check_labels checks
+them against the block rules, and none of these converts them.  One
+size rule (_patterns) is checked before any array is built: no pattern
+may have more than PATTERN_TUPLE_CAP tuples, nor tuples of more than
+PATTERN_TUPLE_CAP labels, so every label fits in an array.  numpy is
+imported by the first label build or count, not with the module.
 
 A pattern's count is split in two: a set-up built from the label arrays
 (_pattern_setup: slot terms, slot-0 run lengths, slot columns, chunk
-step and count dtype), and the count itself (_pattern_counts), over all
-blocks or over a subset of their rows.  verify, coverage_deficit and
-`gencov verify` build one pattern's set-up at a time and drop it once it
-is counted.  A prune builds its blocks' label arrays and every pattern's
-set-up once, and counts the rows each trial keeps (_row_scan).
+step and count dtype), and the count itself (_pattern_counts).  Every
+caller counts by one flow: _block_labels (the size rule, then the label
+arrays), _setups (each pattern's set-up, made when asked for) and
+_report (each set-up counted, over all blocks or the rows given, into
+the report).  verify, coverage_deficit and `gencov verify` hold one
+set-up at a time; a prune lists its set-ups once and reports on the
+rows each trial keeps.
 """
 
 from __future__ import annotations
@@ -113,11 +114,10 @@ def _patterns(s: PartStructure, t: int) -> list[tuple[Pattern, int]]:
     return out
 
 
-def _scan_input(s: PartStructure, t: int, blocks: tuple[Block, ...]) -> tuple[list, list]:
-    """(patterns, labels) for _scan of blocks at strength t: _patterns
-    first, then _part_labels, or no labels where there is no pattern."""
-    patterns = _patterns(s, t)
-    return patterns, _part_labels(s, blocks) if patterns else []
+def _block_labels(s: PartStructure, t: int, blocks: tuple[Block, ...]) -> list[np.ndarray]:
+    """The label arrays of blocks at strength t: _patterns first, then
+    _part_labels, or no labels where there is no pattern."""
+    return _part_labels(s, blocks) if _patterns(s, t) else []
 
 
 def _part_labels(s: PartStructure, blocks: tuple[Block, ...]) -> list[np.ndarray]:
@@ -232,22 +232,28 @@ def _unrank(s: PartStructure, p: Pattern, rank: int) -> SetTuple:
     return tuple(reversed(parts))
 
 
-def _pattern_scan(labels: list[np.ndarray], s: PartStructure, patterns: list):
-    """(pattern, counts) for each of patterns, from _patterns, counted
-    over the label arrays labels.  Each pattern's set-up is dropped once
-    it is counted, and the caller drops each count array before asking
-    for the next, so one of each is alive at a time."""
+def _setups(s: PartStructure, t: int, labels: list[np.ndarray]):
+    """(pattern, _pattern_setup) for each pattern of _patterns(s, t), over
+    the label arrays labels, built one at a time as they are asked for."""
     _bind_numpy()
-    for p, n_tuples in patterns:
-        yield p, _pattern_counts(_pattern_setup(labels, s, p, n_tuples))
+    for p, n_tuples in _patterns(s, t):
+        yield p, _pattern_setup(labels, s, p, n_tuples)
 
 
-def _report(s: PartStructure, counted, lam: int) -> VerificationReport:
-    """The report of a design on s of multiplicity lam whose coverage
-    counted gives as (pattern, counts) pairs, in pattern order."""
+def _report(s: PartStructure, setups, lam: int, rows=None) -> VerificationReport:
+    """The report of the blocks at rows, indices into the label arrays
+    that setups, (pattern, _pattern_setup) pairs in pattern order, were
+    built from, or of all their blocks if None, taken as a design on s of
+    multiplicity lam.  Each set-up and count array is dropped once it is
+    read, so a lazy setups holds one of each at a time."""
+    if rows is not None:
+        _bind_numpy()
+        rows = np.array(rows, dtype=np.intp)
     n_patterns = checked = deficit = 0
     first: SetTuple | None = None
-    for p, counts in counted:
+    for p, setup in setups:
+        counts = _pattern_counts(setup, rows)
+        del setup
         bad = counts < lam
         n_bad = int(np.count_nonzero(bad))
         if n_bad and first is None:
@@ -265,24 +271,6 @@ def _report(s: PartStructure, counted, lam: int) -> VerificationReport:
     )
 
 
-def _scan(labels: list[np.ndarray], s: PartStructure, patterns: list,
-          lam: int) -> VerificationReport:
-    """The report of the blocks of the label arrays labels, taken as a
-    design on s of multiplicity lam that must cover the tuples of
-    patterns (see _patterns)."""
-    return _report(s, _pattern_scan(labels, s, patterns), lam)
-
-
-def _row_scan(setups: list, s: PartStructure, lam: int, rows=None) -> VerificationReport:
-    """_scan's report of the blocks at rows, indices into the label
-    arrays that setups, (pattern, _pattern_setup) pairs, were built
-    from, or of all their blocks if None."""
-    if rows is not None:
-        _bind_numpy()
-        rows = np.array(rows, dtype=np.intp)
-    return _report(s, ((p, _pattern_counts(setup, rows)) for p, setup in setups), lam)
-
-
 def verify(d: Design) -> VerificationReport:
     """Full-universe check that every admissible tuple lies in >= lambda blocks.
 
@@ -292,8 +280,8 @@ def verify(d: Design) -> VerificationReport:
     every strength.
     """
     require_design(d, "verify")
-    patterns, labels = _scan_input(d.structure, d.t, d.blocks)
-    return _scan(labels, d.structure, patterns, d.lam)
+    s = d.structure
+    return _report(s, _setups(s, d.t, _block_labels(s, d.t, d.blocks)), d.lam)
 
 
 def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, int]]:
@@ -303,11 +291,13 @@ def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, 
     if cap < 1:
         raise NonPositiveEntry(f"cap must be >= 1, got {cap}")
     require_design(d, "coverage_deficit")
-    patterns, labels = _scan_input(d.structure, d.t, d.blocks)
+    s = d.structure
     out: list[tuple[SetTuple, int]] = []
-    for p, counts in _pattern_scan(labels, d.structure, patterns):
+    for p, setup in _setups(s, d.t, _block_labels(s, d.t, d.blocks)):
+        counts = _pattern_counts(setup)
+        del setup
         for rank in np.flatnonzero(counts < d.lam)[:cap - len(out)]:
-            out.append((_unrank(d.structure, p, int(rank)), int(counts[rank])))
+            out.append((_unrank(s, p, int(rank)), int(counts[rank])))
         if len(out) >= cap:
             break
         del counts

@@ -113,6 +113,24 @@ def test_nested_ceiling_matches_every_ordering():
             assert lower_nested_ceiling(s, t) == want, (s, t)
 
 
+def test_nested_ceiling_takes_the_largest_ratios(capsys):
+    """Only the t parts of largest v_i/k_i are nested, so 30 unit parts
+    at t = 15 take one recursion on 15 parts, not one on each of the
+    C(30, 15) = 155 M subsets.  bound_report and `gencov bounds` finish
+    at once, with no greedy entry: the 2^30 candidates are past the
+    search's cap."""
+    s = PartStructure((2,) * 30, (1,) * 30)
+    start = time.perf_counter()
+    assert lower_nested_ceiling(s, 15) == 32768
+    rep = bound_report(s, 15)
+    assert rep.best_lower == 32768 and "greedy" not in rep.upper
+    assert main(["bounds", "--v", ",".join(["2"] * 30), "--k", ",".join(["1"] * 30),
+                 "--t", "15"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "best_lower=32768" in lines and not any(ln.startswith("upper.") for ln in lines)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_lower_schonheim_lives_in_core():
     assert gencov.bounds.lower_schonheim is gencov.core.lower_schonheim
 
@@ -376,12 +394,13 @@ def test_greedy_upper_on_census():
         assert rep.best_upper <= s.block_count_possible(), (s, t)
 
 
-@pytest.mark.parametrize("v, k, t", [((24,), (6,), 5), ((40,), (20,), 2)],
-                         ids=["v24-k6-t5", "v40-k20-t2"])
+@pytest.mark.parametrize("v, k, t", [((24,), (6,), 5), ((40,), (20,), 2), ((25,), (24,), 12)],
+                         ids=["v24-k6-t5", "v40-k20-t2", "v25-k24-t12"])
 def test_bound_report_without_greedy_tables(v, k, t):
     # the coverage tables of (24)/(6) t=5 exceed the search's cap, so
     # greedy is refused before it allocates anything; at (40)/(20) t=2
-    # minimax's base search is refused the same way
+    # minimax's base search is refused the same way; (25)/(24) t=12 has
+    # few candidates but 5.2 M tuples, each a row of its own
     start = time.perf_counter()
     rep = bound_report(PartStructure(v, k), t)
     assert time.perf_counter() - start < 0.5

@@ -1,5 +1,6 @@
 """The package's module layout: one import order, and one owner per decision."""
 import ast
+import re
 from pathlib import Path
 
 import gencov
@@ -57,3 +58,12 @@ def test_only_core_names_the_shared_block_registry():
     named = sorted(p.name for p in SRC.glob("*.py")
                    if "_shared_blocks" in p.read_text(encoding="utf-8"))
     assert named == ["core.py"]
+
+
+def test_only_verify_names_its_counting_internals():
+    """Other modules count through verify's flow (_block_labels, _setups,
+    _report), never through the steps inside it."""
+    internals = re.compile(r"\b(_patterns|_pattern_setup|_pattern_counts|_slot_terms)\b")
+    named = sorted(p.name for p in SRC.glob("*.py")
+                   if internals.search(p.read_text(encoding="utf-8")))
+    assert named == ["verify.py"]

@@ -90,6 +90,19 @@ def test_table_bits_guard(capsys):
     assert time.monotonic() - start < 0.5
 
 
+def test_table_bits_guard_charges_each_row():
+    """(25)/(24) t=12: 25 candidates x 5,200,300 tuples is 130 M bits,
+    12% of the cap, but each tuple's row of coverers is an int object of
+    about 36 bytes, so the tables are refused before they are built.
+    Building them took 6.4 s and 436 MB."""
+    s = PartStructure((25,), (24,))
+    assert comb(25, 24) * comb(25, 12) < TABLE_BITS_CAP
+    start = time.monotonic()
+    with pytest.raises(CandidateSpaceTooLarge):
+        greedy_cover(s, 12)
+    assert time.monotonic() - start < 0.1
+
+
 def test_matches_brute_force():
     rng = random.Random(43)
     done = 0
