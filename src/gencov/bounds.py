@@ -24,7 +24,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .construct import construct_minimax, cover_t1
 from .core import Design, PartStructure, as_int, lower_schonheim, require_structure
@@ -96,10 +96,13 @@ def lower_nested_ceiling(s: PartStructure, t: int) -> int:
 
     Each factor ceil(v_i x / k_i) depends on part i only through v_i/k_i
     and is nondecreasing in it and in x, so only the set S of the t parts
-    of largest v_i/k_i is nested.  Its best order puts outermost the part
-    i of S that maximizes ceil(v_i f(S - i) / k_i), f the best value of
-    the rest (_nested_rec); no ordering is listed, but t distinct parts
-    still take all 2^t subsets of S.
+    of largest v_i/k_i is nested.  A part with k_i | v_i multiplies x
+    exactly, and r ceil(x) >= ceil(r x), so it goes outermost: the bound
+    is the product of those ratios times the best order of the rest of
+    S.  That order puts outermost the part i that maximizes
+    ceil(v_i f(R - i) / k_i), f the best value of the rest R
+    (_nested_rec); no ordering is listed, but t distinct parts with no
+    integer ratio still take all 2^t subsets of S.
     """
     t = as_int(t, StrengthTooLarge, "strength")
     if t < 1:
@@ -107,7 +110,9 @@ def lower_nested_ceiling(s: PartStructure, t: int) -> int:
     if t > s.m:
         raise StrengthExceedsParts(f"nested-ceiling bound needs t <= m, got t={t}, m={s.m}")
     top = sorted(zip(s.v, s.k), key=lambda vk: Fraction(*vk))[s.m - t:]
-    return _nested_rec(tuple(sorted(top)), {})
+    exact = prod(vi // ki for vi, ki in top if vi % ki == 0)
+    rest = tuple(sorted((vi, ki) for vi, ki in top if vi % ki))
+    return exact * _nested_rec(rest, {})
 
 
 def _nested_rec(parts: tuple[tuple[int, int], ...], memo: dict) -> int:

@@ -14,7 +14,7 @@ import sys
 from . import bounds as bounds_mod
 from . import construct as construct_mod
 from . import graphview, product, search
-from .core import PartStructure, from_covering_array, to_covering_array
+from .core import PartStructure, PlaceholderDesign, from_covering_array, to_covering_array
 from .errors import BudgetExhausted, GencovError, PlaceholdersPresent
 from .io import emit_design, parse_array, parse_design, parse_label_arrays
 from .verify import _report, _setups, verify
@@ -34,7 +34,7 @@ def _read(path: str) -> str:
 
 def _load_design(path: str):
     d = parse_design(_read(path))
-    if isinstance(d, construct_mod.PlaceholderDesign):
+    if isinstance(d, PlaceholderDesign):
         raise PlaceholdersPresent(f"{path} contains placeholder entries; fill them first")
     return d
 

@@ -11,31 +11,27 @@ of parts: each output part joins one or more input parts, whose labels
 are offset past the members before it.  restrict keeps some parts,
 expand_equivalent appends a copy of one, and amalgamate merges two.
 
-A PlaceholderDesign has the shape of a Design, a tuple of blocks that
-are tuples of parts, except that a part may hold core's STAR ("*"), an
-entry that fill() sets to the least label the part lacks.  Its blocks
-take make_block's check, in which each STAR counts toward k_i.  fill,
-delete_points and expand_blocks build sorted blocks and leave the check
-to the output Design, so each block is checked once.  The transforms
-take a Design and refuse a PlaceholderDesign (core.require_design), as
-verify and the products do.  Operations that can
-map two blocks to one drop the repeats at lambda = 1 only; at larger
-lambda a repeat counts toward the multiplicity and stays.
+The lift with placeholders kept returns core's PlaceholderDesign, whose
+parts may hold core's STAR ("*").  delete_points and expand_blocks, like
+PlaceholderDesign.fill, build sorted blocks and leave the check to the
+output Design, so each block is checked once.  The transforms take a
+Design and refuse a PlaceholderDesign (core.require_design), as verify
+and the products do.  Operations that can map two blocks to one drop
+the repeats at lambda = 1 only; at larger lambda a repeat counts toward
+the multiplicity and stays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     STAR,
-    Block,
     Design,
     PartStructure,
-    _check_blocks,
+    PlaceholderDesign,
+    _drop_repeats,
+    _pad,
     as_int,
     as_ints,
-    check_strength_lambda,
     require_design,
     require_structure,
 )
@@ -58,46 +54,6 @@ from .errors import (
 )
 from .search import DEFAULT_MAX_NODES, DEFAULT_TIMEOUT, certify_classical, greedy_cover
 from .verify import _block_labels, _report, _setups
-
-
-def _pad(labels, k: int) -> tuple[int, ...]:
-    """labels and the least labels not among them, k in all, sorted."""
-    out = list(labels)
-    fill = 1
-    while len(out) < k:
-        if fill not in out:
-            out.append(fill)
-        fill += 1
-    return tuple(sorted(out))
-
-
-def _drop_repeats(blocks, lam: int) -> tuple[Block, ...]:
-    """blocks without exact repeats at lambda = 1, where a repeat never
-    helps; every block, repeats too, at larger lambda."""
-    return tuple(dict.fromkeys(blocks)) if lam == 1 else tuple(blocks)
-
-
-@dataclass(frozen=True)
-class PlaceholderDesign:
-    """A design whose block parts may hold STAR, a don't-care entry."""
-
-    structure: PartStructure
-    t: int
-    blocks: tuple[tuple[tuple, ...], ...] = ()
-    lam: int = 1
-
-    def __post_init__(self) -> None:
-        t, lam = check_strength_lambda(self.structure, self.t, self.lam)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "blocks", _check_blocks(self.structure, self.blocks, STAR))
-
-    def fill(self) -> Design:
-        """Replace each placeholder with the least unused label of its
-        part, then drop exact repeats at lambda = 1."""
-        filled = (tuple(_pad([x for x in part if x != STAR], len(part)) for part in b)
-                  for b in self.blocks)
-        return Design(self.structure, self.t, _drop_repeats(filled, self.lam), self.lam)
 
 
 def cover_t1(s: PartStructure) -> Design:

@@ -7,12 +7,15 @@ when every admissible m-tuple of subsets with total size t is contained
 in at least lambda blocks.
 
 Point labels are 1-based within each part.  Blocks are canonicalized on
-construction: each part is stored as a sorted tuple of labels.
+construction: each part is stored as a sorted tuple of labels.  Design
+and PlaceholderDesign share one body; a PlaceholderDesign's parts may
+also hold STAR, which counts toward k_i and which fill() sets to the
+least label its part lacks.
 
 core also holds the generalized Schönheim recursion, which bounds and
 search both use, and alone reads and writes each structure's shared
-blocks.  Package imports run one way: core, then verify and search,
-then construct, then bounds, product and io, then cli.
+blocks.  Package imports run one way: core, then verify, search and io,
+then construct, then bounds and product, then cli.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, product
 from math import comb
-from operator import index, is_, lt
+from operator import index, is_, lt, mul
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -233,25 +236,62 @@ def check_strength_lambda(s: PartStructure, t, lam) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class Design:
-    """An ordered multiset of blocks with declared strength and lambda.
-
-    Repeated blocks are permitted; order is preserved as given.
-    """
+class _BlockDesign:
+    """Design's and PlaceholderDesign's body; _star is the class's
+    placeholder marker.  Neither subclasses the other, so they never
+    compare equal and require_design refuses a PlaceholderDesign."""
 
     structure: PartStructure
     t: int
     blocks: tuple[Block, ...] = field(default=())
     lam: int = 1
+    _star = None
 
     def __post_init__(self):
         t, lam = check_strength_lambda(self.structure, self.t, self.lam)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "blocks", _check_blocks(self.structure, self.blocks))
+        object.__setattr__(self, "blocks", _check_blocks(self.structure, self.blocks, self._star))
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+
+class Design(_BlockDesign):
+    """An ordered multiset of blocks with declared strength and lambda.
+
+    Repeated blocks are permitted; order is preserved as given.
+    """
+
+
+class PlaceholderDesign(_BlockDesign):
+    """A design whose block parts may hold STAR, a don't-care entry."""
+
+    _star = STAR
+
+    def fill(self) -> Design:
+        """Replace each placeholder with the least unused label of its
+        part, then drop exact repeats at lambda = 1."""
+        filled = (tuple(_pad([x for x in part if x != STAR], len(part)) for part in b)
+                  for b in self.blocks)
+        return Design(self.structure, self.t, _drop_repeats(filled, self.lam), self.lam)
+
+
+def _pad(labels, k: int) -> tuple[int, ...]:
+    """labels and the least labels not among them, k in all, sorted."""
+    out = list(labels)
+    fill = 1
+    while len(out) < k:
+        if fill not in out:
+            out.append(fill)
+        fill += 1
+    return tuple(sorted(out))
+
+
+def _drop_repeats(blocks, lam: int) -> tuple[Block, ...]:
+    """blocks without exact repeats at lambda = 1, where a repeat never
+    helps; every block, repeats too, at larger lambda."""
+    return tuple(dict.fromkeys(blocks)) if lam == 1 else tuple(blocks)
 
 
 def require_structure(s, op: str) -> None:
@@ -343,37 +383,60 @@ def lower_schonheim(s: PartStructure, t: int) -> int:
     to 0 disappears.  Each block holds k_i points of part i, so
     L(v,k,t) = max_i ceil(v_i/k_i L(v-e_i, k-e_i, t-1)), with
     L(v,k,1) = max_i ceil(v_i/k_i).  For m = 1 this is bounds.schonheim(),
-    computed in a loop.  Two or more parts recurse once per unit of t, and
-    a depth the interpreter cannot take raises StrengthTooLarge.
+    computed in a loop.
+
+    A unit part (k_i = 1) steps once, multiplying by v_i exactly, and
+    v ceil(x) >= ceil(v x), so some best path takes its unit steps
+    outermost, on the largest unit parts: L(P, t) is the max over j of
+    the product of the j largest unit v_i times W(N, t - j), W the
+    recursion on the other parts N (_schonheim_rec), W(N, 0) = 1.  Two or
+    more parts of N recurse once per unit of t, and a depth the
+    interpreter cannot take raises StrengthTooLarge.
     """
     require_structure(s, "lower_schonheim")
     t = as_int(t, StrengthTooLarge, "strength")
     if not 1 <= t <= s.k_sum:
         raise ParameterOrderViolated(f"need 1 <= t <= k_sum = {s.k_sum}, got t={t}")
+    units = sorted((vi for vi, ki in zip(s.v, s.k) if ki == 1), reverse=True)
+    rest = tuple(sorted((vi, ki) for vi, ki in zip(s.v, s.k) if ki > 1))
+    room = s.k_sum - len(units)
+    memo: dict = {}
+    best = 0
     try:
-        return _schonheim_rec(tuple(sorted(zip(s.v, s.k))), t, {})
+        for j, outer in enumerate(accumulate(units[:t], mul, initial=1)):
+            if t - j <= room:
+                best = max(best, outer * _schonheim_rec(rest, t - j, memo))
     except RecursionError:
         raise StrengthTooLarge(
             f"the Schönheim recursion on {s.m} parts at strength {t} is deeper than "
             "the interpreter allows") from None
+    return best
 
 
 def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> int:
-    """lower_schonheim on sorted (v_i, k_i) pairs, so that identical parts
-    share memo entries.  The memo lives for one lower_schonheim call.  One
-    part is the plain nested ceiling (_schonheim_single), so only two or
-    more parts recurse, once per unit of t."""
-    if t == 1:
-        return max(-(vi // -ki) for vi, ki in parts)
+    """W(parts, t), lower_schonheim's recursion on sorted (v_i, k_i) pairs,
+    each k_i >= 2, so that identical parts share memo entries and no
+    unit part enters the memo; 0 <= t <= their k_sum.  The memo lives
+    for one lower_schonheim call.  One part is the plain nested ceiling
+    (_schonheim_single), so only two or more parts recurse, once per
+    unit of t.  A part of profile 2 steps to the unit part (v_i - 1, 1),
+    whose step goes outermost, as in lower_schonheim."""
+    if t <= 1:
+        return max(-(vi // -ki) for vi, ki in parts) if t else 1
     if len(parts) == 1:
         return _schonheim_single(*parts[0], t)
     if (parts, t) not in memo:
+        k_sum = sum(ki for _, ki in parts)
         best = 0
         for i, (vi, ki) in enumerate(parts):
             rest = parts[:i] + parts[i + 1:]
-            if ki > 1:
-                rest = tuple(sorted(rest + ((vi - 1, ki - 1),)))
-            best = max(best, -(vi * _schonheim_rec(rest, t - 1, memo) // -ki))
+            if ki > 2:
+                inner = _schonheim_rec(tuple(sorted(rest + ((vi - 1, ki - 1),))), t - 1, memo)
+            else:
+                inner = (vi - 1) * _schonheim_rec(rest, t - 2, memo)
+                if t - 1 <= k_sum - ki:
+                    inner = max(inner, _schonheim_rec(rest, t - 1, memo))
+            best = max(best, -(vi * inner // -ki))
         memo[parts, t] = best
     return memo[parts, t]
 

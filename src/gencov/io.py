@@ -11,7 +11,7 @@
 `#` starts a comment anywhere on a line; blank lines are ignored; CRLF
 input is accepted.  Labels start at 1; a `*` in a block is a retained
 placeholder, core's STAR in the parsed parts, and a document holding one
-parses to a PlaceholderDesign.  Both kinds take one constructor call,
+parses to core's PlaceholderDesign.  Both kinds take one constructor call,
 which makes make_block's check on each block once.  Emission is
 canonical: labels ascending, placeholders last, parts joined by ` | `,
 headers in the order shown.
@@ -35,8 +35,8 @@ from __future__ import annotations
 import re
 import warnings
 
-from .construct import PlaceholderDesign
-from .core import STAR, Design, PartStructure, _check_labels, check_strength_lambda
+from .core import (STAR, Design, PartStructure, PlaceholderDesign, _check_labels,
+                   check_strength_lambda)
 from .errors import (DesignSemanticError, DesignSyntaxError, GencovError, StrengthTooLarge,
                      StructureMismatch)
 

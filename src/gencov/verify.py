@@ -21,9 +21,11 @@ part, holding the labels exactly as blocks and files write them,
 one-based; _part_labels builds them from blocks, io.parse_label_arrays
 reads them from a file's block section and core._check_labels checks
 them against the block rules, and none of these converts them.  One
-size rule (_patterns) is checked before any array is built: no pattern
-may have more than PATTERN_TUPLE_CAP tuples, nor tuples of more than
-PATTERN_TUPLE_CAP labels, so every label fits in an array.  numpy is
+size rule (_patterns) is checked before any array is built from blocks,
+and before any count: no pattern may have more than PATTERN_TUPLE_CAP
+tuples, nor tuples of more than PATTERN_TUPLE_CAP labels, so every
+label fits in an array.  `gencov verify` reads its arrays from the file
+first, and the rule refuses them before they are counted.  numpy is
 imported by the first label build or count, not with the module.
 
 A pattern's count is split in two: a set-up built from the label arrays
@@ -90,9 +92,10 @@ def _bind_numpy() -> None:
 def _patterns(s: PartStructure, t: int) -> list[tuple[Pattern, int]]:
     """(pattern, tuple count) of every admissible pattern of strength t in
     the global order, none at strength 0.  The one size rule, checked
-    before any label array is built: UniverseTooLarge for a pattern of
-    more than PATTERN_TUPLE_CAP tuples, or, when no count is above the
-    cap, for tuples of more than PATTERN_TUPLE_CAP labels (t above it).
+    before any label array is built from blocks, and before any count:
+    UniverseTooLarge for a pattern of more than PATTERN_TUPLE_CAP tuples,
+    or, when no count is above the cap, for tuples of more than
+    PATTERN_TUPLE_CAP labels (t above it).
 
     So at t >= 1 every structure passed has every v_i <= PATTERN_TUPLE_CAP,
     and labels too large for an array are refused too: some pattern takes

@@ -131,6 +131,91 @@ def test_nested_ceiling_takes_the_largest_ratios(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def _unit_heavy_structure(rng):
+    """Up to 7 parts, most of them unit parts or parts with k_i | v_i."""
+    v, k = [], []
+    for _ in range(rng.randint(1, 7)):
+        r = rng.random()
+        if r < 0.4:
+            vi, ki = rng.randint(1, 9), 1
+        elif r < 0.7:
+            ki = rng.randint(2, 4)
+            vi = ki * rng.randint(1, 3)
+        else:
+            vi = rng.randint(2, 9)
+            ki = rng.randint(2, vi)
+        v.append(vi)
+        k.append(ki)
+    return PartStructure(v, k)
+
+
+def test_unit_parts_outermost_matches_recursion():
+    """lower_schonheim takes its unit steps outermost, on the largest unit
+    parts; on parts that are mostly unit or k_i | v_i it is the plain
+    recursion L(P, t) = max_i ceil(v_i/k_i L(P - e_i, t-1)),
+    L(P, 1) = max_i ceil(v_i/k_i), a part of profile 0 dropped, spelled
+    out here over every part."""
+    def recursion(parts, t):
+        if t == 1:
+            return max(-(-vi // ki) for vi, ki in parts)
+        best = 0
+        for i, (vi, ki) in enumerate(parts):
+            rest = parts[:i] + parts[i + 1:] + (((vi - 1, ki - 1),) if ki > 1 else ())
+            best = max(best, -(-vi * recursion(tuple(sorted(rest)), t - 1) // ki))
+        return best
+
+    rng = random.Random(35)
+    for _ in range(300):
+        s = _unit_heavy_structure(rng)
+        for t in range(1, min(s.k_sum, 5) + 1):
+            want = recursion(tuple(sorted(zip(s.v, s.k))), t)
+            assert lower_schonheim(s, t) == want, (s, t)
+
+
+def test_integer_ratios_outermost_matches_every_ordering():
+    """lower_nested_ceiling multiplies the parts with k_i | v_i outermost;
+    on parts that are mostly such, it is the best nested ceiling over
+    every ordered t-subset of parts."""
+    from itertools import combinations, permutations
+    rng = random.Random(36)
+    for _ in range(300):
+        s = _unit_heavy_structure(rng)
+        for t in range(1, s.m + 1):
+            want = 0
+            for subset in combinations(range(s.m), t):
+                for order in permutations(subset):
+                    x = 1
+                    for i in reversed(order):
+                        x = -(s.v[i] * x // -s.k[i])
+                    want = max(want, x)
+            assert lower_nested_ceiling(s, t) == want, (s, t)
+
+
+def test_unit_parts_bound_at_once(capsys):
+    """30 unit parts of distinct sizes at t = 25 and (2, 3000)/(1, 1500)
+    at t = 1200, each deeper or wider than the plain recursion can go,
+    are bounded in under a second, through `gencov bounds` too."""
+    sizes = range(2, 32)
+    units = PartStructure(sizes, (1,) * 30)
+    product_25 = 1
+    for vi in sizes[-25:]:
+        product_25 *= vi
+    start = time.perf_counter()
+    assert lower_schonheim(units, 25) == lower_nested_ceiling(units, 25) == product_25
+    assert main(["bounds", "--v", ",".join(map(str, sizes)), "--k", ",".join(["1"] * 30),
+                 "--t", "25"]) == 0
+    assert f"best_lower={product_25}" in capsys.readouterr().out.splitlines()
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    pair = PartStructure((2, 3000), (1, 1500))
+    want = max(gencov.core._schonheim_single(3000, 1500, 1200),
+               2 * gencov.core._schonheim_single(3000, 1500, 1199))
+    assert lower_schonheim(pair, 1200) == want
+    assert main(["bounds", "--v", "2,3000", "--k", "1,1500", "--t", "1200"]) == 0
+    assert f"best_lower={want}" in capsys.readouterr().out.splitlines()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_lower_schonheim_lives_in_core():
     assert gencov.bounds.lower_schonheim is gencov.core.lower_schonheim
 

@@ -67,3 +67,20 @@ def test_only_verify_names_its_counting_internals():
     named = sorted(p.name for p in SRC.glob("*.py")
                    if internals.search(p.read_text(encoding="utf-8")))
     assert named == ["verify.py"]
+
+
+def test_io_imports_only_core_and_errors():
+    assert _graph()["io"] == {"core", "errors"}
+
+
+def test_core_defines_both_design_types_on_one_body():
+    """Design and PlaceholderDesign are defined in core and share one
+    __post_init__, but neither is the other: require_design refuses a
+    PlaceholderDesign, and the two never compare equal."""
+    both = {"Design", "PlaceholderDesign"}
+    owners = sorted(name for name, tree in MODULES.items() for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name in both)
+    assert owners == ["core", "core"]
+    assert gencov.PlaceholderDesign.__post_init__ is gencov.Design.__post_init__
+    assert not issubclass(gencov.PlaceholderDesign, gencov.Design)
+    assert not issubclass(gencov.Design, gencov.PlaceholderDesign)
