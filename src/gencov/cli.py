@@ -22,7 +22,7 @@ from .verify import _report, _setups, verify
 
 def _vec(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 

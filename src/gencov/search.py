@@ -167,27 +167,12 @@ def _spread(xs: list[int], width: int) -> list[int]:
     2**width: width - 1 zero bits go between the bits of x.  For width 1 that is
     xs, which is returned as it is, not copied.
 
-    The bits move by halving, with the masks made once for the list: at
-    step h (..., 4, 2, 1) the upper h bits of each run of 2h bits shift up
-    by h * (width - 1), and the mask keeps the h-bit runs that start at
-    multiples of h * width."""
+    The zeros go in as digits, by one join of x's binary string, so each
+    mask costs time linear in its spread width."""
     if width == 1:
         return xs
-    n = max(xs, default=0).bit_length()
-    steps = []
-    h = 1
-    while h < n:
-        run = h * width
-        repunit = ((1 << run * ((n - 1) // h + 1)) - 1) // ((1 << run) - 1)
-        steps.append((h * (width - 1), repunit * ((1 << h) - 1)))
-        h *= 2
-    steps.reverse()
-    out = []
-    for x in xs:
-        for shift, mask in steps:
-            x = (x | x << shift) & mask
-        out.append(x)
-    return out
+    gap = "0" * (width - 1)
+    return [int(gap.join(format(x, "b")), 2) for x in xs]
 
 
 def _kron(xs: list[int], ys: list[int], width: int) -> list[int]:
@@ -211,7 +196,8 @@ class _Tables:
     blocks it picks.  A candidate covers a tuple iff each part's
     k_i-subset holds its t_i-subset.  coverers[j] is the bitmask of the
     candidates that hold tuple j: per pattern, the Kronecker product of
-    per-part holder masks, each spread by the suffix width (_spread).
+    per-part holder masks, each spread by the suffix width (_spread, one
+    digit join per mask).
     The per-part masks come from one _part_incidence build per distinct
     (v_i, k_i), made for every p_i its parts take in the patterns.
 

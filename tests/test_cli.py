@@ -401,10 +401,12 @@ def test_usage_error_exits_two(capsys):
 
 
 def test_bad_vector_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["bounds", "--v", "4,x", "--k", "2,1", "--t", "2"])
-    assert e.value.code == 2
-    assert "comma-separated integers" in capsys.readouterr().err
+    """A non-integer or empty entry, trailing ones too, is refused."""
+    for vec in ("4,x", "4,,2", "4,2,"):
+        with pytest.raises(SystemExit) as e:
+            main(["bounds", "--v", vec, "--k", "2,1", "--t", "2"])
+        assert e.value.code == 2
+        assert "comma-separated integers" in capsys.readouterr().err, vec
 
 
 def run_python(*args):

@@ -540,14 +540,16 @@ def test_kron_matches_bits():
         assert _kron(xs, ys, width) == want, (xs, ys, width)
 
 
-def test_spread_matches_digit_join():
-    """Spreading puts width - 1 zero digits between the binary digits of
-    each x, for lists of mixed bit lengths; width 1 returns the list."""
+def test_spread_matches_bits():
+    """Spreading moves bit b of each x to bit b * width, for lists of mixed
+    bit lengths up to 3,000 bits at widths up to 300; width 1 returns the
+    list."""
     rng = random.Random(53)
-    for _ in range(500):
-        width = rng.randint(2, 40)
-        xs = [rng.getrandbits(rng.randint(0, 200)) for _ in range(rng.randint(0, 4))]
-        want = [int(("0" * (width - 1)).join(format(x, "b")), 2) for x in xs]
+    for n in range(500):
+        width = rng.randint(2, 40) if n < 450 else rng.randint(41, 300)
+        size = 200 if n < 450 else 3000
+        xs = [rng.getrandbits(rng.randint(0, size)) for _ in range(rng.randint(0, 4))]
+        want = [sum(1 << b * width for b in range(x.bit_length()) if x >> b & 1) for x in xs]
         assert _spread(xs, width) == want, (xs, width)
     xs = [5, 0, 3]
     assert _spread(xs, 1) is xs
@@ -597,8 +599,9 @@ def test_search_designs_share_blocks():
     assert all(x is y for x, y in zip(r1.design.blocks, r2.design.blocks))
 
 
-# greedy_cover on the structures of the cover-greedy benchmark, pinned
-# as (block count, first 16 hex digits of the SHA-256 of emit_design).
+# greedy_cover on the structures of the cover-greedy benchmark and on two
+# covering arrays, pinned as (block count, first 16 hex digits of the
+# SHA-256 of emit_design).
 GREEDY_PINNED = [
     ((8, 6), (4, 3), 4, 84, "23346834a4052dac"),
     ((5, 5, 5), (2, 2, 2), 3, 39, "2d6a0a57796a7397"),
@@ -606,6 +609,9 @@ GREEDY_PINNED = [
     ((4, 4, 4, 4, 4), (1, 1, 1, 1, 1), 2, 16, "e8863513e2022db4"),
     ((12,), (6,), 3, 15, "e8e4c14f5b2a0549"),
     ((1, 3, 5, 5), (1, 1, 2, 2), 4, 108, "45f902009f0f163f"),
+    # Covering arrays: many unit parts, where the spread masks are widest.
+    ((3,) * 12, (1,) * 12, 2, 21, "d72b2a969c7361d0"),
+    ((2,) * 16, (1,) * 16, 3, 24, "dd0d301522359948"),
 ]
 
 
