@@ -20,6 +20,7 @@ the search's caps.
 
 from __future__ import annotations
 
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -102,7 +103,8 @@ def lower_nested_ceiling(s: PartStructure, t: int) -> int:
     S.  That order puts outermost the part i that maximizes
     ceil(v_i f(R - i) / k_i), f the best value of the rest R
     (_nested_rec); no ordering is listed, but t distinct parts with no
-    integer ratio still take all 2^t subsets of S.
+    integer ratio still take all 2^t subsets of S.  A recursion deeper
+    than the interpreter allows raises StrengthTooLarge.
     """
     t = as_int(t, StrengthTooLarge, "strength")
     if t < 1:
@@ -112,7 +114,13 @@ def lower_nested_ceiling(s: PartStructure, t: int) -> int:
     top = sorted(zip(s.v, s.k), key=lambda vk: Fraction(*vk))[s.m - t:]
     exact = prod(vi // ki for vi, ki in top if vi % ki == 0)
     rest = tuple(sorted((vi, ki) for vi, ki in top if vi % ki))
-    return exact * _nested_rec(rest, {})
+    try:
+        return exact * _nested_rec(rest, {})
+    except RecursionError:
+        raise StrengthTooLarge(
+            f"the nested-ceiling recursion on {len(rest)} parts at strength {t} is deeper "
+            f"than the interpreter's recursion limit of {sys.getrecursionlimit()} allows"
+        ) from None
 
 
 def _nested_rec(parts: tuple[tuple[int, int], ...], memo: dict) -> int:
@@ -138,10 +146,13 @@ def lower_best(s: PartStructure, t: int) -> BoundReport:
 
     best_lower is the schonheim entry, which no other rule exceeds (see
     the module docstring).  Strength above the profile sum is impossible
-    and reported as infeasible with value 0.
+    and reported as infeasible with value 0, and a negative one is
+    refused with StrengthTooLarge.
     """
     require_structure(s, "lower_best")
     t = as_int(t, StrengthTooLarge, "strength")
+    if t < 0:
+        raise StrengthTooLarge(f"strength must be non-negative, got {t}")
     if t > s.k_sum:
         return BoundReport(lower={}, infeasible=True)
     if t == 0:

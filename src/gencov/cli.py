@@ -58,7 +58,7 @@ def _cmd_verify(args) -> int:
         report = verify(_load_design(args.file))
     else:
         s, t, lam, labels = arrays
-        report = _report(s, _setups(s, t, labels), lam)
+        report = _report(s, t, _setups(s, t, labels), lam)
     print(f"valid: {'yes' if report.valid else 'no'}")
     print(f"checked patterns: {report.checked_patterns}")
     print(f"checked tuples: {report.checked_tuples}")

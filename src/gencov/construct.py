@@ -328,12 +328,12 @@ def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:
     s = d.structure
     blocks = _drop_repeats(d.blocks, d.lam)
     setups = list(_setups(s, d.t, _block_labels(s, d.t, blocks)))
-    if not _report(s, setups, d.lam).valid:
+    if not _report(s, d.t, setups, d.lam).valid:
         raise InvalidInput("input design fails verification")
     if greedy_drop:
         kept = set(range(len(blocks)))
         for r in sorted(kept, key=lambda q: blocks[q], reverse=True):
-            if _report(s, setups, d.lam, sorted(kept - {r})).valid:
+            if _report(s, d.t, setups, d.lam, sorted(kept - {r})).valid:
                 kept.discard(r)
         blocks = [blocks[q] for q in sorted(kept)]
     return Design(s, d.t, tuple(blocks), d.lam)

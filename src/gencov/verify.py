@@ -11,8 +11,7 @@ weight and constant included.  A chunk of blocks is ranked slot by slot,
 summed in place: slot 0 of the lex subsets is nondecreasing, so its terms
 are repeated along their runs, and every later slot takes one gather.
 Counts take the smallest unsigned type that holds the block count (one
-byte up to 255 blocks).  The whole universe is always scanned so the
-report carries a total deficit count, not just the first failure.
+byte up to 255 blocks).
 
 Coverage is counted by one scan of per-part label arrays, which verify,
 coverage_deficit, `gencov verify` and construct's prune_redundant
@@ -32,11 +31,16 @@ A pattern's count is split in two: a set-up built from the label arrays
 (_pattern_setup: slot terms, slot-0 run lengths, slot columns, chunk
 step and count dtype), and the count itself (_pattern_counts).  Every
 caller counts by one flow: _block_labels (the size rule, then the label
-arrays), _setups (each pattern's set-up, made when asked for) and
-_report (each set-up counted, over all blocks or the rows given, into
-the report).  verify, coverage_deficit and `gencov verify` hold one
-set-up at a time; a prune lists its set-ups once and reports on the
-rows each trial keeps.
+arrays), _setups (each pattern's set-up, made when asked for) and one
+deficit walk, _deficits (each set-up counted, over all blocks or the
+rows given, and its tuples held fewer than lambda times listed by rank
+and count).  The walk stops once cap tuples are listed, so no pattern
+after that is counted, and it searches the counts a chunk at a time,
+so no index array of every deficient tuple is built.  _report reads the
+walk at DEFICIT_CAP and takes its checked totals from the size rule;
+coverage_deficit is the walk at its cap, decoded.  verify,
+coverage_deficit and `gencov verify` hold one set-up at a time; a prune
+lists its set-ups once and reports on the rows each trial keeps.
 """
 
 from __future__ import annotations
@@ -60,12 +64,12 @@ from .errors import NonPositiveEntry, UniverseTooLarge
 DEFICIT_CAP = 1000
 
 # Most tuples one pattern may have.  Counting them holds the counts, in
-# the smallest type that holds the block count, and a one-byte deficit
-# mask: 2 bytes a tuple up to 255 blocks (128 MiB at the cap), 3 bytes up
-# to 65,535.
+# the smallest type that holds the block count: 1 byte a tuple up to 255
+# blocks (64 MiB at the cap), 2 bytes up to 65,535.
 PATTERN_TUPLE_CAP = 1 << 26
 
-# Sub-tuple ranks added per np.add.at call; bounds the transient memory.
+# Sub-tuple ranks added per np.add.at call, and counts searched per step
+# of the deficit walk; bounds the transient memory.
 _CHUNK = 1 << 16
 
 # Bound by _bind_numpy, before any label build or count.
@@ -74,6 +78,16 @@ np = None
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Whether every admissible tuple lies in at least lambda blocks.
+
+    checked_patterns and checked_tuples describe the whole universe, every
+    admissible pattern and tuple, even when the deficit walk stops early.
+    first_uncovered is the first tuple held fewer than lambda times in the
+    global (pattern, tuple) order, or None, and deficient_count is how many
+    there are, capped at DEFICIT_CAP: the first entry and the length of
+    coverage_deficit at its default cap.
+    """
+
     valid: bool
     checked_patterns: int
     checked_tuples: int
@@ -243,65 +257,67 @@ def _setups(s: PartStructure, t: int, labels: list[np.ndarray]):
         yield p, _pattern_setup(labels, s, p, n_tuples)
 
 
-def _report(s: PartStructure, setups, lam: int, rows=None) -> VerificationReport:
-    """The report of the blocks at rows, indices into the label arrays
-    that setups, (pattern, _pattern_setup) pairs in pattern order, were
-    built from, or of all their blocks if None, taken as a design on s of
-    multiplicity lam.  Each set-up and count array is dropped once it is
-    read, so a lazy setups holds one of each at a time."""
+def _deficits(setups, lam: int, cap: int, rows=None) -> list[tuple[Pattern, int, int]]:
+    """The deficit walk: (pattern, rank, count) of the first cap tuples
+    held fewer than lam times, in pattern order and rank order within a
+    pattern, by the blocks at rows, indices into the label arrays that
+    setups, (pattern, _pattern_setup) pairs in pattern order, were built
+    from, or by all their blocks if None.  No pattern after the cap-th
+    entry is counted, and each count array is searched _CHUNK tuples at a
+    time.  Each set-up and count array is dropped once it is read, so a
+    lazy setups holds one of each at a time."""
     if rows is not None:
         _bind_numpy()
         rows = np.array(rows, dtype=np.intp)
-    n_patterns = checked = deficit = 0
-    first: SetTuple | None = None
+    out: list[tuple[Pattern, int, int]] = []
     for p, setup in setups:
         counts = _pattern_counts(setup, rows)
         del setup
-        bad = counts < lam
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad and first is None:
-            first = _unrank(s, p, int(bad.argmax()))
-        n_patterns += 1
-        checked += len(counts)
-        deficit += n_bad
-        del counts, bad
+        for lo in range(0, len(counts), _CHUNK):
+            for r in np.flatnonzero(counts[lo:lo + _CHUNK] < lam)[:cap - len(out)]:
+                out.append((p, lo + int(r), int(counts[lo + r])))
+            if len(out) == cap:
+                return out
+        del counts
+    return out
+
+
+def _report(s: PartStructure, t: int, setups, lam: int, rows=None) -> VerificationReport:
+    """The report of the blocks at rows (see _deficits), taken as a
+    design on s of strength t and multiplicity lam: the deficit walk at
+    DEFICIT_CAP, with the checked totals of the size rule, which refuses
+    every pattern before any is counted."""
+    patterns = _patterns(s, t)
+    found = _deficits(setups, lam, DEFICIT_CAP, rows)
     return VerificationReport(
-        valid=deficit == 0,
-        checked_patterns=n_patterns,
-        checked_tuples=checked,
-        first_uncovered=first,
-        deficient_count=min(deficit, DEFICIT_CAP),
+        valid=not found,
+        checked_patterns=len(patterns),
+        checked_tuples=sum(n for _, n in patterns),
+        first_uncovered=_unrank(s, *found[0][:2]) if found else None,
+        deficient_count=len(found),
     )
 
 
 def verify(d: Design) -> VerificationReport:
-    """Full-universe check that every admissible tuple lies in >= lambda blocks.
+    """Check that every admissible tuple lies in >= lambda blocks.
 
     first_uncovered is the first failing tuple in the global
-    (pattern, tuple) enumeration order.  Strength 0 is always valid.
-    Anything but a Design, a PlaceholderDesign for one, is refused at
-    every strength.
+    (pattern, tuple) enumeration order; the walk stops at DEFICIT_CAP
+    failures.  Strength 0 is always valid.  Anything but a Design, a
+    PlaceholderDesign for one, is refused at every strength.
     """
     require_design(d, "verify")
     s = d.structure
-    return _report(s, _setups(s, d.t, _block_labels(s, d.t, d.blocks)), d.lam)
+    return _report(s, d.t, _setups(s, d.t, _block_labels(s, d.t, d.blocks)), d.lam)
 
 
 def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, int]]:
     """Up to cap under-covered tuples with their actual multiplicities,
-    in the global enumeration order."""
+    in the global enumeration order: the deficit walk at cap, decoded."""
     cap = as_int(cap, NonPositiveEntry, "cap")
     if cap < 1:
         raise NonPositiveEntry(f"cap must be >= 1, got {cap}")
     require_design(d, "coverage_deficit")
     s = d.structure
-    out: list[tuple[SetTuple, int]] = []
-    for p, setup in _setups(s, d.t, _block_labels(s, d.t, d.blocks)):
-        counts = _pattern_counts(setup)
-        del setup
-        for rank in np.flatnonzero(counts < d.lam)[:cap - len(out)]:
-            out.append((_unrank(s, p, int(rank)), int(counts[rank])))
-        if len(out) >= cap:
-            break
-        del counts
-    return out
+    found = _deficits(_setups(s, d.t, _block_labels(s, d.t, d.blocks)), d.lam, cap)
+    return [(_unrank(s, p, rank), n) for p, rank, n in found]

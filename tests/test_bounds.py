@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import time
 from math import ceil, comb
 
@@ -95,6 +96,27 @@ def test_lower_schonheim_past_the_recursion_depth():
     with pytest.raises(StrengthTooLarge):
         lower_schonheim(PartStructure((n, n), (n, n)), n)
     assert time.monotonic() - start < 1.0
+
+
+def test_nested_ceiling_past_the_recursion_depth():
+    """Equal parts with no integer ratio nest once per unit of t; 400 of
+    them, past what the interpreter allows, raise a StrengthTooLarge that
+    names its recursion limit, not a bare RecursionError."""
+    want = 1
+    for _ in range(200):
+        want = -(5 * want // -2)
+    assert lower_nested_ceiling(PartStructure((5,) * 200, (2,) * 200), 200) == want
+    with pytest.raises(StrengthTooLarge, match=f"recursion limit of {sys.getrecursionlimit()}"):
+        lower_nested_ceiling(PartStructure((5,) * 400, (2,) * 400), 400)
+
+
+def test_negative_strength_is_refused_up_front():
+    """lower_best and bound_report take t = 0, so a negative t is refused
+    as a strength, as Design refuses it, not by lower_schonheim's
+    1 <= t rule."""
+    for call in (lower_best, bound_report):
+        with pytest.raises(StrengthTooLarge, match="strength must be non-negative, got -1"):
+            call(S433, -1)
 
 
 def test_nested_ceiling_matches_every_ordering():

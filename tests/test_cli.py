@@ -117,6 +117,12 @@ def test_bounds_infeasible(capsys):
     assert "infeasible=true" in out
 
 
+def test_bounds_negative_strength(capsys):
+    code, out, err = run(capsys, "bounds", "--v", "4,2,2", "--k", "2,1,1", "--t", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: strength must be non-negative, got -1\n"
+
+
 def test_bounds_single_part_past_the_recursion_depth(capsys):
     """One part is the nested ceiling in a loop, whatever t; two parts
     that recurse deeper than the interpreter allows exit 2 with one

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -18,6 +19,7 @@ from gencov import (
     PlaceholderDesign,
     PlaceholdersPresent,
     UniverseTooLarge,
+    VerificationReport,
     construct_minimax,
     coverage_deficit,
     emit_design,
@@ -121,7 +123,11 @@ def assert_matches_oracle(d):
     missed.sort(key=lambda pT: (tuple(-x for x in pT[0]), pT[1]))
     assert rep.first_uncovered == (missed[0][1] if missed else None)
     hits = [sum(oracle.tuple_covered(T, B) for B in blocks) for _, T in missed]
-    assert coverage_deficit(d) == [(T, h) for (_, T), h in zip(missed, hits)]
+    deficit = coverage_deficit(d)
+    assert deficit == [(T, h) for (_, T), h in zip(missed, hits)]
+    # the report and coverage_deficit read one walk
+    assert rep.first_uncovered == (deficit[0][0] if deficit else None)
+    assert rep.deficient_count == len(deficit)
 
 
 def test_matches_oracle_randomized():
@@ -307,6 +313,58 @@ def test_counter_memory_is_bounded():
         tracemalloc.stop()
     assert rep.valid and rep.checked_tuples == 802_011
     assert peak < 8 * 523_776
+
+
+def one_block(v, k, block, t=2):
+    s = PartStructure(v, k)
+    return Design(s, t, (make_block(s, block),))
+
+
+def test_walk_stops_at_the_cap(monkeypatch):
+    """(60, 2000)/(2, 2) at t = 2 with one block: its first pattern, (2, 0),
+    has 1769 deficient tuples, so the walk stops there and the other two
+    patterns, 2,119,000 tuples, are never counted; the checked totals
+    still describe the whole universe."""
+    d = one_block((60, 2000), (2, 2), [[1, 2], [1, 2]])
+    module = sys.modules["gencov.verify"]
+    calls = []
+    counts = module._pattern_counts
+    monkeypatch.setattr(module, "_pattern_counts",
+                        lambda *args: calls.append(1) or counts(*args))
+    rep = verify(d)
+    assert rep == VerificationReport(valid=False, checked_patterns=3, checked_tuples=2120770,
+                                     first_uncovered=((1, 3), ()), deficient_count=1000)
+    assert len(calls) == 1
+    deficit = coverage_deficit(d)
+    assert len(calls) == 2
+    assert (deficit[0][0], len(deficit)) == (rep.first_uncovered, rep.deficient_count)
+    pairs = (T for T in itertools.combinations(range(1, 61), 2) if T != (1, 2))
+    assert deficit == [((T, ()), 0) for T in itertools.islice(pairs, 1000)]
+
+
+def test_coverage_deficit_memory_is_bounded():
+    """(4096)/(2) at t = 2 with one block has C(4096, 2) = 8,386,560 tuples
+    counted in one byte each; listing the first 1000 deficient ones builds
+    no index array of all of them, so the peak stays under 3 bytes a
+    tuple."""
+    d = one_block((4096,), (2,), [[1, 2]])
+    n_tuples = 4096 * 4095 // 2
+    for call in (coverage_deficit, verify):
+        got, peak = traced_peak(call, d)
+        assert not isinstance(got, UniverseTooLarge)
+        assert peak < 3 * n_tuples, call
+
+
+@pytest.mark.parametrize("call", [verify, coverage_deficit])
+def test_size_rule_comes_before_the_walk(call):
+    """(2000, 16384)/(2, 2) at t = 2 with one block: the first pattern alone
+    has over 1000 deficient tuples, where the walk would stop, but the
+    last, C(16384, 2) tuples, is over the cap, and the size rule refuses
+    it before any count."""
+    d = one_block((2000, 16384), (2, 2), [[1, 2], [1, 2]])
+    assert comb(16384, 2) > PATTERN_TUPLE_CAP
+    with pytest.raises(UniverseTooLarge, match=f"above cap {PATTERN_TUPLE_CAP}"):
+        call(d)
 
 
 def hadamard_fifth_power():
