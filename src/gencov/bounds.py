@@ -126,12 +126,13 @@ def lower_nested_ceiling(s: PartStructure, t: int) -> int:
 def _nested_rec(parts: tuple[tuple[int, int], ...], memo: dict) -> int:
     """The best nested ceiling of every ordering of parts, sorted (v_i, k_i)
     pairs, so that equal multisets share memo entries, as in core's
-    _schonheim_rec."""
+    _schonheim_rec; of equal parts, only the first goes outermost."""
     if not parts:
         return 1
     if parts not in memo:
         memo[parts] = max(-(vi * _nested_rec(parts[:i] + parts[i + 1:], memo) // -ki)
-                          for i, (vi, ki) in enumerate(parts))
+                          for i, (vi, ki) in enumerate(parts)
+                          if not i or parts[i - 1] != (vi, ki))
     return memo[parts]
 
 

@@ -416,11 +416,12 @@ def lower_schonheim(s: PartStructure, t: int) -> int:
 def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> int:
     """W(parts, t), lower_schonheim's recursion on sorted (v_i, k_i) pairs,
     each k_i >= 2, so that identical parts share memo entries and no
-    unit part enters the memo; 0 <= t <= their k_sum.  The memo lives
-    for one lower_schonheim call.  One part is the plain nested ceiling
-    (_schonheim_single), so only two or more parts recurse, once per
-    unit of t.  A part of profile 2 steps to the unit part (v_i - 1, 1),
-    whose step goes outermost, as in lower_schonheim."""
+    unit part enters the memo; 0 <= t <= their k_sum.  Of equal parts,
+    only the first is stepped.  The memo lives for one lower_schonheim
+    call.  One part is the plain nested ceiling (_schonheim_single), so
+    only two or more parts recurse, once per unit of t.  A part of
+    profile 2 steps to the unit part (v_i - 1, 1), whose step goes
+    outermost, as in lower_schonheim."""
     if t <= 1:
         return max(-(vi // -ki) for vi, ki in parts) if t else 1
     if len(parts) == 1:
@@ -429,6 +430,8 @@ def _schonheim_rec(parts: tuple[tuple[int, int], ...], t: int, memo: dict) -> in
         k_sum = sum(ki for _, ki in parts)
         best = 0
         for i, (vi, ki) in enumerate(parts):
+            if i and parts[i - 1] == (vi, ki):
+                continue  # an equal part gives the same branch
             rest = parts[:i] + parts[i + 1:]
             if ki > 2:
                 inner = _schonheim_rec(tuple(sorted(rest + ((vi - 1, ki - 1),))), t - 1, memo)

@@ -11,15 +11,16 @@ cover, so plain subsets suffice.
 
 Tables: the coverers of every tuple are built up front, as greedy's gain
 updates and the branching read them, from one incidence build per
-distinct part (v_i, k_i) that serves every t_i the patterns give it.
-The candidates themselves are never listed: a candidate is its index,
-decoded into per-part subsets by mixed radix when a block or a cover
-mask is needed.  The tuples a candidate covers are, per pattern, a
-product of per-part factors.  Greedy, which reads only its picks' masks,
-multiplies them out per pick; the search, which reads one per child,
-builds every candidate's mask from the same factors once greedy has
-missed the root bound, core's lower_schonheim.  The designs it returns
-share their block objects through core's registry on the structure.
+distinct part (v_i, k_i) that serves every t_i the patterns give it,
+by ANDs of per-point masks (_part_incidence).  The candidates
+themselves are never listed: a candidate is its index, decoded into
+per-part subsets by mixed radix when a block or a cover mask is needed.
+The tuples a candidate covers are, per pattern, a product of per-part
+factors.  Greedy, which reads only its picks' masks, multiplies them
+out per pick; the search, which reads one per child, builds every
+candidate's mask from the same factors once greedy has missed the root
+bound, core's lower_schonheim.  The designs it returns share their
+block objects through core's registry on the structure.
 
 Symmetry: permuting the points inside each part maps any block onto the
 first candidate ((1..k_1), ..., (1..k_m)), so some minimum cover holds
@@ -64,6 +65,14 @@ holds x, cap = C(k_i-1, p_i-1) * prod_{j!=i} C(k_j, p_j).  Uncovered
 tuples over the most one block covers is a mediant of the pattern
 ratios, never above group 0, so it is not counted.  The walk stops
 once the bound reaches the pruning number, after any group.
+
+A node is counted and bounded in its parent's loop over the options:
+after the orbit skip come the budget check, the count, the check for a
+cover and remaining_lb, in that order.  Only a child that the bound
+keeps, which branches, has its atoms refined and its tau found, and is
+searched.  Pruned children and covers are nodes too, so the count is
+that of every child reached.  The root, candidate 0, is the one option
+of an empty parent.
 """
 
 from __future__ import annotations
@@ -124,41 +133,75 @@ def _part_incidence(vi: int, ki: int, tis: Collection[int], deadline: float | No
     t_i-subsets inside it, and for each t_i-subset the bitmask of the
     k_i-subsets holding it.
 
-    Lex order lists the subsets that hold point 1 first, so splitting on
-    point 1 gives both tables of v points from three tables of v - 1:
-    masks(v,k,t) is m(v-1,k-1,t-1) | m(v-1,k-1,t) << C(v-1,t-1) followed
-    by m(v-1,k,t) << C(v-1,t-1), and holders(v,k,t) is h(v-1,k-1,t-1)
-    followed by h(v-1,k-1,t) | h(v-1,k,t) << C(v-1,k-1).  The tables are
-    built one size v at a time, keeping only the previous size and only
-    the (k, t) that some (ki, ti) at v_i needs, so one build serves every
-    t_i of a part; a missing (k, t) has t > k or k > v and holds no
-    containment.  The deadline is checked once per size."""
-    level: dict[tuple[int, int], tuple[list[int], list[int]]] = {(0, 0): ([1], [1])}
-    for v in range(1, vi + 1):
+    Both come from per-point masks (_holding), one build per part for
+    every t_i.  A t_i-subset's holders are the AND of its points'
+    holders, and a k_i-subset's mask is the AND, over each point outside
+    it, of the t_i-subsets that miss that point; the k_i-subsets'
+    complements, (v_i - k_i)-subsets, come in reverse lex order, so that
+    list is reversed.  The deadline is checked once per step of _holding
+    and once per subset size in _subset_ands."""
+    holding = {k: _holding(vi, k, deadline) for k in {ki, *tis}}
+    out = {}
+    for ti in tis:
+        every = (1 << comb(vi, ti)) - 1
+        missing = [every ^ h for h in holding[ti]]
+        out[ti] = (_subset_ands(missing, vi - ki, every, deadline)[::-1],
+                   _subset_ands(holding[ki], ti, (1 << comb(vi, ki)) - 1, deadline))
+    return out
+
+
+def _holding(v: int, k: int, deadline: float | None) -> list[int]:
+    """For each point of 1..v, the bitmask of the lex k-subsets that hold
+    it.
+
+    In the lex prefix tree, a prefix ending at point x with r points
+    still to choose has a run of C(v-x, r) leaves, so x's mask is that
+    run of ones times starts[x], the bitmask of the runs' first leaves.
+    From one depth to the next, the starts of the children ending at x
+    are those ending at x - 1, shifted by their run, plus the parents
+    ending at x - 1, whose first child is x.  That takes k steps of v
+    shifts; for k > v/2 the complements, (v-k)-subsets listed in reverse
+    lex order, take v - k steps and their masks are bit-reversed and
+    inverted."""
+    flip = 2 * k > v
+    depth = v - k if flip else k
+    masks = [0] * v
+    parents = [0] * v
+    for r in reversed(range(depth)):
         _check_deadline(deadline)
-        prev, level, n = level, {}, v - 1
+        # The first level's one parent, the empty prefix, starts at leaf 0.
+        start = int(r == depth - 1)
+        starts = []
+        for x in range(v):
+            if x:
+                start = start << comb(v - x, r) | parents[x - 1]
+            starts.append(start)
+            masks[x] |= ((1 << comb(v - x - 1, r)) - 1) * start
+        parents = starts
+    if flip:
+        n = comb(v, k)
+        every = (1 << n) - 1
+        masks = [every ^ int(format(m, f"0{n}b")[::-1], 2) for m in masks]
+    return masks
 
-        def get(k: int, t: int) -> tuple[list[int], list[int]]:
-            got = prev.get((k, t))
-            if got is None:
-                got = ([0] * comb(n, k) if k >= 0 else [], [0] * comb(n, t) if t >= 0 else [])
-            return got
 
-        # From (ki, ti) at vi the split reaches only k <= ki and t <= ti with
-        # v - k <= vi - ki and k - t <= ki - ti; the union of these windows
-        # over tis holds every dependency of its members.
-        for k in range(max(0, v - vi + ki), min(ki, v) + 1):
-            ts = set()
-            for ti in tis:
-                ts.update(range(max(0, ti - vi + v, k - ki + ti), min(ti, k) + 1))
-            for t in ts:
-                (m1, h1), (m0, h0), (mk, hk) = get(k - 1, t - 1), get(k - 1, t), get(k, t)
-                tshift = comb(n, t - 1) if t else 0
-                kshift = comb(n, k - 1) if k else 0
-                masks = [x | y << tshift for x, y in zip(m1, m0)]
-                masks += [y << tshift for y in mk]
-                level[k, t] = (masks, h1 + [x | y << kshift for x, y in zip(h0, hk)])
-    return {ti: level[ki, ti] for ti in tis}
+def _subset_ands(masks: list[int], r: int, top: int, deadline: float | None) -> list[int]:
+    """For each r-subset of the points of masks, in lex order, top ANDed
+    with its points' masks.  The d-subsets of points x..v are those
+    holding x, x's mask ANDed into each (d-1)-subset of x+1..v, then the
+    d-subsets of x+1..v, so each size d is built from d - 1, and a
+    subset's AND shares its suffix's: at most C(v+1, r) - 1 ANDs."""
+    v = len(masks)
+    # level[x] lists the ANDs of the d-subsets of the points from x on.
+    level = [[top]] * (v + 1)
+    for d in range(1, r + 1):
+        _check_deadline(deadline)
+        below, level = level, [[]] * (v + 1)
+        # Only points x >= r - d start a suffix that an r-subset ends with.
+        for x in reversed(range(r - d, v - d + 1)):
+            mx = masks[x]
+            level[x] = [mx & a for a in below[x + 1]] + level[x + 1]
+    return level[0]
 
 
 def _spread(xs: list[int], width: int) -> list[int]:
@@ -229,10 +272,11 @@ class _Tables:
 
     Past the deadline, if one is given, the build raises BudgetExhausted,
     as no design exists yet.  It checks before and after each pattern's
-    tables, before each part, and once per size of a part's incidence,
-    unless the tables hold fewer than _UNTIMED_ENTRIES (tuple, coverer)
-    pairs in all: a small table is always built, so that a spent timeout
-    still leaves greedy's cheap finish.  covers() takes its own deadline.
+    tables, before each part, and once per step of a part's incidence
+    (_part_incidence), unless the tables hold fewer than
+    _UNTIMED_ENTRIES (tuple, coverer) pairs in all: a small table is
+    always built, so that a spent timeout still leaves greedy's cheap
+    finish.  covers() takes its own deadline.
     """
 
     def __init__(self, s: PartStructure, t: int, deadline: float | None = None):
@@ -555,28 +599,14 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = DEFAULT_MAX_NODES,
     cand_points = tb._point_masks
     everything = (1 << s.v_sum) - 1
 
-    def dfs(chosen: list[int], uncovered: int, banned: int, atoms: list[int]) -> None:
+    def dfs(chosen: list[int], uncovered: int, banned: int, atoms: list[int], opts: int) -> None:
+        """Search the children of the node that chose chosen, one per
+        option in opts.  Each child is counted and bounded here, and only
+        one that the bound keeps, which branches, is entered."""
         nonlocal best, nodes, stopped
-        # The clock is read at the root too, so a deadline spent before
-        # the search starts stops it at once.
-        if nodes >= max_nodes or (nodes & _TIME_CHECK_MASK == 0
-                                  and time.monotonic() > deadline):
-            stopped = True
-            return
-        nodes += 1
-        if not uncovered:
-            if len(chosen) < len(best):
-                best = chosen[:]
-            return
-        stop = len(best) - len(chosen)
-        if tb.remaining_lb(uncovered, stop) >= stop:
-            return
-        tau = (uncovered & -uncovered).bit_length() - 1
-        opts = tb.coverers[tau] & ~banned
         if atoms:
             single = everything ^ sum(atoms)
             seen: set[tuple[int, ...]] = set()
-        child = atoms
         for c in _ones(opts):
             if atoms:
                 # Skip c if it is in the orbit of an earlier sibling.
@@ -585,19 +615,39 @@ def exact_min(s: PartStructure, t: int, *, max_nodes: int = DEFAULT_MAX_NODES,
                 if orbit in seen:
                     continue
                 seen.add(orbit)
-                child = _refine(atoms, points)
+            # The clock is read at the root too, so a deadline spent before
+            # the search starts stops it at once.
+            if nodes >= max_nodes or (nodes & _TIME_CHECK_MASK == 0
+                                      and time.monotonic() > deadline):
+                stopped = True
+                return
+            nodes += 1
+            rest = uncovered & ~covers[c]
+            if not rest:
+                if len(chosen) + 1 < len(best):
+                    best = [*chosen, c]
+                    if len(best) == lower:
+                        return
+                continue
+            stop = len(best) - len(chosen) - 1
+            if tb.remaining_lb(rest, stop) >= stop:
+                continue
             # The child bans every earlier sibling, skipped ones too.
+            child_banned = banned | opts & ((1 << c) - 1)
+            tau = (rest & -rest).bit_length() - 1
             chosen.append(c)
-            dfs(chosen, uncovered & ~covers[c], banned | opts & ((1 << c) - 1), child)
+            dfs(chosen, rest, child_banned, _refine(atoms, points) if atoms else atoms,
+                tb.coverers[tau] & ~child_banned)
             chosen.pop()
             if len(best) == lower or stopped:
                 return
 
-    # Candidate 0 is the first block ((1..k_1), ..., (1..k_m)).
-    # The atoms start as the parts of two or more points.
+    # Candidate 0 is the first block ((1..k_1), ..., (1..k_m)), the one
+    # option of an empty parent.  The atoms start as the parts of two or
+    # more points.
     parts = [((1 << vi) - 1) << (offset - vi)
              for vi, offset in zip(s.v, accumulate(s.v)) if vi > 1]
-    dfs([0], ((1 << tb.n_tuples) - 1) & ~covers[0], 0, _refine(parts, cand_points[0]))
+    dfs([], (1 << tb.n_tuples) - 1, 0, parts, 1)
     status = "proven" if len(best) == lower or not stopped else "budget-exhausted"
     return SearchResult(len(best), tb.design_from(best), nodes, status)
 

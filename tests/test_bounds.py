@@ -119,6 +119,60 @@ def test_negative_strength_is_refused_up_front():
             call(S433, -1)
 
 
+def _repeated_parts_structure(rng):
+    """Two to six parts drawn from at most three (v_i, k_i), so that most
+    parts equal another."""
+    kinds = []
+    for _ in range(rng.randint(1, 3)):
+        ki = rng.randint(1, 4)
+        kinds.append((rng.randint(ki, 8), ki))
+    return PartStructure(*zip(*(rng.choice(kinds) for _ in range(rng.randint(2, 6)))))
+
+
+def test_equal_parts_match_the_plain_recursions():
+    """Of equal parts, core's _schonheim_rec steps only the first and
+    bounds' _nested_rec puts only the first outermost; on structures of
+    repeated parts both equal the plain recursions over every part,
+    spelled out here."""
+    from functools import cache
+
+    @cache
+    def schonheim_plain(parts, t):
+        if t == 1:
+            return max(-(-vi // ki) for vi, ki in parts)
+        best = 0
+        for i, (vi, ki) in enumerate(parts):
+            rest = parts[:i] + parts[i + 1:] + (((vi - 1, ki - 1),) if ki > 1 else ())
+            best = max(best, -(-vi * schonheim_plain(tuple(sorted(rest)), t - 1) // ki))
+        return best
+
+    @cache
+    def nested_plain(parts):
+        return max((-(-vi * nested_plain(parts[:i] + parts[i + 1:]) // ki)
+                    for i, (vi, ki) in enumerate(parts)), default=1)
+
+    rng = random.Random(38)
+    for _ in range(300):
+        s = _repeated_parts_structure(rng)
+        parts = tuple(sorted(zip(s.v, s.k)))
+        for t in range(1, min(s.k_sum, 6) + 1):
+            assert lower_schonheim(s, t) == schonheim_plain(parts, t), (s, t)
+        for t in range(1, s.m + 1):
+            top = sorted(parts, key=lambda vk: vk[0] / vk[1])[s.m - t:]
+            assert lower_nested_ceiling(s, t) == nested_plain(tuple(sorted(top))), (s, t)
+
+
+def test_many_equal_parts_bound_at_once():
+    """200 parts of (5)/(2) at t = 200: a profile-2 part stepped twice
+    multiplies by 10 exactly, so the Schönheim bound is 10^100, and
+    lower_best takes under 2 s, as each memo entry steps one of its
+    equal parts, not every one."""
+    s = PartStructure((5,) * 200, (2,) * 200)
+    start = time.perf_counter()
+    assert lower_best(s, 200).best_lower == 10 ** 100
+    assert time.perf_counter() - start < 2.0
+
+
 def test_nested_ceiling_matches_every_ordering():
     from itertools import combinations, permutations
     rng = random.Random(43)

@@ -123,6 +123,22 @@ def test_bounds_negative_strength(capsys):
     assert err == "error: strength must be non-negative, got -1\n"
 
 
+def test_bounds_many_equal_parts(capsys):
+    """200 parts of (5)/(2) at t = 200 are bounded; on 400, the nested
+    ceiling, past the interpreter's depth, exits 2 with one error line."""
+    fives, twos = ",".join(["5"] * 200), ",".join(["2"] * 200)
+    code, out, err = run(capsys, "bounds", "--v", fives, "--k", twos, "--t", "200")
+    assert (code, err) == (0, "")
+    assert f"best_lower={10 ** 100}" in out.splitlines()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--v", f"{fives},{fives}", "--k", f"{twos},{twos}",
+                         "--t", "400")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the nested-ceiling recursion on 400 parts")
+    assert err.count("\n") == 1
+    assert time.perf_counter() - start < 20.0
+
+
 def test_bounds_single_part_past_the_recursion_depth(capsys):
     """One part is the nested ceiling in a loop, whatever t; two parts
     that recurse deeper than the interpreter allows exit 2 with one

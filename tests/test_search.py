@@ -658,3 +658,102 @@ def test_greedy_picks_match_full_rescan():
         assert search_module._greedy(tb) == _rescan_greedy(tb, False), (s, t)
         # a spent deadline runs the cheap finish from the first pick
         assert search_module._greedy(tb, 0) == _rescan_greedy(tb, True), (s, t)
+
+
+def _listed_incidence(v, k, t):
+    """_part_incidence's tables for one t, by listing each lex k-subset's
+    t-subsets and looking up their lex ranks."""
+    ranks = {c: j for j, c in enumerate(combinations(range(v), t))}
+    masks, holders = [], [0] * len(ranks)
+    for a, big in enumerate(combinations(range(v), k)):
+        js = [ranks[c] for c in combinations(big, t)]
+        masks.append(sum(1 << j for j in js))
+        for j in js:
+            holders[j] |= 1 << a
+    return masks, holders
+
+
+def test_part_incidence_matches_listed_containment():
+    """For every 0 <= t <= k <= v <= 14, one t at a time and every t at
+    once, the tables equal those listed from each k-subset's t-subsets;
+    on larger parts, so do 20 random rows of masks and of holders."""
+    for v in range(15):
+        for k in range(v + 1):
+            listed = {t: _listed_incidence(v, k, t) for t in range(k + 1)}
+            for t in range(k + 1):
+                assert _part_incidence(v, k, [t]) == {t: listed[t]}, (v, k, t)
+            assert _part_incidence(v, k, range(k + 1)) == listed, (v, k)
+    rng = random.Random(38)
+    for v, k, tis in [(18, 9, {3}), (16, 4, {2}), (30, 2, {0, 1, 2}), (20, 10, {2, 4})]:
+        got = _part_incidence(v, k, tis)
+        bigs = list(combinations(range(v), k))
+        big_ranks = {big: a for a, big in enumerate(bigs)}
+        for t in tis:
+            subs = list(combinations(range(v), t))
+            sub_ranks = {sub: j for j, sub in enumerate(subs)}
+            masks, holders = got[t]
+            assert (len(masks), len(holders)) == (len(bigs), len(subs)), (v, k, t)
+            for a in rng.sample(range(len(bigs)), min(20, len(bigs))):
+                want = sum(1 << sub_ranks[c] for c in combinations(bigs[a], t))
+                assert masks[a] == want, (v, k, t, a)
+            for j in rng.sample(range(len(subs)), min(20, len(subs))):
+                others = sorted(set(range(v)) - set(subs[j]))
+                want = bytearray(len(bigs) // 8 + 1)
+                for c in combinations(others, k - t):
+                    a = big_ranks[tuple(sorted(subs[j] + c))]
+                    want[a >> 3] |= 1 << (a & 7)
+                assert holders[j] == int.from_bytes(want, "little"), (v, k, t, j)
+
+
+def test_part_incidence_stops_at_a_spent_deadline():
+    with pytest.raises(BudgetExhausted):
+        _part_incidence(18, 9, [3], deadline=time.monotonic() - 1)
+
+
+# exact_min's (max_nodes, optimum, nodes, status, SHA-256 of emit_design)
+# at t = 2 under node budgets around the clock reads and the full search,
+# recorded when each node was still bounded on entry.
+BUDGET_PINNED = [
+    ((10,), (4,), [
+        (0, 9, 0, "budget-exhausted", "7de66e4a87af18a8"),
+        (1, 9, 1, "budget-exhausted", "7de66e4a87af18a8"),
+        (2, 9, 2, "budget-exhausted", "7de66e4a87af18a8"),
+        (63, 9, 63, "budget-exhausted", "7de66e4a87af18a8"),
+        (64, 9, 64, "budget-exhausted", "7de66e4a87af18a8"),
+        (65, 9, 65, "budget-exhausted", "7de66e4a87af18a8"),
+        (186, 9, 186, "budget-exhausted", "7de66e4a87af18a8"),
+        (187, 9, 187, "proven", "7de66e4a87af18a8"),
+        (188, 9, 187, "proven", "7de66e4a87af18a8")]),
+    ((4, 4, 4), (2, 2, 2), [
+        (0, 8, 0, "budget-exhausted", "95420c9059453b65"),
+        (1, 8, 1, "budget-exhausted", "95420c9059453b65"),
+        (2, 8, 2, "budget-exhausted", "95420c9059453b65"),
+        (63, 8, 63, "budget-exhausted", "95420c9059453b65"),
+        (64, 8, 64, "budget-exhausted", "95420c9059453b65"),
+        (65, 8, 65, "budget-exhausted", "95420c9059453b65"),
+        (186, 7, 186, "budget-exhausted", "1b96ecbce750a6c1"),
+        (187, 7, 187, "budget-exhausted", "1b96ecbce750a6c1"),
+        (188, 7, 188, "budget-exhausted", "1b96ecbce750a6c1")]),
+    ((4, 2, 2), (2, 1, 1), [
+        (0, 7, 0, "budget-exhausted", "dd6e06c335c6e1a5"),
+        (1, 7, 1, "budget-exhausted", "dd6e06c335c6e1a5"),
+        (2, 7, 2, "budget-exhausted", "dd6e06c335c6e1a5"),
+        (63, 6, 27, "proven", "f97e2c94dcefbade"),
+        (64, 6, 27, "proven", "f97e2c94dcefbade"),
+        (65, 6, 27, "proven", "f97e2c94dcefbade"),
+        (186, 6, 27, "proven", "f97e2c94dcefbade"),
+        (187, 6, 27, "proven", "f97e2c94dcefbade"),
+        (188, 6, 27, "proven", "f97e2c94dcefbade")]),
+]
+
+
+@pytest.mark.parametrize("v, k, rows", BUDGET_PINNED)
+def test_node_budget_pinned(v, k, rows):
+    """A parent counts and bounds each child in its own loop; the node
+    count, the budget check before each count and the best design found
+    are what they were when a child did both on entry."""
+    for max_nodes, optimum, nodes, status, digest in rows:
+        r = exact_min(PartStructure(v, k), 2, max_nodes=max_nodes, timeout=1e5)
+        got = (r.optimum, r.nodes, r.status,
+               hashlib.sha256(emit_design(r.design).encode()).hexdigest()[:16])
+        assert got == (optimum, nodes, status, digest), max_nodes
