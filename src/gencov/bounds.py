@@ -158,14 +158,17 @@ def lower_best(s: PartStructure, t: int) -> BoundReport:
         return BoundReport(lower={}, infeasible=True)
     if t == 0:
         return BoundReport(lower={})
+    # The nested ceiling goes first, so that a recursion too deep for it
+    # is refused before the Schönheim recursion's longer work.
+    nested = lower_nested_ceiling(s, t) if t <= s.m else None
     rules: dict[str, int] = {"t1": lower_t1(s), "schonheim": lower_schonheim(s, t)}
     if t == 2:
         rules["edges_clique"] = lower_edges_clique(s)
         if s.m >= 2:
             rules["edges_multipartite"] = lower_edges_multipartite(s)
         rules["restriction_single"] = lower_restriction_single(s)
-    if 1 <= t <= s.m:
-        rules["nested_ceiling"] = lower_nested_ceiling(s, t)
+    if nested is not None:
+        rules["nested_ceiling"] = nested
     return BoundReport(lower=rules)
 
 

@@ -320,14 +320,15 @@ def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:
     blocks first.  The input must verify (InvalidInput otherwise).
 
     The label arrays of the deduplicated blocks are made once (verify's
-    _block_labels), and from them each pattern's counting set-up, listed
-    once (verify's _setups).  The input and every trial are reported on
-    from those set-ups (verify's _report), a trial over the rows of the
-    blocks it keeps; the output is the only Design built."""
+    _block_labels), and from them each pattern's rank set-up, listed
+    once (verify's _setups without Gram counts).  The input and every
+    trial are reported on from those set-ups (verify's _report), a trial
+    over the rows of the blocks it keeps; the output is the only Design
+    built."""
     require_design(d, "prune_redundant")
     s = d.structure
     blocks = _drop_repeats(d.blocks, d.lam)
-    setups = list(_setups(s, d.t, _block_labels(s, d.t, blocks)))
+    setups = list(_setups(s, d.t, _block_labels(s, d.t, blocks), gram=False))
     if not _report(s, d.t, setups, d.lam).valid:
         raise InvalidInput("input design fails verification")
     if greedy_drop:

@@ -1,17 +1,34 @@
 """Decide whether a design covers everything it must, with witnesses.
 
-For each admissible pattern the verifier ranks every sub-tuple each block
-holds and adds the ranks into one count array with np.add.at; the tuple
-universe itself is never enumerated.  A tuple's rank mixes the lex ranks
-of its parts' subsets in mixed radix, last part fastest, so rank order is
-the order of core.admissible_tuples.  Ranking follows Kreher & Stinson,
-Combinatorial Algorithms (1999), ch. 2.  Per pattern, each used part's
-rank is split into per-slot terms for every label of every block, radix
-weight and constant included.  A chunk of blocks is ranked slot by slot,
-summed in place: slot 0 of the lex subsets is nondecreasing, so its terms
-are repeated along their runs, and every later slot takes one gather.
-Counts take the smallest unsigned type that holds the block count (one
-byte up to 255 blocks).
+Each admissible pattern's tuples are counted into one count array indexed
+by tuple rank; the tuple universe itself is never enumerated.  A tuple's
+rank mixes the lex ranks of its parts' subsets in mixed radix, last part
+fastest, so rank order is the order of core.admissible_tuples.  Ranking
+follows Kreher & Stinson, Combinatorial Algorithms (1999), ch. 2.  Counts
+take the smallest unsigned type that holds the block count (one byte up
+to 255 blocks).  There are two counters, and each gives the same array.
+
+The rank counter ranks every sub-tuple each block holds and adds the
+ranks with np.add.at.  Per pattern, each used part's rank is split into
+per-slot terms for every label of every block, radix weight and constant
+included.  A chunk of blocks is ranked slot by slot, summed in place:
+slot 0 of the lex subsets is nondecreasing, so its terms are repeated
+along their runs, and every later slot takes one gather.
+
+The Gram counter reads a strength-2 pattern as the paper reads a
+strength-2 design, as a clique covering of the join graph: points x of
+part a and y of part b share as many blocks as the entry C[x, y] of
+C = I_a I_b^T, I a part's 0/1 point-by-block incidence, and C row-major
+is rank order (for two points of one part, its strict upper triangle).
+C is a float32 matrix product, made a few rows at a time; each product
+sums fewer than 2^24 blocks, so it is exact, and larger designs are
+taken a chunk of blocks at a time, the chunks' products added as
+integers.  Per block the product costs v_a v_b multiply-adds (v_a^2 / 2
+in one part) where the ranks cost the pattern's sub-tuples, so it wins
+on dense patterns, such as the Hadamard powers', and loses by orders of
+magnitude on sparse ones, such as 20,000 blocks of (1000)/(5).  So
+_setups weighs the two costs by one measured constant, _GRAM_WEIGHT,
+per pattern, and patterns of strength 3 or more are always ranked.
 
 Coverage is counted by one scan of per-part label arrays, which verify,
 coverage_deficit, `gencov verify` and construct's prune_redundant
@@ -28,9 +45,11 @@ first, and the rule refuses them before they are counted.  numpy is
 imported by the first label build or count, not with the module.
 
 A pattern's count is split in two: a set-up built from the label arrays
-(_pattern_setup: slot terms, slot-0 run lengths, slot columns, chunk
-step and count dtype), and the count itself (_pattern_counts).  Every
-caller counts by one flow: _block_labels (the size rule, then the label
+(_rank_setup: slot terms, slot-0 run lengths, slot columns, chunk step
+and count dtype; _gram_setup: the label arrays of the one or two parts
+the pattern takes points of and the count dtype), and the count itself
+(_pattern_counts, which hands the set-up to its counter).  Every caller
+counts by one flow: _block_labels (the size rule, then the label
 arrays), _setups (each pattern's set-up, made when asked for) and one
 deficit walk, _deficits (each set-up counted, over all blocks or the
 rows given, and its tuples held fewer than lambda times listed by rank
@@ -40,7 +59,11 @@ so no index array of every deficient tuple is built.  _report reads the
 walk at DEFICIT_CAP and takes its checked totals from the size rule;
 coverage_deficit is the walk at its cap, decoded.  verify,
 coverage_deficit and `gencov verify` hold one set-up at a time; a prune
-lists its set-ups once and reports on the rows each trial keeps.
+lists its set-ups once and reports on the rows each trial keeps.  A
+prune's set-ups are all rank set-ups: it counts the whole universe once
+per trial, and a faster count only makes more trials a second, whose
+outputs the benchmark keeps (see ROADMAP, items 5 and 17); its trials
+are to become one count and a decrement per dropped block.
 """
 
 from __future__ import annotations
@@ -68,9 +91,21 @@ DEFICIT_CAP = 1000
 # blocks (64 MiB at the cap), 2 bytes up to 65,535.
 PATTERN_TUPLE_CAP = 1 << 26
 
-# Sub-tuple ranks added per np.add.at call, and counts searched per step
-# of the deficit walk; bounds the transient memory.
+# Sub-tuple ranks added per np.add.at call, Gram product entries made at
+# once, and counts searched per step of the deficit walk; bounds the
+# transient memory.
 _CHUNK = 1 << 16
+
+# Gram multiply-adds counted per ranked sub-tuple.  On patterns of one
+# and of two parts, 100-2,000 random blocks, the two counters took equal
+# time at cost ratios of about 70-120 (numpy 2.4 with OpenBLAS, 2-CPU VM);
+# 64 leans to the ranks.
+_GRAM_WEIGHT = 64
+
+# Incidence entries built per block chunk of a Gram count, 4 MiB of
+# float32.  So a product sums fewer than 2^24 ones, which float32 holds
+# exactly, and the chunks' products are added as integers.
+_INCIDENCE_CHUNK = 1 << 20
 
 # Bound by _bind_numpy, before any label build or count.
 np = None
@@ -182,9 +217,63 @@ def _slot_columns(k: int, t: int) -> list[np.ndarray]:
     return cols
 
 
-def _pattern_setup(labels: list[np.ndarray], s: PartStructure, p: Pattern,
-                   n_tuples: int) -> tuple:
-    """What _pattern_counts needs to count the n_tuples tuples of pattern
+def _gram_pays(s: PartStructure, p: Pattern) -> bool:
+    """Whether strength-2 pattern p is counted as a Gram product: its
+    multiply-adds per block, v_a v_b, or v_a^2 / 2 for two points of one
+    part, are at most _GRAM_WEIGHT times its sub-tuples per block."""
+    gram = rank = 1
+    for vi, ki, ti in zip(s.v, s.k, p):
+        if ti:
+            gram *= vi ** ti // ti
+            rank *= comb(ki, ti)
+    return gram <= _GRAM_WEIGHT * rank
+
+
+def _gram_setup(labels: list[np.ndarray], s: PartStructure, p: Pattern,
+                n_tuples: int) -> tuple:
+    """What _gram_counts needs to count strength-2 pattern p: the label
+    array and size of each part it takes points of, one part for two
+    points of one part, then the tuple count and the count dtype."""
+    parts = [(lab, vi) for lab, vi, ti in zip(labels, s.v, p) if ti]
+    return parts, n_tuples, np.min_scalar_type(len(labels[0]))
+
+
+def _incidence(labels: np.ndarray, v: int) -> np.ndarray:
+    """The (v, n_blocks) float32 0/1 incidence of one part's labels."""
+    out = np.zeros((v, len(labels)), dtype=np.float32)
+    out[labels.T - 1, np.arange(len(labels))] = 1
+    return out
+
+
+def _gram_counts(setup: tuple, rows: np.ndarray | None) -> np.ndarray:
+    """The counts of a _gram_setup, as _pattern_counts gives them: C =
+    I_a I_b^T row-major, or for two points of one part C's strict upper
+    triangle row by row (see the module docstring).  Blocks are taken
+    _INCIDENCE_CHUNK incidence entries at a time, and each chunk's C is
+    made about _CHUNK entries at a time and added into the counts."""
+    parts, n_tuples, dtype = setup
+    counts = np.zeros(n_tuples, dtype=dtype)
+    same_part = len(parts) == 1  # then a row's pairs start past the diagonal
+    va, vb = parts[0][1], parts[-1][1]
+    h = max(1, _CHUNK // vb)  # rows of C per product
+    step = max(1, _INCIDENCE_CHUNK // sum(v for _, v in parts))
+    n = len(parts[0][0]) if rows is None else len(rows)
+    for lo in range(0, n, step):
+        pick = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
+        inc = [_incidence(lab[pick], v) for lab, v in parts]
+        at = 0
+        for x in range(0, va - same_part, h):
+            c = inc[0][x:x + h] @ inc[-1][x + 1 if same_part else 0:].T
+            if same_part:
+                c = c[np.arange(va - x - 1) >= np.arange(len(c))[:, None]]
+            counts[at:at + c.size] += c.ravel().astype(dtype)
+            at += c.size
+    return counts
+
+
+def _rank_setup(labels: list[np.ndarray], s: PartStructure, p: Pattern,
+                n_tuples: int) -> tuple:
+    """What _rank_counts needs to count the n_tuples tuples of pattern
     p over the label arrays labels, built from the labels once: per used
     part its slot terms, slot-0 run lengths and later slot columns, then
     the tuple count, the block count, the chunk step in blocks and the
@@ -205,10 +294,9 @@ def _pattern_setup(labels: list[np.ndarray], s: PartStructure, p: Pattern,
     return used, n_tuples, n_blocks, max(1, _CHUNK // width), np.min_scalar_type(n_blocks)
 
 
-def _pattern_counts(setup: tuple, rows: np.ndarray | None = None) -> np.ndarray:
-    """How many of the blocks at rows, an index array, or of all blocks
-    if None, hold each tuple of a pattern, indexed by tuple rank; setup
-    is the pattern's _pattern_setup."""
+def _rank_counts(setup: tuple, rows: np.ndarray | None) -> np.ndarray:
+    """The counts of a _rank_setup, as _pattern_counts gives them: each
+    block's sub-tuples ranked and added with np.add.at."""
     # Slot 0's term is repeated along its runs (see _slot_columns); the
     # other slots are gathered.
     used, n_tuples, n_blocks, step, dtype = setup
@@ -225,6 +313,15 @@ def _pattern_counts(setup: tuple, rows: np.ndarray | None = None) -> np.ndarray:
             ranks = r if ranks is None else (ranks[:, :, None] + r[:, None, :]).reshape(len(r), -1)
         np.add.at(counts, ranks.ravel(), one)
     return counts
+
+
+def _pattern_counts(setup: tuple, rows: np.ndarray | None = None) -> np.ndarray:
+    """How many of the blocks at rows, an index array, or of all blocks
+    if None, hold each tuple of a pattern, indexed by tuple rank, in the
+    smallest unsigned type that holds the block count; setup is the
+    pattern's (counter, counter's set-up) from _setups."""
+    count, data = setup
+    return count(data, rows)
 
 
 def _unrank_subset(r: int, v: int, t: int) -> tuple[int, ...]:
@@ -249,19 +346,24 @@ def _unrank(s: PartStructure, p: Pattern, rank: int) -> SetTuple:
     return tuple(reversed(parts))
 
 
-def _setups(s: PartStructure, t: int, labels: list[np.ndarray]):
-    """(pattern, _pattern_setup) for each pattern of _patterns(s, t), over
-    the label arrays labels, built one at a time as they are asked for."""
+def _setups(s: PartStructure, t: int, labels: list[np.ndarray], gram: bool = True):
+    """(pattern, set-up) for each pattern of _patterns(s, t), over the
+    label arrays labels, built one at a time as they are asked for: a
+    Gram set-up where gram is set, t is 2 and _gram_pays, a rank set-up
+    otherwise."""
     _bind_numpy()
     for p, n_tuples in _patterns(s, t):
-        yield p, _pattern_setup(labels, s, p, n_tuples)
+        if gram and t == 2 and _gram_pays(s, p):
+            yield p, (_gram_counts, _gram_setup(labels, s, p, n_tuples))
+        else:
+            yield p, (_rank_counts, _rank_setup(labels, s, p, n_tuples))
 
 
 def _deficits(setups, lam: int, cap: int, rows=None) -> list[tuple[Pattern, int, int]]:
     """The deficit walk: (pattern, rank, count) of the first cap tuples
     held fewer than lam times, in pattern order and rank order within a
     pattern, by the blocks at rows, indices into the label arrays that
-    setups, (pattern, _pattern_setup) pairs in pattern order, were built
+    setups, (pattern, set-up) pairs in pattern order, were built
     from, or by all their blocks if None.  No pattern after the cap-th
     entry is counted, and each count array is searched _CHUNK tuples at a
     time.  Each set-up and count array is dropped once it is read, so a

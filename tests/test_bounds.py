@@ -173,6 +173,21 @@ def test_many_equal_parts_bound_at_once():
     assert time.perf_counter() - start < 2.0
 
 
+def test_too_deep_nested_ceiling_is_refused_first():
+    """400 parts of (5)/(2) at t = 400: the nested ceiling over 400 parts
+    is deeper than the interpreter allows, and lower_best refuses it
+    before the Schönheim recursion runs, which takes seconds here; the
+    rules keep their order in the report."""
+    s = PartStructure((5,) * 400, (2,) * 400)
+    start = time.perf_counter()
+    with pytest.raises(StrengthTooLarge, match="nested-ceiling recursion on 400 parts"):
+        lower_best(s, 400)
+    assert time.perf_counter() - start < 0.5
+    assert list(lower_best(PartStructure((5, 6, 7), (3, 4, 3)), 2).lower) == [
+        "t1", "schonheim", "edges_clique", "edges_multipartite", "restriction_single",
+        "nested_ceiling"]
+
+
 def test_nested_ceiling_matches_every_ordering():
     from itertools import combinations, permutations
     rng = random.Random(43)

@@ -63,7 +63,8 @@ def test_only_core_names_the_shared_block_registry():
 def test_only_verify_names_its_counting_internals():
     """Other modules count through verify's flow (_block_labels, _setups,
     _report), never through the steps inside it."""
-    internals = re.compile(r"\b(_patterns|_pattern_setup|_pattern_counts|_slot_terms)\b")
+    internals = re.compile(r"\b(_patterns|_rank_setup|_gram_setup|_pattern_counts|_rank_counts|"
+                           r"_gram_counts|_slot_terms)\b")
     named = sorted(p.name for p in SRC.glob("*.py")
                    if internals.search(p.read_text(encoding="utf-8")))
     assert named == ["verify.py"]

@@ -6,6 +6,7 @@ import random
 import time
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -189,15 +190,25 @@ def test_timeout_covers_the_whole_call():
     assert len(r.design) == r.optimum
 
 
-def test_table_build_honours_the_timeout():
-    # the tables of (10,10)/(5,5) t=3 take about 0.05 s to build, and those
-    # of (18)/(9) t=3 about 0.07 s; the deadline stops them early
+def test_table_build_honours_the_timeout(monkeypatch):
+    """The deadline stops the table builds of (10,10)/(5,5) t=3 and (18)/(9)
+    t=3 early, however fast the host builds them: search's clock reads the
+    time when the deadline is set, and an hour later at every read after
+    that, so the build is past its deadline from its first check on."""
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return time.monotonic() + (3600 if len(reads) > 1 else 0)
+
+    monkeypatch.setattr(search_module, "time", SimpleNamespace(monotonic=clock))
     start = time.monotonic()
-    with pytest.raises(BudgetExhausted) as info:
+    with pytest.raises(BudgetExhausted, match="building the coverage tables"):
         exact_min(PartStructure((10, 10), (5, 5)), 3, timeout=0.005)
     assert time.monotonic() - start < 0.5
+    reads.clear()
     start = time.monotonic()
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match="building the coverage tables"):
         certify_classical(18, 9, 3, timeout=0.01)
     assert time.monotonic() - start < 0.5
 

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 
 import naive_oracle as oracle
@@ -20,6 +21,8 @@ from gencov import (
     PlaceholdersPresent,
     UniverseTooLarge,
     VerificationReport,
+    check_clique_cover,
+    check_multipartite_cover,
     construct_minimax,
     coverage_deficit,
     emit_design,
@@ -35,6 +38,8 @@ from gencov.io import parse_label_arrays
 from gencov.verify import PATTERN_TUPLE_CAP, _part_labels
 from cli_routes import verify_routes
 from util_random import mutate_design, random_block, random_structure, random_valid_design
+
+VERIFY = sys.modules["gencov.verify"]  # gencov.verify is the function
 
 
 def drop_block(d, r):
@@ -398,3 +403,131 @@ def test_loaded_hadamard_power_counts_as_its_blocks(tmp_path, monkeypatch):
     rep = verify(d)
     assert not rep.valid and loaded[0] == 1
     assert f"deficient tuples: {rep.deficient_count}" in loaded[1]
+
+
+# ------------------------------------------------------ the counter choice
+
+def counters(s, t, blocks):
+    """The counter _setups takes for each pattern of blocks at strength t."""
+    labels = VERIFY._block_labels(s, t, blocks)
+    return {p: count.__name__ for p, (count, _) in VERIFY._setups(s, t, labels)}
+
+
+def with_unit_part(rng, s):
+    """s, or s with one part's profile set to 1."""
+    i = rng.randrange(s.m)
+    return PartStructure(s.v, s.k[:i] + (1,) + s.k[i + 1:]) if rng.random() < 0.5 else s
+
+
+@pytest.mark.parametrize("chunk, incidence", [(None, None), (1, 1), (7, 5)])
+def test_gram_and_rank_counts_agree(chunk, incidence, monkeypatch):
+    """On random structures with unit parts, repeated blocks and a block
+    dropped, both counters give equal count arrays, of one dtype, for
+    every strength-2 pattern, over all blocks and over a subset of rows,
+    and so equal reports at lambda 1 to 3.  Small chunks take C a row
+    and the blocks a few at a time, so the chunks' products add up."""
+    if chunk:
+        monkeypatch.setattr(VERIFY, "_CHUNK", chunk)
+        monkeypatch.setattr(VERIFY, "_INCIDENCE_CHUNK", incidence)
+    rng = random.Random(47)
+    drawn = 0
+    while drawn < 60:
+        s = with_unit_part(rng, random_structure(rng, v_sum_max=12, m_max=4))
+        if s.k_sum < 2:
+            continue
+        blocks = [random_block(rng, s) for _ in range(rng.randint(1, 30))]
+        blocks = blocks * rng.randint(1, 3) + blocks[:rng.randint(0, 3)]
+        del blocks[rng.randrange(len(blocks))]
+        labels = VERIFY._block_labels(s, 2, tuple(blocks))
+        rows = sorted(rng.sample(range(len(blocks)), rng.randint(0, len(blocks))))
+        for p, n_tuples in VERIFY._patterns(s, 2):
+            gram = VERIFY._gram_setup(labels, s, p, n_tuples)
+            rank = VERIFY._rank_setup(labels, s, p, n_tuples)
+            for pick in (None, np.array(rows, dtype=np.intp)):
+                want = VERIFY._rank_counts(rank, pick)
+                got = VERIFY._gram_counts(gram, pick)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), (s, p)
+        lam = rng.randint(1, 3)
+        assert (VERIFY._report(s, 2, VERIFY._setups(s, 2, labels), lam, rows)
+                == VERIFY._report(s, 2, VERIFY._setups(s, 2, labels, gram=False), lam, rows))
+        drawn += 1
+
+
+def gram_designs():
+    """The strength-2 fixtures, each also missing its first block, and
+    random strength-2 designs, some damaged."""
+    out = []
+    for name, d in strength2_fixtures():
+        out += [d, drop_block(d, 0)]
+    rng = random.Random(53)
+    while len(out) < 60:
+        d = random_valid_design(rng, v_sum_max=9, strengths=(2,))
+        if d.t == 2:
+            out.append(mutate_design(rng, d) if rng.random() < 0.5 else d)
+    return out
+
+
+def test_gram_counts_match_the_oracle_and_the_graph_checks(monkeypatch):
+    """verify and coverage_deficit agree with the naive oracle at lambda 1
+    and 2, and with the join graph's clique-cover and multipartite checks,
+    on designs whose patterns are counted, mostly or all, by Gram products.
+    At lambda 2 each block is doubled, so a design covers twice iff it
+    covers once."""
+    grams = []
+    gram_counts = VERIFY._gram_counts
+    monkeypatch.setattr(VERIFY, "_gram_counts",
+                        lambda *args: grams.append(1) or gram_counts(*args))
+    for d in gram_designs():
+        s = d.structure
+        twice = Design(s, 2, d.blocks * 2, lam=2)
+        for dd in (d, twice):
+            assert_matches_oracle(dd)
+            assert verify(dd).valid == check_clique_cover(s, d) == check_multipartite_cover(s, d)
+    assert len(grams) > 100
+
+
+def hadamard_fourth_power():
+    d = hadamard_base()
+    for _ in range(3):
+        d = product_hadamard(d, hadamard_base())
+    return d
+
+
+def test_counter_choice():
+    """Dense patterns take the Gram product and sparse ones the ranks:
+    each block of (1000)/(5) holds 10 of its 499,500 pairs, and one block
+    of (4096)/(2) one of 8,386,560, while the Hadamard powers and the
+    minimax lift of (5,6,7)/(3,4,3) are dense.  At t = 3 every pattern is
+    ranked, and so is every trial of a prune."""
+    rng = random.Random(59)
+    sparse = PartStructure((1000,), (5,))
+    blocks = tuple(make_block(sparse, [rng.sample(range(1, 1001), 5)]) for _ in range(20_000))
+    assert counters(sparse, 2, blocks) == {(2,): "_rank_counts"}
+    d = one_block((4096,), (2,), [[1, 2]])
+    assert counters(d.structure, 2, d.blocks) == {(2,): "_rank_counts"}
+    for d in (hadamard_fourth_power(), hadamard_fifth_power()):
+        assert set(counters(d.structure, 2, d.blocks).values()) == {"_gram_counts"}
+    lift = construct_minimax(PartStructure((5, 6, 7), (3, 4, 3)))
+    assert set(counters(lift.structure, 2, lift.blocks).values()) == {"_gram_counts"}
+    assert set(counters(lift.structure, 3, lift.blocks).values()) == {"_rank_counts"}
+    labels = VERIFY._block_labels(lift.structure, 2, lift.blocks)
+    ranked = VERIFY._setups(lift.structure, 2, labels, gram=False)
+    assert {count.__name__ for _, (count, _) in ranked} == {"_rank_counts"}
+
+
+def test_gram_products_sum_fewer_than_2_24_blocks(monkeypatch):
+    """float32 sums of 0/1 products are exact below 2^24, so each product
+    takes a chunk of fewer than 2^24 blocks, whatever the part sizes, and
+    the chunks' products are added as integers: with one block a chunk,
+    300 copies of a block count to 300, past one byte."""
+    assert VERIFY._INCIDENCE_CHUNK < 1 << 24
+    built = []
+    incidence = VERIFY._incidence
+    monkeypatch.setattr(VERIFY, "_incidence",
+                        lambda labels, v: built.append(len(labels)) or incidence(labels, v))
+    monkeypatch.setattr(VERIFY, "_INCIDENCE_CHUNK", 1)
+    for lam in (300, 301):
+        d = Design(MULTI, 2, (MULTI_BLOCK,) * 300 + MULTI_OTHERS, lam)
+        assert set(counters(MULTI, 2, d.blocks).values()) == {"_gram_counts"}
+        assert_matches_oracle(d)
+    assert set(built) == {1}
