@@ -129,7 +129,8 @@ class StrengthNotTwo(GencovError):
 # ---- verification ----
 
 class UniverseTooLarge(GencovError):
-    """A pattern has more admissible tuples than the verifier will count."""
+    """A pattern has more admissible tuples than the verifier will count,
+    or a join graph more edges than graphview will build."""
 
 
 # ---- search ----

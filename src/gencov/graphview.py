@@ -16,9 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .core import Design, PartStructure, require_design
-from .errors import StrengthNotTwo, StructureMismatch
+from .errors import StrengthNotTwo, StructureMismatch, UniverseTooLarge
+
+# join_graph holds every edge as a Python tuple in a set, over 100 bytes
+# each; graphs of more edges than this are refused before any is built.
+# The 243-block design on (243, 1024) with profile (32, 243) has 802,011.
+EDGE_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,11 @@ def _offsets(s: PartStructure) -> list[int]:
 
 def join_graph(s: PartStructure) -> Graph:
     """Join of the per-part graphs: within-part edges iff k_i >= 2, all
-    between-part edges.  Vertices are numbered part-major."""
+    between-part edges.  Vertices are numbered part-major.  A graph of
+    more than EDGE_CAP edges raises UniverseTooLarge before it is built."""
+    edges = comb(s.v_sum, 2) - sum(comb(vi, 2) for vi, ki in zip(s.v, s.k) if ki == 1)
+    if edges > EDGE_CAP:
+        raise UniverseTooLarge(f"join graph of {edges} edges exceeds cap {EDGE_CAP}")
     offs = _offsets(s)
     part_of = []
     local_of = []

@@ -133,8 +133,8 @@ def _part_incidence(vi: int, ki: int, tis: Collection[int], deadline: float | No
     t_i-subsets inside it, and for each t_i-subset the bitmask of the
     k_i-subsets holding it.
 
-    Both come from per-point masks (_holding), one build per part for
-    every t_i.  A t_i-subset's holders are the AND of its points'
+    Both come from per-point masks (_holding), one build per subset size
+    among k_i and tis.  A t_i-subset's holders are the AND of its points'
     holders, and a k_i-subset's mask is the AND, over each point outside
     it, of the t_i-subsets that miss that point; the k_i-subsets'
     complements, (v_i - k_i)-subsets, come in reverse lex order, so that
@@ -159,29 +159,22 @@ def _holding(v: int, k: int, deadline: float | None) -> list[int]:
     run of ones times starts[x], the bitmask of the runs' first leaves.
     From one depth to the next, the starts of the children ending at x
     are those ending at x - 1, shifted by their run, plus the parents
-    ending at x - 1, whose first child is x.  That takes k steps of v
-    shifts; for k > v/2 the complements, (v-k)-subsets listed in reverse
-    lex order, take v - k steps and their masks are bit-reversed and
-    inverted."""
-    flip = 2 * k > v
-    depth = v - k if flip else k
+    ending at x - 1, whose first child is x.  Only the points x from
+    k - 1 - r to v - 1 - r end a prefix with r points still to choose,
+    so each of the k steps walks v - k + 1 points, and the deadline is
+    checked once per step."""
     masks = [0] * v
-    parents = [0] * v
-    for r in reversed(range(depth)):
+    # The first level's one parent, the empty prefix, starts at leaf 0.
+    parents = [1] + [0] * (v - k)
+    for r in reversed(range(k)):
         _check_deadline(deadline)
-        # The first level's one parent, the empty prefix, starts at leaf 0.
-        start = int(r == depth - 1)
+        start = 0
         starts = []
-        for x in range(v):
-            if x:
-                start = start << comb(v - x, r) | parents[x - 1]
+        for x, parent in enumerate(parents, k - 1 - r):
+            start = start << comb(v - x, r) | parent
             starts.append(start)
             masks[x] |= ((1 << comb(v - x - 1, r)) - 1) * start
         parents = starts
-    if flip:
-        n = comb(v, k)
-        every = (1 << n) - 1
-        masks = [every ^ int(format(m, f"0{n}b")[::-1], 2) for m in masks]
     return masks
 
 
@@ -421,11 +414,9 @@ class _Tables:
                 # Tuples of p are mixed radix over the per-part subsets,
                 # last part fastest: a point's mask is the Kronecker
                 # product of all-ones over the parts before i, the part-i
-                # subsets holding x, and all-ones over the parts after i.
-                holders = [0] * vi
-                for j, sub in enumerate(combinations(range(vi), p[i])):
-                    for x in sub:
-                        holders[x] |= 1 << j
+                # subsets holding x (_holding), and all-ones over the
+                # parts after i.
+                holders = _holding(vi, p[i], None)
                 after = prod(comb(vj, pj) for vj, pj in zip(s.v[i + 1:], p[i + 1:]))
                 inner = comb(vi, p[i]) * after
                 through = _kron(holders, [(1 << after) - 1], after)

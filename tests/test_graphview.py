@@ -1,6 +1,7 @@
 """Join-graph construction and the two covering interpretations."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ from gencov import (
     Design,
     PartStructure,
     StrengthNotTwo,
+    UniverseTooLarge,
     check_clique_cover,
     check_multipartite_cover,
     cover_t1,
@@ -18,6 +20,8 @@ from gencov import (
     to_dot,
     verify,
 )
+from gencov.cli import main
+from gencov.graphview import EDGE_CAP
 from util_random import mutate_design, random_structure, random_valid_design
 
 
@@ -36,6 +40,24 @@ def test_join_graph_extremes():
     assert len(multi.edges) == 2 * 3
     full = join_graph(PartStructure((3, 2), (2, 2)))
     assert len(full.edges) == comb(5, 2)
+
+
+def test_join_graph_refuses_past_its_edge_cap(capsys):
+    """(30000)/(2) has 4.5 * 10^8 edges: join_graph, check_clique_cover
+    and `gencov graph dot` refuse it before building any."""
+    s = PartStructure((30000,), (2,))
+    began = time.perf_counter()
+    with pytest.raises(UniverseTooLarge):
+        join_graph(s)
+    with pytest.raises(UniverseTooLarge):
+        check_clique_cover(s, Design(s, 2, [((1, 2),)]))
+    assert main(["graph", "dot", "--v", "30000", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert time.perf_counter() - began < 1
+    # The 243-block design on (243, 1024)/(32, 243), 802,011 edges, is
+    # still checked as a clique cover.
+    assert EDGE_CAP >= comb(243 + 1024, 2)
 
 
 def test_join_graph_vertex_map():

@@ -566,7 +566,8 @@ def test_spread_matches_bits():
     assert _spread(xs, 1) is xs
 
 
-@pytest.mark.parametrize("v, k", [((6,), (3,)), ((3, 2, 3), (1, 1, 1)), ((2, 4, 3), (1, 2, 2))])
+@pytest.mark.parametrize("v, k", [((6,), (3,)), ((3, 2, 3), (1, 1, 1)), ((2, 4, 3), (1, 2, 2)),
+                                  ((5, 4), (4, 3))])
 def test_degree_slots_match_containment(v, k):
     """The bound's group 0 holds one point with one slot per pattern p: the
     tuples of p, and the most of them one block covers.  Each part's
@@ -687,7 +688,8 @@ def _listed_incidence(v, k, t):
 def test_part_incidence_matches_listed_containment():
     """For every 0 <= t <= k <= v <= 14, one t at a time and every t at
     once, the tables equal those listed from each k-subset's t-subsets;
-    on larger parts, so do 20 random rows of masks and of holders."""
+    on larger parts, k > v/2 among them, so do 20 random rows of masks
+    and of holders."""
     for v in range(15):
         for k in range(v + 1):
             listed = {t: _listed_incidence(v, k, t) for t in range(k + 1)}
@@ -695,7 +697,8 @@ def test_part_incidence_matches_listed_containment():
                 assert _part_incidence(v, k, [t]) == {t: listed[t]}, (v, k, t)
             assert _part_incidence(v, k, range(k + 1)) == listed, (v, k)
     rng = random.Random(38)
-    for v, k, tis in [(18, 9, {3}), (16, 4, {2}), (30, 2, {0, 1, 2}), (20, 10, {2, 4})]:
+    for v, k, tis in [(18, 9, {3}), (16, 4, {2}), (30, 2, {0, 1, 2}), (20, 10, {2, 4}),
+                      (20, 16, {2, 4}), (22, 15, {1})]:
         got = _part_incidence(v, k, tis)
         bigs = list(combinations(range(v), k))
         big_ranks = {big: a for a, big in enumerate(bigs)}
