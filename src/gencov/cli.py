@@ -17,7 +17,7 @@ from . import graphview, product, search
 from .core import PartStructure, PlaceholderDesign, from_covering_array, to_covering_array
 from .errors import BudgetExhausted, GencovError, PlaceholdersPresent
 from .io import emit_design, parse_array, parse_design, parse_label_arrays
-from .verify import _report, _setups, verify
+from .verify import _patterns, _report, _setups, verify
 
 
 def _vec(text: str) -> tuple[int, ...]:
@@ -58,7 +58,8 @@ def _cmd_verify(args) -> int:
         report = verify(_load_design(args.file))
     else:
         s, t, lam, labels = arrays
-        report = _report(s, t, _setups(s, t, labels), lam)
+        patterns = _patterns(s, t)
+        report = _report(s, patterns, _setups(s, patterns, labels), lam)
     print(f"valid: {'yes' if report.valid else 'no'}")
     print(f"checked patterns: {report.checked_patterns}")
     print(f"checked tuples: {report.checked_tuples}")

@@ -53,7 +53,7 @@ from .errors import (
     UnitProfilePart,
 )
 from .search import DEFAULT_MAX_NODES, DEFAULT_TIMEOUT, certify_classical, greedy_cover
-from .verify import _block_labels, _report, _setups
+from .verify import _block_labels, _patterns, _report, _setups
 
 
 def cover_t1(s: PartStructure) -> Design:
@@ -319,22 +319,22 @@ def prune_redundant(d: Design, greedy_drop: bool = False) -> Design:
     deletion keeps the design valid, trying lexicographically last
     blocks first.  The input must verify (InvalidInput otherwise).
 
-    The label arrays of the deduplicated blocks are made once (verify's
-    _block_labels), and from them each pattern's rank set-up, listed
-    once (verify's _setups without Gram counts).  The input and every
-    trial are reported on from those set-ups (verify's _report), a trial
-    over the rows of the blocks it keeps; the output is the only Design
-    built."""
+    The size rule's list (verify's _patterns), the label arrays of the
+    deduplicated blocks and each pattern's rank set-up (verify's _setups
+    without Gram counts) are made once.  The input and every trial are
+    reported on from them (verify's _report), a trial over the rows of
+    the blocks it keeps; the output is the only Design built."""
     require_design(d, "prune_redundant")
     s = d.structure
     blocks = _drop_repeats(d.blocks, d.lam)
-    setups = list(_setups(s, d.t, _block_labels(s, d.t, blocks), gram=False))
-    if not _report(s, d.t, setups, d.lam).valid:
+    patterns = _patterns(s, d.t)
+    setups = list(_setups(s, patterns, _block_labels(s, patterns, blocks), gram=False))
+    if not _report(s, patterns, setups, d.lam).valid:
         raise InvalidInput("input design fails verification")
     if greedy_drop:
         kept = set(range(len(blocks)))
         for r in sorted(kept, key=lambda q: blocks[q], reverse=True):
-            if _report(s, d.t, setups, d.lam, sorted(kept - {r})).valid:
+            if _report(s, patterns, setups, d.lam, sorted(kept - {r})).valid:
                 kept.discard(r)
         blocks = [blocks[q] for q in sorted(kept)]
     return Design(s, d.t, tuple(blocks), d.lam)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, product
-from math import comb
+from math import comb, prod
 from operator import index, is_, lt, mul
 from typing import Iterator, Sequence
 
@@ -368,11 +368,9 @@ def admissible_tuples(s: PartStructure, p: Pattern) -> Iterator[SetTuple]:
 
 
 def pattern_tuple_count(s: PartStructure, p: Pattern) -> int:
-    p = _check_pattern(s, p)
-    n = 1
-    for vi, ti in zip(s.v, p):
-        n *= comb(vi, ti)
-    return n
+    """How many tuples match pattern p: the product of C(v_i, p_i), with
+    p checked as admissible_tuples checks it."""
+    return prod(map(comb, s.v, _check_pattern(s, p)))
 
 
 def lower_schonheim(s: PartStructure, t: int) -> int:

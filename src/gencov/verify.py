@@ -49,17 +49,18 @@ A pattern's count is split in two: a set-up built from the label arrays
 and count dtype; _gram_setup: the label arrays of the one or two parts
 the pattern takes points of and the count dtype), and the count itself
 (_pattern_counts, which hands the set-up to its counter).  Every caller
-counts by one flow: _block_labels (the size rule, then the label
-arrays), _setups (each pattern's set-up, made when asked for) and one
-deficit walk, _deficits (each set-up counted, over all blocks or the
-rows given, and its tuples held fewer than lambda times listed by rank
-and count).  The walk stops once cap tuples are listed, so no pattern
-after that is counted, and it searches the counts a chunk at a time,
-so no index array of every deficient tuple is built.  _report reads the
-walk at DEFICIT_CAP and takes its checked totals from the size rule;
-coverage_deficit is the walk at its cap, decoded.  verify,
+counts by one flow: it makes the size rule's (pattern, tuple count)
+list once and passes it on, to _block_labels (the label arrays, none if
+the list is empty), _setups (each pattern's set-up, made when asked
+for) and one deficit walk, _deficits (each set-up counted, over all
+blocks or the rows given, and its tuples held fewer than lambda times
+listed by rank and count).  The walk stops once cap tuples are listed,
+so no pattern after that is counted, and it searches the counts a chunk
+at a time, so no index array of every deficient tuple is built.
+_report reads the walk at DEFICIT_CAP and takes its checked totals from
+the list; coverage_deficit is the walk at its cap, decoded.  verify,
 coverage_deficit and `gencov verify` hold one set-up at a time; a prune
-lists its set-ups once and reports on the rows each trial keeps.  A
+lists its set-ups once, for its input and each trial's kept rows.  A
 prune's set-ups are all rank set-ups: it counts the whole universe once
 per trial, and a faster count only makes more trials a second, whose
 outputs the benchmark keeps (see ROADMAP, items 5 and 17); its trials
@@ -140,8 +141,8 @@ def _bind_numpy() -> None:
 
 def _patterns(s: PartStructure, t: int) -> list[tuple[Pattern, int]]:
     """(pattern, tuple count) of every admissible pattern of strength t in
-    the global order, none at strength 0.  The one size rule, checked
-    before any label array is built from blocks, and before any count:
+    the global order, none at strength 0.  The one size rule, run once
+    per count, before any label array is built from blocks or any count:
     UniverseTooLarge for a pattern of more than PATTERN_TUPLE_CAP tuples,
     or, when no count is above the cap, for tuples of more than
     PATTERN_TUPLE_CAP labels (t above it).
@@ -166,10 +167,9 @@ def _patterns(s: PartStructure, t: int) -> list[tuple[Pattern, int]]:
     return out
 
 
-def _block_labels(s: PartStructure, t: int, blocks: tuple[Block, ...]) -> list[np.ndarray]:
-    """The label arrays of blocks at strength t: _patterns first, then
-    _part_labels, or no labels where there is no pattern."""
-    return _part_labels(s, blocks) if _patterns(s, t) else []
+def _block_labels(s: PartStructure, patterns: list, blocks: tuple[Block, ...]) -> list[np.ndarray]:
+    """_part_labels of blocks, or none if patterns, the size rule's list, is empty."""
+    return _part_labels(s, blocks) if patterns else []
 
 
 def _part_labels(s: PartStructure, blocks: tuple[Block, ...]) -> list[np.ndarray]:
@@ -346,14 +346,14 @@ def _unrank(s: PartStructure, p: Pattern, rank: int) -> SetTuple:
     return tuple(reversed(parts))
 
 
-def _setups(s: PartStructure, t: int, labels: list[np.ndarray], gram: bool = True):
-    """(pattern, set-up) for each pattern of _patterns(s, t), over the
-    label arrays labels, built one at a time as they are asked for: a
-    Gram set-up where gram is set, t is 2 and _gram_pays, a rank set-up
-    otherwise."""
+def _setups(s: PartStructure, patterns: list, labels: list[np.ndarray], gram: bool = True):
+    """(pattern, set-up) for each (pattern, tuple count) of patterns, the
+    size rule's list, over the label arrays labels, built one at a time
+    as they are asked for: a Gram set-up where gram is set, the pattern
+    has strength 2 and _gram_pays, a rank set-up otherwise."""
     _bind_numpy()
-    for p, n_tuples in _patterns(s, t):
-        if gram and t == 2 and _gram_pays(s, p):
+    for p, n_tuples in patterns:
+        if gram and sum(p) == 2 and _gram_pays(s, p):
             yield p, (_gram_counts, _gram_setup(labels, s, p, n_tuples))
         else:
             yield p, (_rank_counts, _rank_setup(labels, s, p, n_tuples))
@@ -384,12 +384,10 @@ def _deficits(setups, lam: int, cap: int, rows=None) -> list[tuple[Pattern, int,
     return out
 
 
-def _report(s: PartStructure, t: int, setups, lam: int, rows=None) -> VerificationReport:
-    """The report of the blocks at rows (see _deficits), taken as a
-    design on s of strength t and multiplicity lam: the deficit walk at
-    DEFICIT_CAP, with the checked totals of the size rule, which refuses
-    every pattern before any is counted."""
-    patterns = _patterns(s, t)
+def _report(s: PartStructure, patterns: list, setups, lam: int, rows=None) -> VerificationReport:
+    """The report of the blocks at rows (see _deficits) at multiplicity
+    lam: the deficit walk at DEFICIT_CAP, with the checked totals of
+    patterns, the size rule's list."""
     found = _deficits(setups, lam, DEFICIT_CAP, rows)
     return VerificationReport(
         valid=not found,
@@ -410,7 +408,8 @@ def verify(d: Design) -> VerificationReport:
     """
     require_design(d, "verify")
     s = d.structure
-    return _report(s, d.t, _setups(s, d.t, _block_labels(s, d.t, d.blocks)), d.lam)
+    patterns = _patterns(s, d.t)
+    return _report(s, patterns, _setups(s, patterns, _block_labels(s, patterns, d.blocks)), d.lam)
 
 
 def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, int]]:
@@ -421,5 +420,6 @@ def coverage_deficit(d: Design, cap: int = DEFICIT_CAP) -> list[tuple[SetTuple, 
         raise NonPositiveEntry(f"cap must be >= 1, got {cap}")
     require_design(d, "coverage_deficit")
     s = d.structure
-    found = _deficits(_setups(s, d.t, _block_labels(s, d.t, d.blocks)), d.lam, cap)
+    patterns = _patterns(s, d.t)
+    found = _deficits(_setups(s, patterns, _block_labels(s, patterns, d.blocks)), d.lam, cap)
     return [(_unrank(s, p, rank), n) for p, rank, n in found]

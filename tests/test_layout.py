@@ -61,9 +61,10 @@ def test_only_core_names_the_shared_block_registry():
 
 
 def test_only_verify_names_its_counting_internals():
-    """Other modules count through verify's flow (_block_labels, _setups,
-    _report), never through the steps inside it."""
-    internals = re.compile(r"\b(_patterns|_rank_setup|_gram_setup|_pattern_counts|_rank_counts|"
+    """Other modules count through verify's flow: they make the size
+    rule's list (_patterns) once and pass it to _block_labels, _setups
+    and _report, never calling the steps inside them."""
+    internals = re.compile(r"\b(_rank_setup|_gram_setup|_pattern_counts|_rank_counts|"
                            r"_gram_counts|_slot_terms)\b")
     named = sorted(p.name for p in SRC.glob("*.py")
                    if internals.search(p.read_text(encoding="utf-8")))

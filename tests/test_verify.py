@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import naive_oracle as oracle
-from fixture_designs import cover_852, fano, hadamard_base, mixed_422, strength2_fixtures
+from fixture_designs import cover_852, fano, hadamard_base, mixed_422, prod_b, strength2_fixtures
+import gencov.cli as cli
 from gencov import (
     CandidateSpaceTooLarge,
     Design,
@@ -27,6 +28,7 @@ from gencov import (
     coverage_deficit,
     emit_design,
     exact_min,
+    from_covering_array,
     greedy_classical_cover,
     greedy_cover,
     make_block,
@@ -36,7 +38,7 @@ from gencov import (
 )
 from gencov.io import parse_label_arrays
 from gencov.verify import PATTERN_TUPLE_CAP, _part_labels
-from cli_routes import verify_routes
+from cli_routes import run_verify, verify_routes
 from util_random import mutate_design, random_block, random_structure, random_valid_design
 
 VERIFY = sys.modules["gencov.verify"]  # gencov.verify is the function
@@ -405,12 +407,76 @@ def test_loaded_hadamard_power_counts_as_its_blocks(tmp_path, monkeypatch):
     assert f"deficient tuples: {rep.deficient_count}" in loaded[1]
 
 
+# ------------------------------------------------- one size rule per count
+
+def test_one_pattern_walk_per_count(tmp_path, monkeypatch):
+    """verify, coverage_deficit, `gencov verify` on its label-array route
+    and a greedy-drop prune each walk the patterns once: the size rule's
+    list is made once and passed through the flow, and a prune's one
+    list serves its input check and every trial."""
+    walks, reports = [], []
+    walk, deficits = VERIFY._walk_patterns, VERIFY._deficits
+    monkeypatch.setattr(VERIFY, "_walk_patterns", lambda s, t: walks.append(1) or walk(s, t))
+    monkeypatch.setattr(VERIFY, "_deficits", lambda *args: reports.append(1) or deficits(*args))
+    d = prod_b()
+    path = tmp_path / "d.gcd"
+    path.write_text(emit_design(d))
+    assert parse_label_arrays(path.read_text()) is not None
+    for call in (verify, coverage_deficit, lambda d: run_verify(path),
+                 lambda d: prune_redundant(d, greedy_drop=True)):
+        walks.clear()
+        reports.clear()
+        call(d)
+        assert len(walks) == 1
+    assert len(reports) == 1 + len(d.blocks) >= 6  # the input check, then one per trial
+
+
+def kleitman_spencer(m):
+    """The first m of the 210 columns of the binary strength-2 covering
+    array of Kleitman and Spencer (Discrete Math. 6, 1973), 11 rows: an
+    all-zero row, and for columns the distinct weight-6 vectors of length
+    10.  Two such supports meet in at least 2 points and neither holds
+    the other, so every pair of columns shows 00, 01, 10 and 11."""
+    cols = [[0] + [int(i in c) for i in range(10)] for c in itertools.combinations(range(10), 6)]
+    return [list(row) for row in zip(*cols[:m])]
+
+
+def test_many_columns_match_the_oracle_and_the_clique_cover():
+    """On 40 columns, 780 patterns, verify and coverage_deficit agree
+    with the naive oracle and the join graph's clique-cover check, whole
+    and with each of two rows dropped."""
+    d = from_covering_array(kleitman_spencer(40))
+    s = d.structure
+    assert (s.v, s.k, len(d.blocks)) == ((2,) * 40, (1,) * 40, 11)
+    assert verify(d).valid
+    for dd in (d, drop_block(d, 0), drop_block(d, 7)):
+        assert_matches_oracle(dd)
+        assert verify(dd).valid == check_clique_cover(s, dd)
+
+
+def test_many_columns_verify_from_the_converted_file(tmp_path):
+    """`gencov verify` on the file `gencov convert ca2gc` writes of the
+    150-column array prints what verify reports: C(150, 2) patterns of 4
+    tuples each."""
+    rows = kleitman_spencer(150)
+    array, path = tmp_path / "ks.txt", tmp_path / "ks.gcd"
+    array.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    assert cli.main(["convert", "ca2gc", str(array), "-o", str(path)]) == 0
+    rep = verify(from_covering_array(rows))
+    assert rep == VerificationReport(valid=True, checked_patterns=11175, checked_tuples=44700,
+                                     first_uncovered=None, deficient_count=0)
+    assert parse_label_arrays(path.read_text()) is not None
+    printed = "valid: yes\nchecked patterns: 11175\nchecked tuples: 44700\n"
+    assert run_verify(path) == (0, printed, "")
+
+
 # ------------------------------------------------------ the counter choice
 
 def counters(s, t, blocks):
     """The counter _setups takes for each pattern of blocks at strength t."""
-    labels = VERIFY._block_labels(s, t, blocks)
-    return {p: count.__name__ for p, (count, _) in VERIFY._setups(s, t, labels)}
+    patterns = VERIFY._patterns(s, t)
+    labels = VERIFY._block_labels(s, patterns, blocks)
+    return {p: count.__name__ for p, (count, _) in VERIFY._setups(s, patterns, labels)}
 
 
 def with_unit_part(rng, s):
@@ -438,9 +504,10 @@ def test_gram_and_rank_counts_agree(chunk, incidence, monkeypatch):
         blocks = [random_block(rng, s) for _ in range(rng.randint(1, 30))]
         blocks = blocks * rng.randint(1, 3) + blocks[:rng.randint(0, 3)]
         del blocks[rng.randrange(len(blocks))]
-        labels = VERIFY._block_labels(s, 2, tuple(blocks))
+        patterns = VERIFY._patterns(s, 2)
+        labels = VERIFY._block_labels(s, patterns, tuple(blocks))
         rows = sorted(rng.sample(range(len(blocks)), rng.randint(0, len(blocks))))
-        for p, n_tuples in VERIFY._patterns(s, 2):
+        for p, n_tuples in patterns:
             gram = VERIFY._gram_setup(labels, s, p, n_tuples)
             rank = VERIFY._rank_setup(labels, s, p, n_tuples)
             for pick in (None, np.array(rows, dtype=np.intp)):
@@ -448,8 +515,9 @@ def test_gram_and_rank_counts_agree(chunk, incidence, monkeypatch):
                 got = VERIFY._gram_counts(gram, pick)
                 assert got.dtype == want.dtype and got.tolist() == want.tolist(), (s, p)
         lam = rng.randint(1, 3)
-        assert (VERIFY._report(s, 2, VERIFY._setups(s, 2, labels), lam, rows)
-                == VERIFY._report(s, 2, VERIFY._setups(s, 2, labels, gram=False), lam, rows))
+        assert (VERIFY._report(s, patterns, VERIFY._setups(s, patterns, labels), lam, rows)
+                == VERIFY._report(s, patterns, VERIFY._setups(s, patterns, labels, gram=False),
+                                  lam, rows))
         drawn += 1
 
 
@@ -510,8 +578,9 @@ def test_counter_choice():
     lift = construct_minimax(PartStructure((5, 6, 7), (3, 4, 3)))
     assert set(counters(lift.structure, 2, lift.blocks).values()) == {"_gram_counts"}
     assert set(counters(lift.structure, 3, lift.blocks).values()) == {"_rank_counts"}
-    labels = VERIFY._block_labels(lift.structure, 2, lift.blocks)
-    ranked = VERIFY._setups(lift.structure, 2, labels, gram=False)
+    patterns = VERIFY._patterns(lift.structure, 2)
+    labels = VERIFY._block_labels(lift.structure, patterns, lift.blocks)
+    ranked = VERIFY._setups(lift.structure, patterns, labels, gram=False)
     assert {count.__name__ for _, (count, _) in ranked} == {"_rank_counts"}
 
 
